@@ -13,7 +13,7 @@ factor is updated incrementally instead of refactorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -97,77 +97,33 @@ class KgardConfig:
             self.tikhonov_weights = w
 
 
-@dataclass
-class DesignSystem:
-    """Augmented design [K 1 I_N] plus the regularizer matrix variant.
-
-    The identity block is kept implicit: ``outlier_support`` lists the
-    selected identity columns (zero-based data indices, in selection
-    order).  The first N+1 columns (kernel block and the all-ones
-    bias column) are always active.
-    """
-
-    gram: np.ndarray
-    regularizer: RegularizerKind
-    outlier_support: list = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.gram.shape[0]
-
-    @property
-    def active_size(self) -> int:
-        return self.n + 1 + len(self.outlier_support)
-
-    def design_matrix(self) -> np.ndarray:
-        """Dense N x (N+1+k) matrix of the active columns."""
-        n = self.n
-        cols = [self.gram, np.ones((n, 1))]
-        for j in self.outlier_support:
-            e = np.zeros((n, 1))
-            e[j, 0] = 1.0
-            cols.append(e)
-        return np.hstack(cols)
-
-    def b_matrix(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """Regularizer B over the active set, padded with zeros for
-        the selected identity columns."""
-        n = self.n
-        m = self.active_size
-        b = np.zeros((m, m))
-        if self.regularizer is RegularizerKind.COEFFICIENT_NORM:
-            b[: n + 1, : n + 1] = np.eye(n + 1)
-        else:
-            b[:n, :n] = self.gram
-        if weights is not None:
-            w = np.asarray(weights, dtype=np.float64).ravel()
-            if w.shape[0] != n + 1:
-                raise ValueError(f"expected {n + 1} weights, got {w.shape[0]}")
-            idx = np.arange(n + 1)
-            b[idx, idx] *= w**2
-        return b
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """X z = K alpha + c 1 + u without forming X."""
-        n = self.n
-        out = self.gram @ z[:n] + z[n]
-        for pos, j in enumerate(self.outlier_support):
-            out[j] += z[n + 1 + pos]
-        return out
-
-
-def build_design(gram: np.ndarray, regularizer: RegularizerKind) -> DesignSystem:
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"gram matrix must be square, got shape {gram.shape}")
-    return DesignSystem(gram=gram, regularizer=regularizer)
-
-
 def _normal_matrix(
-    system: DesignSystem, lam: float, weights: Optional[np.ndarray]
+    gram: np.ndarray,
+    regularizer: RegularizerKind,
+    lam: float,
+    weights: Optional[np.ndarray],
+    support: list,
 ) -> np.ndarray:
-    x = system.design_matrix()
-    return x.T @ x + lam * system.b_matrix(weights)
+    """X^T X + lam B over the active columns X = [K 1 I_S].
+
+    B is the regularizer on (alpha; c), its diagonal scaled by the
+    squared Tikhonov weights, padded with zeros for the selected
+    identity columns, which carry no regularization.
+    """
+    n = gram.shape[0]
+    k = len(support)
+    identity = np.zeros((n, k))
+    identity[support, np.arange(k)] = 1.0
+    x = np.hstack([gram, np.ones((n, 1)), identity])
+    b = np.zeros((n + 1 + k, n + 1 + k))
+    if regularizer is RegularizerKind.COEFFICIENT_NORM:
+        b[: n + 1, : n + 1] = np.eye(n + 1)
+    else:
+        b[:n, :n] = gram
+    if weights is not None:
+        idx = np.arange(n + 1)
+        b[idx, idx] *= weights**2
+    return x.T @ x + lam * b
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -186,102 +142,6 @@ def _chol_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(lower.T, q, lower=False)
 
 
-def regularized_ls_solve(
-    system: DesignSystem,
-    y: np.ndarray,
-    lam: float,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Solve (X^T X + lam B) z = X^T y over the active set."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    m = _normal_matrix(system, lam, weights)
-    lower = _cholesky(m)
-    return _chol_solve(lower, system.design_matrix().T @ y)
-
-
-@dataclass
-class IncrementalFactor:
-    """Lower Cholesky factor of the current normal matrix."""
-
-    lower: np.ndarray
-    weights: Optional[np.ndarray] = None
-
-    @property
-    def order(self) -> int:
-        return self.lower.shape[0]
-
-
-def chol_init(
-    system: DesignSystem,
-    lam: float,
-    y: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> tuple[IncrementalFactor, np.ndarray]:
-    """Factor the normal matrix of the current active set and solve."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    lower = _cholesky(_normal_matrix(system, lam, weights))
-    z = _chol_solve(lower, system.design_matrix().T @ y)
-    return IncrementalFactor(lower=lower, weights=weights), z
-
-
-def chol_extend(
-    factor: IncrementalFactor,
-    system: DesignSystem,
-    new_column_index: int,
-    lam: float,
-    y: np.ndarray,
-) -> tuple[IncrementalFactor, np.ndarray]:
-    """Activate identity column ``new_column_index`` and re-solve.
-
-    The factor is extended with one row: L_k = [[L_{k-1}, 0], [d^T, b]]
-    where L_{k-1} d equals the new normal-matrix column and
-    b = sqrt(1 - ||d||^2).  The appended coordinate is unregularized
-    (B is padded with a zero row/column), so the new diagonal entry of
-    the normal matrix is exactly 1.
-    """
-    j = int(new_column_index)
-    n = system.n
-    if not 0 <= j < n:
-        raise ValueError(f"column index {j} out of range for N={n}")
-    if j in system.outlier_support:
-        raise ValueError(f"identity column {j} was already selected")
-    if factor.order != system.active_size:
-        raise ValueError("factor is inconsistent with the system's active set")
-    y = np.asarray(y, dtype=np.float64).ravel()
-
-    col = np.concatenate(
-        [system.gram[j], [1.0], np.zeros(len(system.outlier_support))]
-    )
-    d = solve_triangular(factor.lower, col, lower=True)
-    b_sq = 1.0 - float(d @ d)
-    system.outlier_support.append(j)
-    if b_sq <= _EXTEND_FLOOR:
-        # near-singular geometry: rebuild rather than propagate a NaN
-        lower = _cholesky(_normal_matrix(system, lam, factor.weights))
-    else:
-        m = factor.order
-        lower = np.zeros((m + 1, m + 1))
-        lower[:m, :m] = factor.lower
-        lower[m, :m] = d
-        lower[m, m] = np.sqrt(b_sq)
-    new_factor = IncrementalFactor(lower=lower, weights=factor.weights)
-    z = _chol_solve(lower, system.design_matrix().T @ y)
-    return new_factor, z
-
-
-def select_index(residual: np.ndarray, inactive) -> int:
-    """Inactive index with the largest |residual|; ties -> smallest index."""
-    inactive = np.asarray(sorted(inactive), dtype=np.intp)
-    if inactive.size == 0:
-        raise ValueError("inactive index set is empty")
-    r = np.abs(np.asarray(residual, dtype=np.float64).ravel()[inactive])
-    return int(inactive[int(np.argmax(r))])
-
-
 @dataclass
 class KgardSolution:
     """Fit result: kernel coefficients, bias, and the sparse outliers."""
@@ -291,7 +151,6 @@ class KgardSolution:
     outliers: dict  # index -> estimated outlier value, selection order
     iterations: int
     residual_history: list
-    objective_history: list
     truncated: bool = False
 
     @property
@@ -328,10 +187,17 @@ class KgardSolver:
             raise ValueError(f"gram matrix must be square, got {self.gram.shape}")
         self.lam = float(lam)
         self.regularizer = regularizer
-        self.weights = tikhonov_weights
         n = self.gram.shape[0]
-        system = DesignSystem(self.gram, regularizer)
-        self._lower0 = _cholesky(_normal_matrix(system, lam, tikhonov_weights))
+        if tikhonov_weights is not None:
+            tikhonov_weights = np.asarray(tikhonov_weights, dtype=np.float64).ravel()
+            if tikhonov_weights.shape[0] != n + 1:
+                raise ValueError(
+                    f"expected {n + 1} tikhonov_weights, got {tikhonov_weights.shape[0]}"
+                )
+        self.weights = tikhonov_weights
+        self._lower0 = _cholesky(
+            _normal_matrix(self.gram, regularizer, self.lam, self.weights, [])
+        )
         self._n = n
 
     def fit(
@@ -368,23 +234,9 @@ class KgardSolver:
                 fitted[support] += z[n + 1 :]
             return y - fitted
 
-        def objective(z: np.ndarray, r: np.ndarray) -> float:
-            head = z[: n + 1]
-            if self.regularizer is RegularizerKind.COEFFICIENT_NORM:
-                w2 = 1.0 if self.weights is None else self.weights**2
-                pen = float(np.sum(w2 * head**2))
-            else:
-                pen = float(head[:n] @ self.gram @ head[:n])
-                if self.weights is not None:
-                    # diagonal reweighting of B, mirroring b_matrix()
-                    diag = np.append(np.diag(self.gram), 0.0)
-                    pen += float(np.sum((self.weights**2 - 1.0) * diag * head**2))
-            return float(r @ r) + self.lam * pen
-
         z = solve()
         r = residual(z)
         residual_history = [_stop_norm(r, stop_norm)]
-        objective_history = [objective(z, r)]
         truncated = False
 
         while True:
@@ -404,9 +256,11 @@ class KgardSolver:
             support.append(j)
             active[j] = True
             if b_sq <= _EXTEND_FLOOR:
-                system = DesignSystem(self.gram, self.regularizer, list(support))
+                # near-singular geometry: rebuild rather than propagate a NaN
                 lower[: m + 1, : m + 1] = _cholesky(
-                    _normal_matrix(system, self.lam, self.weights)
+                    _normal_matrix(
+                        self.gram, self.regularizer, self.lam, self.weights, support
+                    )
                 )
             else:
                 lower[m, :m] = d
@@ -416,7 +270,6 @@ class KgardSolver:
             z = solve()
             r = residual(z)
             residual_history.append(_stop_norm(r, stop_norm))
-            objective_history.append(objective(z, r))
 
         outliers = {j: float(z[n + 1 + pos]) for pos, j in enumerate(support)}
         return KgardSolution(
@@ -425,7 +278,6 @@ class KgardSolver:
             outliers=outliers,
             iterations=len(support),
             residual_history=residual_history,
-            objective_history=objective_history,
             truncated=truncated,
         )
 

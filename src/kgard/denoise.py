@@ -284,6 +284,8 @@ def denoise_image(
 
     ROIs are independent; the output does not depend on ``threads``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if cfg is None:
         cfg = RoiConfig()
     img = _as_image(image)

@@ -223,6 +223,8 @@ def run_monte_carlo(
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     shared: Optional[dict] = None
     if protocol in ("sinc1d", "stable1d"):
@@ -289,6 +291,8 @@ def sweep_outlier_magnitude(
         raise ValueError("magnitudes list is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     n_impulses = round_half_away(fraction * SWEEP_N)

@@ -148,3 +148,23 @@ def test_regress_round_trip(tmp_path, capsys):
     outlier_col = [float(r.split(",")[3]) for r in rows[1:]]
     assert abs(outlier_col[13]) > 10.0
     assert sum(1 for v in outlier_col if v != 0.0) <= 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["experiment", "--protocol", "sinc1d", "--lambda", "0.2", "--epsilon", "10",
+         "--trials", "2"],
+        ["sweep", "--magnitudes", "300", "--trials", "2"],
+        ["denoise", "--in", "{src}"],
+    ],
+    ids=["experiment", "sweep", "denoise"],
+)
+def test_threads_below_one_exits_2(tmp_path, capsys, args):
+    src = tmp_path / "src.pgm"
+    _bump_pgm(src)
+    out = tmp_path / "out"
+    argv = [a.format(src=src) for a in args] + ["--out", str(out), "--threads", "-3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: argument: threads must be >= 1")
+    assert not out.exists()

@@ -1,34 +1,25 @@
 import numpy as np
 import pytest
 
+import kgard.core
 from kgard.core import (
     Dataset,
     KgardConfig,
     KgardSolver,
     NumericalError,
     RegularizerKind,
-    build_design,
-    chol_extend,
-    chol_init,
     kgard_fit,
     predict,
-    regularized_ls_solve,
-    select_index,
     _cholesky,
+    _normal_matrix,
 )
 from kgard.kernel import KernelParams, gram_matrix
+from oracle import dense_solve, design_matrix, residual, solution_vector
 
 
 def _random_gram(rng, n, d=1, sigma=0.4):
     pts = rng.uniform(0, 1, size=(n, d))
     return gram_matrix(pts, KernelParams(sigma)), pts
-
-
-def _dense_solution(system, y, lam, weights=None):
-    # independent oracle: explicit normal equations via numpy solve
-    x = system.design_matrix()
-    b = system.b_matrix(weights)
-    return np.linalg.solve(x.T @ x + lam * b, x.T @ y)
 
 
 def test_dataset_validation():
@@ -58,10 +49,9 @@ def test_regularized_ls_matches_dense_oracle():
     gram, _ = _random_gram(rng, 20, sigma=0.05)
     y = rng.normal(size=20)
     for kind in RegularizerKind:
-        system = build_design(gram, kind)
-        z = regularized_ls_solve(system, y, lam=0.5)
-        expected = _dense_solution(system, y, 0.5)
-        assert np.allclose(z, expected, atol=1e-10)
+        sol = KgardSolver(gram, 0.5, kind).fit(y, epsilon=0.0, max_selections=0)
+        expected = dense_solve(gram, y, 0.5, regularizer=kind)
+        assert np.allclose(solution_vector(sol), expected, atol=1e-10)
 
 
 def test_selected_identity_column_zeroes_its_residual():
@@ -71,37 +61,25 @@ def test_selected_identity_column_zeroes_its_residual():
     gram, _ = _random_gram(rng, 15)
     y = rng.normal(size=15)
     y[7] += 50.0
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    factor, _ = chol_init(system, 0.5, y)
-    _, z = chol_extend(factor, system, 7, 0.5, y)
-    r = y - system.apply(z)
+    sol = KgardSolver(gram, 0.5).fit(y, epsilon=0.0, max_selections=1)
+    assert sol.support == [7]
+    r = residual(gram, y, sol)
     assert abs(r[7]) < 1e-9
     assert np.linalg.norm(r) > 1e-3  # other coordinates still misfit
 
 
-def test_chol_extend_matches_from_scratch():
+def test_fit_matches_dense_oracle_per_selection():
     rng = np.random.default_rng(2)
     gram, _ = _random_gram(rng, 25)
     y = rng.normal(size=25)
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    factor, z = chol_init(system, 0.3, y)
-    for j in (3, 11, 19):
-        factor, z = chol_extend(factor, system, j, 0.3, y)
-        expected = _dense_solution(system, y, 0.3)
-        assert np.allclose(z, expected, atol=1e-9)
-
-
-def test_chol_extend_rejects_bad_columns():
-    rng = np.random.default_rng(3)
-    gram, _ = _random_gram(rng, 10)
-    y = rng.normal(size=10)
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    factor, _ = chol_init(system, 1.0, y)
-    with pytest.raises(ValueError):
-        chol_extend(factor, system, 10, 1.0, y)
-    factor, _ = chol_extend(factor, system, 4, 1.0, y)
-    with pytest.raises(ValueError):
-        chol_extend(factor, system, 4, 1.0, y)
+    solver = KgardSolver(gram, 0.3)
+    support = []
+    for k in (1, 2, 3):
+        sol = solver.fit(y, epsilon=0.0, max_selections=k)
+        assert sol.support[:-1] == support  # one more selection per step
+        support = sol.support
+        expected = dense_solve(gram, y, 0.3, support)
+        assert np.allclose(solution_vector(sol), expected, atol=1e-9)
 
 
 def test_cholesky_failure_reports_pivot():
@@ -110,12 +88,13 @@ def test_cholesky_failure_reports_pivot():
     assert err.value.pivot == 1
 
 
-def test_select_index_max_and_tie_rule():
-    r = np.array([1.0, -3.0, 3.0, 0.5])
-    assert select_index(r, [0, 1, 2, 3]) == 1  # tie -> smallest index
-    assert select_index(r, [0, 2, 3]) == 2
-    with pytest.raises(ValueError):
-        select_index(r, [])
+def test_fit_tie_picks_smallest_index():
+    # with K = I the residuals at 1 and 2 tie exactly in magnitude
+    for y in ([0.0, -3.0, 3.0, 0.0], [0.0, 3.0, -3.0, 0.0]):
+        sol = KgardSolver(np.eye(4), lam=1.0).fit(
+            np.array(y), epsilon=0.0, max_selections=1
+        )
+        assert sol.support == [1]
 
 
 def test_fit_recovers_planted_outliers():
@@ -184,52 +163,110 @@ def test_fit_epsilon_fn_overrides_epsilon():
     assert len(calls) == 1 and calls[0].shape == (30,)
 
 
-def test_solver_matches_functional_path():
+def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(9)
     gram, _ = _random_gram(rng, 35)
     y = rng.normal(size=35)
     y[[4, 20]] += np.array([25.0, -30.0])
     sol = KgardSolver(gram, lam=0.7).fit(y, epsilon=0.0, max_selections=2)
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    system.outlier_support.extend(sol.support)
-    z = regularized_ls_solve(system, y, 0.7)
+    assert sorted(sol.support) == [4, 20]
+    z = dense_solve(gram, y, 0.7, sol.support)
     assert np.allclose(sol.alpha, z[:35], atol=1e-9)
     assert sol.bias == pytest.approx(z[35], abs=1e-9)
+    assert np.allclose(list(sol.outliers.values()), z[36:], atol=1e-9)
 
 
 def test_tikhonov_weights_scale_effective_penalty():
     rng = np.random.default_rng(10)
     n = 20
-    gram, _ = _random_gram(rng, n)
+    gram, _ = _random_gram(rng, n, sigma=0.05)
     y = rng.normal(size=n)
+    y[6] += 20.0
     w = np.ones(n + 1)
     w[:5] = np.sqrt(5.0)
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    z_w = regularized_ls_solve(system, y, lam=0.4, weights=w)
-    # oracle: plain identity regularizer with the diagonal scaled by w^2
-    x = system.design_matrix()
-    expected = np.linalg.solve(x.T @ x + 0.4 * np.diag(w**2), x.T @ y)
-    assert np.allclose(z_w, expected, atol=1e-10)
+    for kind in RegularizerKind:
+        sol = KgardSolver(gram, 0.4, kind, tikhonov_weights=w).fit(
+            y, epsilon=0.0, max_selections=2
+        )
+        expected = dense_solve(gram, y, 0.4, sol.support, kind, weights=w)
+        assert np.allclose(solution_vector(sol), expected, atol=1e-10)
+        unweighted = dense_solve(gram, y, 0.4, sol.support, kind)
+        assert not np.allclose(unweighted, expected)
+
+
+def test_solver_rejects_wrong_length_weights():
+    gram = np.eye(5)
+    KgardSolver(gram, 1.0, tikhonov_weights=np.ones(6))
+    for bad in (np.ones(5), np.ones(7)):
+        with pytest.raises(ValueError, match="expected 6 tikhonov_weights"):
+            KgardSolver(gram, 1.0, tikhonov_weights=bad)
 
 
 def test_rkhs_regularizer_uses_gram_penalty():
     rng = np.random.default_rng(11)
-    gram, _ = _random_gram(rng, 15)
-    system = build_design(gram, RegularizerKind.RKHS_NORM)
-    b = system.b_matrix()
-    assert np.array_equal(b[:15, :15], gram)
-    assert np.all(b[15:, :] == 0) and np.all(b[:, 15:] == 0)
+    gram, _ = _random_gram(rng, 15, sigma=0.05)
+    y = rng.normal(size=15)
+    y[3] += 20.0
+    sol = KgardSolver(gram, 0.5, RegularizerKind.RKHS_NORM).fit(
+        y, epsilon=0.0, max_selections=2
+    )
+    rkhs = dense_solve(gram, y, 0.5, sol.support, RegularizerKind.RKHS_NORM)
+    assert np.allclose(solution_vector(sol), rkhs, atol=1e-10)
+    coef = dense_solve(gram, y, 0.5, sol.support, RegularizerKind.COEFFICIENT_NORM)
+    assert not np.allclose(rkhs, coef)
 
 
 def test_b_matrix_zero_padding_for_selected_columns():
+    # selected identity columns are unregularized: the normal matrix
+    # carries lam * B on (alpha; c) only
     rng = np.random.default_rng(12)
     gram, _ = _random_gram(rng, 8)
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    system.outlier_support.extend([2, 5])
-    b = system.b_matrix()
-    assert b.shape == (11, 11)
-    assert np.array_equal(b[:9, :9], np.eye(9))
-    assert np.all(b[9:, :] == 0) and np.all(b[:, 9:] == 0)
+    x = design_matrix(gram, [2, 5])
+    for kind, head in (
+        (RegularizerKind.COEFFICIENT_NORM, np.eye(9)),
+        (RegularizerKind.RKHS_NORM, np.pad(gram, ((0, 1), (0, 1)))),
+    ):
+        m = _normal_matrix(gram, kind, 0.3, None, [2, 5])
+        assert m.shape == (11, 11)
+        pen = m - x.T @ x
+        assert np.allclose(pen[:9, :9], 0.3 * head, atol=1e-14)
+        assert np.all(pen[9:, :] == 0) and np.all(pen[:, 9:] == 0)
+
+
+def _rebuild_case():
+    # a very narrow kernel with a tiny ridge leaves every new identity
+    # column nearly in the span of the active ones
+    x = np.linspace(0, 1, 30)
+    gram = gram_matrix(x, KernelParams(0.02))
+    y = np.sin(2 * np.pi * x)
+    y[[3, 17]] += 20.0
+    return gram, y
+
+
+def test_fit_pivot_rebuild_branch(monkeypatch):
+    gram, y = _rebuild_case()
+    solver = KgardSolver(gram, 1e-12)
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape[0])
+        return _cholesky(m)
+
+    monkeypatch.setattr(kgard.core, "_cholesky", counting)
+    sol = solver.fit(y, epsilon=0.0, max_selections=10)
+    assert calls == list(range(32, 42))  # one rebuild per selection
+    assert sol.iterations == 10
+    assert sol.support[:2] == [3, 17]
+    r = residual(gram, y, sol)
+    assert np.max(np.abs(r[sol.support])) <= 1e-9
+
+
+def test_fit_pivot_failure_reports_pivot():
+    gram, y = _rebuild_case()
+    # the ridge no longer keeps the bias pivot of [K 1] positive
+    with pytest.raises(NumericalError) as err:
+        KgardSolver(gram, 1e-16).fit(y, epsilon=0.0, max_selections=10)
+    assert err.value.pivot == 30
 
 
 def test_kgard_fit_and_predict_end_to_end():

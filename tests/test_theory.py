@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgard.core import RegularizerKind, build_design, regularized_ls_solve
+from kgard.core import KgardSolver
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.theory import (
     best_certificate,
@@ -9,6 +9,7 @@ from kgard.theory import (
     spectral_diagnostics,
     theorem_check,
 )
+from oracle import residual
 
 
 def _instance(seed, n=20, sigma=0.15):
@@ -99,11 +100,10 @@ def test_theorem_check_rejects_empty_support():
         theorem_check(gram, theta, np.zeros(gram.shape[0]), 1.0)
 
 
-def _solver_residual(gram, y, lam, selected):
-    system = build_design(gram, RegularizerKind.COEFFICIENT_NORM)
-    system.outlier_support.extend(int(j) for j in selected)
-    z = regularized_ls_solve(system, y, lam)
-    return y - system.apply(z)
+def _solver_residual(gram, y, lam, k):
+    """Residual and support of the greedy fit after k selections."""
+    sol = KgardSolver(gram, lam).fit(y, epsilon=0.0, max_selections=k)
+    return residual(gram, y, sol), sol.support
 
 
 def test_residual_oracle_k0_matches_ridge_solve():
@@ -111,7 +111,8 @@ def test_residual_oracle_k0_matches_ridge_solve():
     x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
     y = x0 @ theta + u
     r0, inter = residual_oracle(gram, theta, u, lam=4000.0, selected=[])
-    assert np.allclose(r0, _solver_residual(gram, y, 4000.0, []), atol=1e-8)
+    r_fit, _ = _solver_residual(gram, y, 4000.0, 0)
+    assert np.allclose(r0, r_fit, atol=1e-8)
     assert inter.u_k.tolist() == u.tolist()
 
 
@@ -119,10 +120,11 @@ def test_residual_oracle_matches_constrained_solve_k1_k2():
     gram, theta, u, support = _certified_setup(5)
     x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
     y = x0 @ theta + u
-    picks = sorted(support.tolist())[:2]
     for k in (1, 2):
-        rk, _ = residual_oracle(gram, theta, u, lam=4000.0, selected=picks[:k])
-        assert np.allclose(rk, _solver_residual(gram, y, 4000.0, picks[:k]), atol=1e-8)
+        r_fit, picks = _solver_residual(gram, y, 4000.0, k)
+        assert len(picks) == k and set(picks) <= set(support.tolist())
+        rk, _ = residual_oracle(gram, theta, u, lam=4000.0, selected=picks)
+        assert np.allclose(rk, r_fit, atol=1e-8)
 
 
 def test_residual_oracle_zero_at_selected_coordinates():
