@@ -24,19 +24,12 @@ from .noise import NoiseSpec, StableParams, corrupt, rng_for
 from .pgm import PgmFormatError, read_pgm_file, write_pgm_file
 
 
-def _threads_default() -> int:
-    env = os.environ.get("KGARD_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_threads(p: argparse.ArgumentParser) -> None:
+    # a string default goes through type=int like a command-line value
     p.add_argument(
         "--threads",
         type=int,
-        default=_threads_default(),
+        default=os.environ.get("KGARD_THREADS") or "1",
         help="worker thread cap (default: KGARD_THREADS or 1)",
     )
 

@@ -286,16 +286,12 @@ def kgard_fit(
     data: Dataset,
     params: KernelParams,
     config: KgardConfig,
-    gram: Optional[np.ndarray] = None,
-    epsilon_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> KgardSolution:
     """Run the full greedy fit on a dataset."""
     if data.size == 0:
         raise ValueError("dataset is empty")
-    if gram is None:
-        gram = gram_matrix(data.inputs, params)
     solver = KgardSolver(
-        gram,
+        gram_matrix(data.inputs, params),
         config.lam,
         regularizer=config.regularizer,
         tikhonov_weights=config.tikhonov_weights,
@@ -305,7 +301,6 @@ def kgard_fit(
         epsilon=config.epsilon,
         stop_norm=config.stop_norm,
         max_selections=config.max_selections,
-        epsilon_fn=epsilon_fn,
     )
 
 

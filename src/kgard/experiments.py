@@ -21,19 +21,11 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    KgardConfig,
-    KgardSolver,
-    NumericalError,
-    kgard_fit,
-    predict,
-)
+from .core import KgardConfig, KgardSolver, NumericalError
 from .kernel import KernelParams, cross_gram, gram_matrix
 from .noise import (
     LATTICE_KERNEL_SIGMA,
@@ -41,6 +33,7 @@ from .noise import (
     SUPPORT_KERNEL_SIGMA,
     NoiseSpec,
     corrupt,
+    lattice_nodes,
     make_lattice_dataset,
     make_sinc_dataset,
     make_support_dataset,
@@ -112,49 +105,6 @@ def border_weights(
     return w
 
 
-def _sinc_trial(
-    seed: int,
-    noise: NoiseSpec,
-    config: KgardConfig,
-    shared: dict,
-) -> TrialResult:
-    rng = rng_for(seed)
-    y, support, _ = corrupt(shared["train_truth"], noise, rng=rng)
-    t0 = time.perf_counter()
-    solution = shared["solver"].fit(
-        y,
-        epsilon=config.epsilon,
-        stop_norm=config.stop_norm,
-        max_selections=config.max_selections,
-    )
-    wall = time.perf_counter() - t0
-    fitted_val = shared["cross"] @ solution.alpha + solution.bias
-    mse = float(np.mean((fitted_val - shared["val_truth"]) ** 2))
-    if support.size:
-        correct, wrong = support_metrics(solution.support, support)
-    else:
-        correct = wrong = math.nan
-    return TrialResult(mse, correct, wrong, wall, seed)
-
-
-def _lattice_trial(seed: int, noise: NoiseSpec, config: KgardConfig) -> TrialResult:
-    rng = rng_for(seed)
-    data = make_lattice_dataset(rng)
-    y, support, _ = corrupt(data.train_truth, noise, rng=rng)
-    params = KernelParams(LATTICE_KERNEL_SIGMA)
-    observed = Dataset(data.train.inputs, y)
-    t0 = time.perf_counter()
-    solution = kgard_fit(observed, params, config)
-    wall = time.perf_counter() - t0
-    fitted_val = predict(solution, data.train.inputs, data.validation.inputs, params)
-    mse = float(np.mean((fitted_val - data.validation_truth) ** 2))
-    if support.size:
-        correct, wrong = support_metrics(solution.support, support)
-    else:
-        correct = wrong = math.nan
-    return TrialResult(mse, correct, wrong, wall, seed)
-
-
 def _nan_mean(values) -> float:
     vals = [v for v in values if not math.isnan(v)]
     return float(np.mean(vals)) if vals else math.nan
@@ -214,10 +164,14 @@ def run_monte_carlo(
 ) -> tuple[AggregateStats, list[TrialResult]]:
     """Run ``trials`` independent corrupt/fit/score trials.
 
-    A trial that raises a factorization failure is recorded with
-    ``failed=True`` and excluded from the aggregates.  The trial list
-    (and the CSV, when requested) is ordered by trial index and does
-    not depend on ``threads``.
+    The Gram matrix, the solver's initial factorization and the
+    validation cross-Gram depend only on the protocol's fixed inputs,
+    so they are built once, before the first trial; a
+    ``NumericalError`` there fails the whole run.  A trial whose fit
+    raises ``NumericalError`` is recorded with ``failed=True`` and
+    excluded from the aggregates.  The trial list (and the CSV, when
+    requested) is ordered by trial index and does not depend on
+    ``threads``.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -226,35 +180,48 @@ def run_monte_carlo(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    shared: Optional[dict] = None
-    if protocol in ("sinc1d", "stable1d"):
-        data = make_sinc_dataset()
+    weights = config.tikhonov_weights
+    if protocol == "lattice2d":
+        fixed = None  # each trial draws its own target on the fixed lattice
+        _, train, validation = lattice_nodes()
+        params = KernelParams(LATTICE_KERNEL_SIGMA)
+    else:
+        fixed = make_sinc_dataset()
+        train, validation = fixed.train.inputs, fixed.validation.inputs
         params = KernelParams(SINC_KERNEL_SIGMA)
-        weights = config.tikhonov_weights
         if weights is None:
-            weights = border_weights(data.train.size)
-        gram = gram_matrix(data.train.inputs, params)
-        shared = {
-            "train_truth": data.train_truth,
-            "val_truth": data.validation_truth,
-            "cross": cross_gram(data.validation.inputs, data.train.inputs, params),
-            "solver": KgardSolver(
-                gram,
-                config.lam,
-                regularizer=config.regularizer,
-                tikhonov_weights=weights,
-            ),
-        }
+            weights = border_weights(fixed.train.size)
+    solver = KgardSolver(
+        gram_matrix(train, params),
+        config.lam,
+        regularizer=config.regularizer,
+        tikhonov_weights=weights,
+    )
+    cross = cross_gram(validation, train, params)
 
     def one(t: int) -> TrialResult:
         seed = base_seed + t
-        spec = replace(noise, seed=seed)
+        rng = rng_for(seed)
+        data = make_lattice_dataset(rng) if fixed is None else fixed
+        y, support, _ = corrupt(data.train_truth, noise, rng=rng)
+        t0 = time.perf_counter()
         try:
-            if shared is not None:
-                return _sinc_trial(seed, spec, config, shared)
-            return _lattice_trial(seed, spec, config)
+            solution = solver.fit(
+                y,
+                epsilon=config.epsilon,
+                stop_norm=config.stop_norm,
+                max_selections=config.max_selections,
+            )
         except NumericalError:
             return TrialResult(math.nan, math.nan, math.nan, math.nan, seed, True)
+        wall = time.perf_counter() - t0
+        fitted_val = cross @ solution.alpha + solution.bias
+        mse = float(np.mean((fitted_val - data.validation_truth) ** 2))
+        if support.size:
+            correct, wrong = support_metrics(solution.support, support)
+        else:
+            correct = wrong = math.nan
+        return TrialResult(mse, correct, wrong, wall, seed)
 
     results = _run_indexed(one, trials, threads)
     if csv_path is not None:
@@ -296,19 +263,14 @@ def sweep_outlier_magnitude(
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     n_impulses = round_half_away(fraction * SWEEP_N)
+    gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
+    solver = KgardSolver(gram, SWEEP_LAMBDA)
 
-    def one(args) -> tuple[float, float, bool]:
-        magnitude, t = args
+    def one(spec: NoiseSpec, t: int) -> tuple[float, float, bool]:
         rng = rng_for(base_seed + t)
-        x, truth, alpha = make_support_dataset(rng, SWEEP_N)
-        spec = NoiseSpec(
-            impulse_fraction=fraction, impulse_magnitude=magnitude, seed=base_seed + t
-        )
+        _, truth, alpha = make_support_dataset(rng, SWEEP_N)
         y, support, u = corrupt(truth, spec, rng=rng)
-        gram = gram_matrix(x, params)
-        solution = KgardSolver(gram, SWEEP_LAMBDA).fit(
-            y, epsilon=0.0, max_selections=n_impulses
-        )
+        solution = solver.fit(y, epsilon=0.0, max_selections=n_impulses)
         correct, wrong = support_metrics(solution.support, support)
         if np.any(u):
             theta = np.append(alpha, 0.0)  # the protocol target has no bias
@@ -319,9 +281,8 @@ def sweep_outlier_magnitude(
 
     points = []
     for magnitude in magnitudes:
-        rows = _run_indexed(
-            lambda t, m=magnitude: one((m, t)), trials, threads
-        )
+        spec = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
+        rows = _run_indexed(lambda t, s=spec: one(s, t), trials, threads)
         points.append(
             SweepPoint(
                 magnitude=float(magnitude),

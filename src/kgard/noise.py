@@ -130,19 +130,25 @@ def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([aa.ravel(), bb.ravel()])
 
 
-def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
-    """2-D target on the 31 x 31 lattice over [0,1]^2.
-
-    The 16 odd-indexed axis points give the 256 training nodes and the
-    remaining 15 the 225 validation nodes.  The target is a sparse
-    combination of Gaussian kernels (sigma 0.2) centered at all 961
-    nodes; the number of nonzero coefficients is uniform over 4%-17.5%
-    of the 256 training points and their values are N(0, 25.6^2).
-    """
+def lattice_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(all 961 nodes, 256 training nodes, 225 validation nodes) of the
+    31 x 31 lattice over [0,1]^2.  The 16 odd-indexed axis points give
+    the training nodes and the remaining 15 the validation nodes."""
     axis = np.linspace(0.0, 1.0, 31)
-    centers = _lattice(axis, axis)
-    train_pts = _lattice(axis[0::2], axis[0::2])
-    val_pts = _lattice(axis[1::2], axis[1::2])
+    train, val = axis[0::2], axis[1::2]
+    return _lattice(axis, axis), _lattice(train, train), _lattice(val, val)
+
+
+def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
+    """2-D target on the lattice of ``lattice_nodes``.
+
+    The target is a sparse combination of Gaussian kernels (sigma 0.2)
+    centered at all 961 nodes; the number of nonzero coefficients is
+    uniform over 4%-17.5% of the 256 training points and their values
+    are N(0, 25.6^2).  Every draw shares the same training and
+    validation nodes.
+    """
+    centers, train_pts, val_pts = lattice_nodes()
 
     n_train = train_pts.shape[0]
     lo = int(np.ceil(0.04 * n_train))

@@ -96,29 +96,10 @@ def _outlier_stats(true_outliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, support
 
 
-def theorem_check(
-    gram: np.ndarray,
-    true_theta: np.ndarray,
-    true_outliers: np.ndarray,
-    lam: float,
+def _bound_report(
+    sigma_max: float, theta: np.ndarray, u: np.ndarray, support: np.ndarray, lam: float
 ) -> BoundReport:
-    """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
-
-    ``true_theta`` is the (alpha; c) vector of length N+1 and
-    ``true_outliers`` a dense N-vector that is zero off the outlier
-    support.  Applies to the pure-outlier regime (no inlier noise).
-    """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    u, support = _outlier_stats(true_outliers)
-    if support.size == 0:
-        raise ValueError("true outlier vector has empty support")
-    theta = np.asarray(true_theta, dtype=np.float64).ravel()
-    x0 = _initial_design(gram)
-    if theta.shape[0] != x0.shape[1]:
-        raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
-
-    sigma_max = float(np.linalg.svd(x0, compute_uv=False)[0])
+    """The certificate at ``lam`` from sigma_max(X0) and a validated truth."""
     min_outlier = float(np.min(np.abs(u[support])))
     theta_norm = float(np.linalg.norm(theta))
     outlier_norm = float(np.linalg.norm(u))
@@ -147,6 +128,39 @@ def theorem_check(
         outlier_norm=outlier_norm,
         lam=float(lam),
     )
+
+
+def _validated_truth(
+    gram: np.ndarray, true_theta: np.ndarray, true_outliers: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma_max(X0), theta, u, outlier support) after checking shapes
+    and that the outlier support is nonempty."""
+    u, support = _outlier_stats(true_outliers)
+    if support.size == 0:
+        raise ValueError("true outlier vector has empty support")
+    theta = np.asarray(true_theta, dtype=np.float64).ravel()
+    x0 = _initial_design(gram)
+    if theta.shape[0] != x0.shape[1]:
+        raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
+    sigma_max = float(np.linalg.svd(x0, compute_uv=False)[0])
+    return sigma_max, theta, u, support
+
+
+def theorem_check(
+    gram: np.ndarray,
+    true_theta: np.ndarray,
+    true_outliers: np.ndarray,
+    lam: float,
+) -> BoundReport:
+    """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
+
+    ``true_theta`` is the (alpha; c) vector of length N+1 and
+    ``true_outliers`` a dense N-vector that is zero off the outlier
+    support.  Applies to the pure-outlier regime (no inlier noise).
+    """
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return _bound_report(*_validated_truth(gram, true_theta, true_outliers), lam)
 
 
 @dataclass
@@ -227,11 +241,9 @@ def best_certificate(
 ) -> Optional[BoundReport]:
     """Scan lambda below lambda_cap and return the report with the
     largest margin gamma*sqrt(lambda) - sigma_max, or None if gamma is
-    undefined everywhere."""
-    theta = np.asarray(true_theta, dtype=np.float64).ravel()
-    u, support = _outlier_stats(true_outliers)
-    if support.size == 0:
-        raise ValueError("true outlier vector has empty support")
+    undefined everywhere.  The SVD of X0 does not depend on lambda and
+    is computed once."""
+    sigma_max, theta, u, support = _validated_truth(gram, true_theta, true_outliers)
     theta_norm = float(np.linalg.norm(theta))
     if theta_norm == 0:
         # any lambda is admissible; pick a wide absolute grid
@@ -241,7 +253,7 @@ def best_certificate(
     best: Optional[BoundReport] = None
     best_margin = -np.inf
     for lam in np.geomspace(1e-6, 0.999, grid_size) * cap:
-        report = theorem_check(gram, theta, u, lam)
+        report = _bound_report(sigma_max, theta, u, support, lam)
         if report.gamma is None:
             continue
         margin = report.gamma * np.sqrt(lam) - report.sigma_max

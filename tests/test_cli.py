@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import kgard.core
 from kgard.cli import main
+from kgard.core import NumericalError
 from kgard.pgm import read_pgm_file, write_pgm_file
 
 
@@ -167,4 +169,44 @@ def test_threads_below_one_exits_2(tmp_path, capsys, args):
     argv = [a.format(src=src) for a in args] + ["--out", str(out), "--threads", "-3"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: argument: threads must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("abc", "argument --threads: invalid int value: 'abc'"),
+        ("-3", "error: argument: threads must be >= 1"),
+    ],
+    ids=["not-int", "below-one"],
+)
+def test_kgard_threads_env_validated_like_flag(
+    tmp_path, capsys, monkeypatch, value, message
+):
+    monkeypatch.setenv("KGARD_THREADS", value)
+    out = tmp_path / "s.csv"
+    try:
+        code = main(
+            ["sweep", "--magnitudes", "300", "--trials", "2", "--out", str(out)]
+        )
+    except SystemExit as exc:  # argparse rejects the default like a bad flag value
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_setup_failure_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise NumericalError("forced setup failure", pivot=0)
+
+    monkeypatch.setattr(kgard.core, "_cholesky", boom)
+    out = tmp_path / "trials.csv"
+    code = main(
+        ["experiment", "--protocol", "lattice2d", "--inlier-sigma", "3",
+         "--outlier-frac", "0.05", "--magnitude", "40", "--lambda", "0.15",
+         "--epsilon", "46", "--trials", "2", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: numerical:")
     assert not out.exists()

@@ -150,3 +150,5 @@ def test_best_certificate_finds_holding_lambda():
     assert report is not None
     assert report.holds
     assert report.lam < report.lambda_cap
+    # the hoisted SVD gives the same report as a full check at that lambda
+    assert report == theorem_check(gram, theta, u, report.lam)
