@@ -7,8 +7,10 @@ selection of the identity column whose residual coordinate is largest
 in magnitude.  Selected identity columns carry no regularization, so
 the residual at a selected coordinate is driven exactly to zero.
 
-The normal matrix grows by one row/column per selection; its Cholesky
-factor is updated incrementally instead of refactorized.
+Because of that, the fit over [K 1 I_S] reduces to the residual map of
+the ridge fit over [K 1] alone, and each selection is a rank-one update
+of that map; the coefficients are solved once, after the last
+selection.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
 
-# below this, 1 - ||d||^2 is considered numerically unsafe and the
-# factor is rebuilt from scratch
-_EXTEND_FLOOR = 1e-12
+# a selection whose pivot of R falls to this stops the fit
+_PIVOT_FLOOR = 1e-12
 
 
 class NumericalError(Exception):
@@ -102,23 +103,18 @@ def _normal_matrix(
     regularizer: RegularizerKind,
     lam: float,
     weights: Optional[np.ndarray],
-    support: list,
 ) -> np.ndarray:
-    """X^T X + lam B over the active columns X = [K 1 I_S].
+    """X0^T X0 + lam B for the ridge design X0 = [K 1].
 
     B is the regularizer on (alpha; c), its diagonal scaled by the
-    squared Tikhonov weights, padded with zeros for the selected
-    identity columns, which carry no regularization.
+    squared Tikhonov weights.
     """
     n = gram.shape[0]
-    k = len(support)
-    identity = np.zeros((n, k))
-    identity[support, np.arange(k)] = 1.0
-    x = np.hstack([gram, np.ones((n, 1)), identity])
-    b = np.zeros((n + 1 + k, n + 1 + k))
+    x = np.hstack([gram, np.ones((n, 1))])
     if regularizer is RegularizerKind.COEFFICIENT_NORM:
-        b[: n + 1, : n + 1] = np.eye(n + 1)
+        b = np.eye(n + 1)
     else:
+        b = np.zeros((n + 1, n + 1))
         b[:n, :n] = gram
     if weights is not None:
         idx = np.arange(n + 1)
@@ -135,11 +131,6 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
             pivot=info - 1,
         )
     return np.tril(c)
-
-
-def _chol_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    q = solve_triangular(lower, rhs, lower=True)
-    return solve_triangular(lower.T, q, lower=False)
 
 
 @dataclass
@@ -165,12 +156,13 @@ def _stop_norm(r: np.ndarray, kind: str) -> float:
 
 
 class KgardSolver:
-    """Reusable solver bound to one (gram, lambda, regularizer) triple.
+    """Reusable solver bound to one (gram, lambda, regularizer, weights).
 
-    The initial normal matrix and its Cholesky factor are computed once
-    in the constructor, so repeated fits against different observation
-    vectors (e.g. image tiles sharing one Gram matrix) only pay for the
-    incremental updates.
+    The constructor factors A0 = X0^T X0 + lam B of X0 = [K 1] and forms
+    the ridge residual map R = I - X0 A0^{-1} X0^T once.  A fit starts
+    from r = R y and makes one rank-one Schur update per selection; the
+    columns of Q hold them, so Q[S] is the lower Cholesky factor of
+    R[S, S].  A pivot of R at or below ``_PIVOT_FLOOR`` stops the fit.
     """
 
     def __init__(
@@ -182,22 +174,22 @@ class KgardSolver:
     ):
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam}")
-        self.gram = np.asarray(gram, dtype=np.float64)
-        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
-            raise ValueError(f"gram matrix must be square, got {self.gram.shape}")
-        self.lam = float(lam)
-        self.regularizer = regularizer
-        n = self.gram.shape[0]
+        gram = np.asarray(gram, dtype=np.float64)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValueError(f"gram matrix must be square, got {gram.shape}")
+        n = gram.shape[0]
         if tikhonov_weights is not None:
             tikhonov_weights = np.asarray(tikhonov_weights, dtype=np.float64).ravel()
             if tikhonov_weights.shape[0] != n + 1:
                 raise ValueError(
                     f"expected {n + 1} tikhonov_weights, got {tikhonov_weights.shape[0]}"
                 )
-        self.weights = tikhonov_weights
         self._lower0 = _cholesky(
-            _normal_matrix(self.gram, regularizer, self.lam, self.weights, [])
+            _normal_matrix(gram, regularizer, float(lam), tikhonov_weights)
         )
+        self._design = np.hstack([gram, np.ones((n, 1))])
+        h = solve_triangular(self._lower0, self._design.T, lower=True)
+        self._residual_map = np.eye(n) - h.T @ h
         self._n = n
 
     def fit(
@@ -212,30 +204,18 @@ class KgardSolver:
         y = np.asarray(y, dtype=np.float64).ravel()
         if y.shape[0] != n:
             raise ValueError(f"expected {n} observations, got {y.shape[0]}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations must be finite")
         if max_selections is None:
             max_selections = n // 2
-        if max_selections > n:
-            raise ValueError(f"max_selections {max_selections} exceeds N={n}")
+        if not 0 <= max_selections <= n:
+            raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
 
-        cap = n + 1 + max_selections
-        lower = np.zeros((cap, cap))
-        m = n + 1
-        lower[:m, :m] = self._lower0
-        rhs = np.concatenate([self.gram @ y, [float(np.sum(y))]])
+        q = np.empty((n, max_selections), order="F")
+        c = np.empty(max_selections)
         support: list[int] = []
         active = np.zeros(n, dtype=bool)
-
-        def solve() -> np.ndarray:
-            return _chol_solve(lower[: m, : m], rhs)
-
-        def residual(z: np.ndarray) -> np.ndarray:
-            fitted = self.gram @ z[:n] + z[n]
-            if support:
-                fitted[support] += z[n + 1 :]
-            return y - fitted
-
-        z = solve()
-        r = residual(z)
+        r = self._residual_map @ y
         residual_history = [_stop_norm(r, stop_norm)]
         truncated = False
 
@@ -243,40 +223,35 @@ class KgardSolver:
             eps_k = epsilon if epsilon_fn is None else epsilon_fn(np.abs(r))
             if residual_history[-1] <= eps_k:
                 break
-            if len(support) >= max_selections:
+            k = len(support)
+            if k >= max_selections:
                 truncated = True
                 break
             masked = np.abs(r)
             masked[active] = -np.inf
             j = int(np.argmax(masked))
-            # extend the factor with the new normal-matrix column
-            col = np.concatenate([self.gram[j], [1.0], np.zeros(len(support))])
-            d = solve_triangular(lower[:m, :m], col, lower=True)
-            b_sq = 1.0 - float(d @ d)
+            col = self._residual_map[j] - q[:, :k] @ q[j, :k]
+            if col[j] <= _PIVOT_FLOOR:
+                # R - Q Q^T is PSD with eigenvalues in [0, 1], so the
+                # argmax |r_j| <= sqrt(col[j]) ||y||: r is already ~0
+                break
+            q[:, k] = col / np.sqrt(col[j])
+            c[k] = r[j] / q[j, k]
+            r -= c[k] * q[:, k]
             support.append(j)
             active[j] = True
-            if b_sq <= _EXTEND_FLOOR:
-                # near-singular geometry: rebuild rather than propagate a NaN
-                lower[: m + 1, : m + 1] = _cholesky(
-                    _normal_matrix(
-                        self.gram, self.regularizer, self.lam, self.weights, support
-                    )
-                )
-            else:
-                lower[m, :m] = d
-                lower[m, m] = np.sqrt(b_sq)
-            rhs = np.append(rhs, y[j])
-            m += 1
-            z = solve()
-            r = residual(z)
             residual_history.append(_stop_norm(r, stop_norm))
 
-        outliers = {j: float(z[n + 1 + pos]) for pos, j in enumerate(support)}
+        k = len(support)
+        u = solve_triangular(q[support, :k], c[:k], lower=True, trans="T")
+        e = y.copy()
+        e[support] -= u
+        theta = cho_solve((self._lower0, True), self._design.T @ e)
         return KgardSolution(
-            alpha=z[:n].copy(),
-            bias=float(z[n]),
-            outliers=outliers,
-            iterations=len(support),
+            alpha=theta[:n],
+            bias=float(theta[n]),
+            outliers={j: float(v) for j, v in zip(support, u)},
+            iterations=k,
             residual_history=residual_history,
             truncated=truncated,
         )

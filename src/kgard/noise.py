@@ -17,6 +17,7 @@ use seed base_seed + t so results do not depend on scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,6 +140,25 @@ def lattice_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _lattice(axis, axis), _lattice(train, train), _lattice(val, val)
 
 
+@functools.lru_cache(maxsize=1)
+def _lattice_geometry() -> tuple[np.ndarray, ...]:
+    """``lattice_nodes()`` plus the fixed training-by-center and
+    validation-by-center cross-Grams.  Every draw shares them, so they
+    are built once and marked read-only."""
+    centers, train_pts, val_pts = lattice_nodes()
+    params = KernelParams(LATTICE_KERNEL_SIGMA)
+    arrays = (
+        centers,
+        train_pts,
+        val_pts,
+        cross_gram(train_pts, centers, params),
+        cross_gram(val_pts, centers, params),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     """2-D target on the lattice of ``lattice_nodes``.
 
@@ -148,7 +168,7 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     are N(0, 25.6^2).  Every draw shares the same training and
     validation nodes.
     """
-    centers, train_pts, val_pts = lattice_nodes()
+    centers, train_pts, val_pts, train_gram, val_gram = _lattice_geometry()
 
     n_train = train_pts.shape[0]
     lo = int(np.ceil(0.04 * n_train))
@@ -159,10 +179,9 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
         0.0, 25.6, size=nnz
     )
 
-    params = KernelParams(LATTICE_KERNEL_SIGMA)
     return LatticeData(
-        train=Dataset(train_pts, cross_gram(train_pts, centers, params) @ alpha),
-        validation=Dataset(val_pts, cross_gram(val_pts, centers, params) @ alpha),
+        train=Dataset(train_pts, train_gram @ alpha),
+        validation=Dataset(val_pts, val_gram @ alpha),
         true_alpha=alpha,
         centers=centers,
     )

@@ -2,8 +2,8 @@
 
 Forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
-with ``np.linalg.solve``, independently of the solver's incremental
-Cholesky factor.  z stacks (alpha, c, u_S).
+with ``np.linalg.solve``, independently of the solver's rank-one
+residual updates.  z stacks (alpha, c, u_S).
 """
 
 import numpy as np

@@ -163,9 +163,9 @@ def test_criterion_6_spectral_identity():
 
 
 def test_criterion_7_incremental_equals_from_scratch():
-    """The greedy fit, which grows its Cholesky factor one row per
-    selection, matches a dense normal-equation solve on its final
-    support to 1e-8 relative."""
+    """The greedy fit, which updates the ridge residual by one rank-one
+    term per selection, matches a dense normal-equation solve on its
+    final support to 1e-8 relative."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):

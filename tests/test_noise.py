@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import kgard.noise
 from kgard.core import Dataset
+from kgard.kernel import KernelParams, cross_gram
 from kgard.noise import (
     NoiseSpec,
     StableParams,
@@ -9,6 +11,7 @@ from kgard.noise import (
     dataset_to_csv,
     make_lattice_dataset,
     make_sinc_dataset,
+    lattice_nodes,
     make_support_dataset,
     rng_for,
     round_half_away,
@@ -69,6 +72,40 @@ def test_lattice_dataset_geometry_and_determinism():
     again = make_lattice_dataset(rng_for(7))
     assert np.array_equal(again.true_alpha, data.true_alpha)
     assert np.array_equal(again.train_truth, data.train_truth)
+
+
+def test_lattice_truths_match_per_draw_cross_gram():
+    centers, train_pts, val_pts = lattice_nodes()
+    params = KernelParams(0.2)
+    for seed in (0, 1, 2):
+        data = make_lattice_dataset(rng_for(seed))
+        alpha = data.true_alpha
+        assert np.array_equal(data.centers, centers)
+        assert np.array_equal(data.train.inputs, train_pts)
+        assert np.array_equal(data.validation.inputs, val_pts)
+        assert np.array_equal(
+            data.train_truth, cross_gram(train_pts, centers, params) @ alpha
+        )
+        assert np.array_equal(
+            data.validation_truth, cross_gram(val_pts, centers, params) @ alpha
+        )
+
+
+def test_lattice_cross_grams_built_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return cross_gram(*args)
+
+    monkeypatch.setattr(kgard.noise, "cross_gram", counting)
+    kgard.noise._lattice_geometry.cache_clear()
+    for seed in (0, 1, 2):
+        make_lattice_dataset(rng_for(seed))
+    assert calls == [256, 225]
+    centers = make_lattice_dataset(rng_for(3)).centers
+    with pytest.raises(ValueError):
+        centers[0, 0] = 1.0  # shared by every draw, so read-only
 
 
 def test_lattice_nnz_spans_range():
