@@ -30,7 +30,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.environ.get("KGARD_THREADS") or "1",
-        help="worker thread cap (default: KGARD_THREADS or 1)",
+        help="no effect: every command runs on one thread (default: KGARD_THREADS or 1)",
     )
 
 
@@ -191,7 +191,6 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         csv_path=args.out,
-        threads=args.threads,
     )
     print(
         f"trials={stats.trials} failures={stats.failures} "
@@ -212,7 +211,6 @@ def _cmd_sweep(args) -> int:
         fraction=args.fraction,
         trials=args.trials,
         base_seed=args.seed,
-        threads=args.threads,
     )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -261,7 +259,7 @@ def _cmd_denoise(args) -> int:
         lambda0=args.lambda0,
         e0=args.e0,
     )
-    result = denoise_image(img, cfg, threads=args.threads)
+    result = denoise_image(img, cfg)
     write_pgm_file(args.out, result.denoised)
     if args.outliers is not None:
         # shift the signed map so both impulse polarities are visible
@@ -312,6 +310,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: argument: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ selection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -61,6 +62,10 @@ class Dataset:
             raise ValueError(
                 f"{self.inputs.shape[0]} inputs but {self.targets.shape[0]} targets"
             )
+        if not np.all(np.isfinite(self.inputs)):
+            raise ValueError("dataset inputs must be finite")
+        if not np.all(np.isfinite(self.targets)):
+            raise ValueError("dataset targets must be finite")
 
     @property
     def size(self) -> int:
@@ -217,6 +222,8 @@ class KgardSolver:
         active = np.zeros(n, dtype=bool)
         r = self._residual_map @ y
         residual_history = [_stop_norm(r, stop_norm)]
+        if not math.isfinite(residual_history[0]):
+            raise ValueError(f"the initial residual's {stop_norm} norm overflows")
         truncated = False
 
         while True:

@@ -17,7 +17,6 @@ downstream Gaussian-denoising stage.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,6 +88,8 @@ def _as_image(image) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image pixels must be finite")
     return img
 
 
@@ -269,9 +270,7 @@ class DenoiseResult:
     diagnostics: list = field(default_factory=list)
 
 
-def denoise_image(
-    image, cfg: Optional[RoiConfig] = None, threads: int = 1
-) -> DenoiseResult:
+def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     """Run the full tiled pipeline on a grayscale image.
 
     Per ROI: fit the robust kernel ridge model on the N^2 lattice with
@@ -280,12 +279,9 @@ def denoise_image(
     every iteration.  The fitted smooth surface fills the denoised
     image's core pixels and the estimated impulses fill the outlier
     map.  A ROI whose solve fails passes through unchanged and is
-    flagged in the diagnostics.
-
-    ROIs are independent; the output does not depend on ``threads``.
+    flagged in the diagnostics.  ROIs run one after another, in raster
+    order, on the calling thread.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if cfg is None:
         cfg = RoiConfig()
     img = _as_image(image)
@@ -293,6 +289,7 @@ def denoise_image(
     lam_map = auto_lambda_map(img, plan, cfg)
     padded = pad_image(img, cfg)
     n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
+    inner = np.s_[pad : pad + ell, pad : pad + ell]
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     solvers = {
@@ -304,10 +301,9 @@ def denoise_image(
     outlier_ext = np.zeros(plan.extended_shape)
     diagnostics: list[RoiDiagnostics] = []
 
-    def fit_roi(idx: int):
-        r0, c0 = plan.roi_origins[idx]
+    for idx, (r0, c0) in enumerate(plan.roi_origins):
         block = padded[r0 : r0 + n, c0 : c0 + n]
-        y = rearrange(block)
+        core = np.s_[r0 : r0 + ell, c0 : c0 + ell]
         lam = float(lam_map.lambdas[idx])
         last_eps = [float(cfg.e0)]
 
@@ -317,44 +313,28 @@ def denoise_image(
 
         try:
             sol = solvers[lam].fit(
-                y,
+                rearrange(block),
                 epsilon=cfg.e0,
                 stop_norm="linf",
                 max_selections=max_sel,
                 epsilon_fn=eps_fn,
             )
         except NumericalError:
-            core = block[pad : pad + ell, pad : pad + ell]
-            return idx, core.copy(), np.zeros((ell, ell)), RoiDiagnostics(
-                idx, (r0, c0), lam, last_eps[0], 0, 0, failed=True
+            denoised_ext[core] = block[inner]
+            diagnostics.append(
+                RoiDiagnostics(idx, (r0, c0), lam, last_eps[0], 0, 0, failed=True)
             )
-        fitted = unrearrange(gram @ sol.alpha + sol.bias, n)
+            continue
         u = np.zeros(n * n)
         for j, val in sol.outliers.items():
             u[j] = val
-        u = unrearrange(u, n)
-        diag = RoiDiagnostics(
-            idx, (r0, c0), lam, last_eps[0], len(sol.outliers), sol.iterations
+        denoised_ext[core] = unrearrange(gram @ sol.alpha + sol.bias, n)[inner]
+        outlier_ext[core] = unrearrange(u, n)[inner]
+        diagnostics.append(
+            RoiDiagnostics(
+                idx, (r0, c0), lam, last_eps[0], len(sol.outliers), sol.iterations
+            )
         )
-        return (
-            idx,
-            fitted[pad : pad + ell, pad : pad + ell],
-            u[pad : pad + ell, pad : pad + ell],
-            diag,
-        )
-
-    indices = range(len(plan.roi_origins))
-    if threads <= 1:
-        rois = [fit_roi(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rois = list(pool.map(fit_roi, indices))
-
-    for idx, core, u_core, diag in rois:
-        r0, c0 = plan.roi_origins[idx]
-        denoised_ext[r0 : r0 + ell, c0 : c0 + ell] = core
-        outlier_ext[r0 : r0 + ell, c0 : c0 + ell] = u_core
-        diagnostics.append(diag)
 
     h, w = plan.original_shape
     denoised = denoised_ext[:h, :w]

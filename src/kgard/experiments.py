@@ -11,8 +11,9 @@ Runs repeated corrupt/fit/score trials for three protocols:
 
 Each trial reports validation MSE against the noise-free truth, support
 recovery versus the true outlier locations, and the wall time of the
-fit call alone.  Trial t derives every random draw from seed
-base_seed + t, so results are bit-identical regardless of threading.
+fit call alone.  Trials run one after another on the calling thread;
+trial t derives every random draw from seed base_seed + t, so a run is
+reproducible from its base seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +146,6 @@ def _write_trial_csv(path, results: list[TrialResult]) -> None:
             )
 
 
-def _run_indexed(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def run_monte_carlo(
     protocol: str,
     noise: NoiseSpec,
@@ -160,7 +153,6 @@ def run_monte_carlo(
     trials: int,
     base_seed: int = 0,
     csv_path=None,
-    threads: int = 1,
 ) -> tuple[AggregateStats, list[TrialResult]]:
     """Run ``trials`` independent corrupt/fit/score trials.
 
@@ -170,15 +162,12 @@ def run_monte_carlo(
     ``NumericalError`` there fails the whole run.  A trial whose fit
     raises ``NumericalError`` is recorded with ``failed=True`` and
     excluded from the aggregates.  The trial list (and the CSV, when
-    requested) is ordered by trial index and does not depend on
-    ``threads``.
+    requested) is ordered by trial index.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
     weights = config.tikhonov_weights
     if protocol == "lattice2d":
@@ -223,7 +212,7 @@ def run_monte_carlo(
             correct = wrong = math.nan
         return TrialResult(mse, correct, wrong, wall, seed)
 
-    results = _run_indexed(one, trials, threads)
+    results = [one(t) for t in range(trials)]
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
     return _aggregate(results), results
@@ -243,7 +232,6 @@ def sweep_outlier_magnitude(
     fraction: float = 0.1,
     trials: int = 100,
     base_seed: int = 0,
-    threads: int = 1,
 ) -> list[SweepPoint]:
     """Pure-outlier identification sweep over impulse magnitudes.
 
@@ -258,8 +246,6 @@ def sweep_outlier_magnitude(
         raise ValueError("magnitudes list is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     n_impulses = round_half_away(fraction * SWEEP_N)
@@ -282,7 +268,7 @@ def sweep_outlier_magnitude(
     points = []
     for magnitude in magnitudes:
         spec = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
-        rows = _run_indexed(lambda t, s=spec: one(s, t), trials, threads)
+        rows = [one(spec, t) for t in range(trials)]
         points.append(
             SweepPoint(
                 magnitude=float(magnitude),

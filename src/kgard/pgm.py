@@ -84,6 +84,8 @@ def write_pgm(image) -> bytes:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image pixels must be finite")
     height, width = img.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + quantize(img).tobytes()

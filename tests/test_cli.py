@@ -152,6 +152,21 @@ def test_regress_round_trip(tmp_path, capsys):
     assert sum(1 for v in outlier_col if v != 0.0) <= 3
 
 
+def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):
+    csv_in = tmp_path / "data.csv"
+    csv_in.write_text("x1,y\n0.0,1.0\nnan,2.0\n1.0,3.0\n")
+    out = tmp_path / "fit.csv"
+    code = main(
+        ["regress", "--in", str(csv_in), "--out", str(out), "--sigma", "0.2",
+         "--lambda", "0.05", "--epsilon", "1.0"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: argument: dataset inputs must be finite"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

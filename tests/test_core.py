@@ -207,9 +207,11 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
         ([0.0, np.inf, 0.0, 0.0], None, "finite"),
         ([0.0, 1.0, 0.0, 0.0], -1, "max_selections"),
         ([0.0, 1.0, 0.0, 0.0], 5, "max_selections"),
+        ([1e300, -1e300, 1e300, -1e300], None, "overflows"),
     ],
-    ids=["nan", "inf", "negative-cap", "cap-above-n"],
+    ids=["nan", "inf", "negative-cap", "cap-above-n", "overflow"],
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fit_rejects_bad_input(y, max_selections, match):
     solver = KgardSolver(np.eye(4), lam=1.0)
     with pytest.raises(ValueError, match=match):

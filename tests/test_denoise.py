@@ -205,17 +205,6 @@ def test_denoise_flags_injected_impulses():
     assert psnr(result.denoised, img) > psnr(noisy, img) + 10.0
 
 
-def test_denoise_thread_determinism():
-    img = _bump(24)
-    rng = rng_for(1)
-    noisy = img + np.where(rng.random(img.shape) < 0.05, 100.0, 0.0)
-    a = denoise_image(noisy, threads=1)
-    b = denoise_image(noisy, threads=4)
-    assert np.array_equal(a.denoised, b.denoised)
-    assert np.array_equal(a.outlier_map, b.outlier_map)
-    assert [d.lam for d in a.diagnostics] == [d.lam for d in b.diagnostics]
-
-
 def test_denoise_failed_roi_passes_through(monkeypatch):
     def boom(self, *args, **kwargs):
         raise NumericalError("forced", pivot=0)
@@ -241,3 +230,20 @@ def test_denoise_diagnostics_contents():
 def test_denoise_rejects_bad_image():
     with pytest.raises(ValueError):
         denoise_image(np.zeros(16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_denoise_rejects_non_finite_pixel_before_any_fit(monkeypatch, bad):
+    calls = []
+    real_fit = denoise_mod.KgardSolver.fit
+
+    def counting_fit(self, *args, **kwargs):
+        calls.append(1)
+        return real_fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod.KgardSolver, "fit", counting_fit)
+    img = _bump(16)
+    img[5, 9] = bad
+    with pytest.raises(ValueError, match="finite"):
+        denoise_image(img)
+    assert calls == []

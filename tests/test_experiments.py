@@ -89,9 +89,7 @@ def test_unknown_protocol_rejected():
 def test_trials_deterministic_and_csv(tmp_path, protocol, noise, config):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     stats1, rows1 = run_monte_carlo(protocol, noise, config, 6, 3, csv_path=p1)
-    stats2, rows2 = run_monte_carlo(
-        protocol, noise, config, 6, 3, csv_path=p2, threads=3
-    )
+    stats2, rows2 = run_monte_carlo(protocol, noise, config, 6, 3, csv_path=p2)
     for a, b in zip(rows1, rows2):
         assert a.seed == b.seed
         assert a.mse_validation == b.mse_validation
@@ -222,13 +220,6 @@ def test_sweep_zero_magnitude_degrades_without_error():
     assert len(points) == 1
     assert points[0].bound_hold_rate == 0.0
     assert points[0].mean_correct < 1.0
-
-
-def test_sweep_deterministic_across_threads():
-    a = sweep_outlier_magnitude([300.0], trials=6, base_seed=1, threads=1)
-    b = sweep_outlier_magnitude([300.0], trials=6, base_seed=1, threads=3)
-    assert a[0].mean_correct == b[0].mean_correct
-    assert a[0].bound_hold_rate == b[0].bound_hold_rate
 
 
 def test_sweep_builds_one_solver(monkeypatch):

@@ -64,3 +64,8 @@ def test_write_rejects_bad_shapes():
         write_pgm(np.zeros(5))
     with pytest.raises(ValueError):
         write_pgm(np.zeros((0, 3)))
+
+
+def test_write_rejects_non_finite_pixels():
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm([[np.nan, 1.0]])
