@@ -165,14 +165,15 @@ def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
     return np.sqrt(gx**2 + gy**2)
 
 
-def auto_lambda_map(image, plan: TilePlan, cfg: RoiConfig) -> LambdaMap:
+def auto_lambda_map(padded, plan: TilePlan, cfg: RoiConfig) -> LambdaMap:
     """Three-tier ridge selection from local gradient statistics.
 
-    Detailed ROIs (mean gradient above m + s) get lambda0, smooth ones
-    (below m - s/10) get 15 lambda0, the rest 5 lambda0, where m and s
-    are the mean and standard deviation over all ROI mean gradients.
+    ``padded`` is the image as returned by :func:`pad_image`.  Detailed
+    ROIs (mean gradient above m + s) get lambda0, smooth ones (below
+    m - s/10) get 15 lambda0, the rest 5 lambda0, where m and s are the
+    mean and standard deviation over all ROI mean gradients.
     """
-    padded = pad_image(image, cfg)
+    padded = _as_image(padded)
     if padded.shape != plan.padded_shape:
         raise ValueError("tile plan does not match this image and configuration")
     grad = _gradient_magnitude(padded)
@@ -286,8 +287,8 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         cfg = RoiConfig()
     img = _as_image(image)
     plan = tile_plan(img, cfg)
-    lam_map = auto_lambda_map(img, plan, cfg)
     padded = pad_image(img, cfg)
+    lam_map = auto_lambda_map(padded, plan, cfg)
     n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
     inner = np.s_[pad : pad + ell, pad : pad + ell]
 

@@ -240,6 +240,8 @@ def sweep_outlier_magnitude(
     the given fraction, no inlier noise.  Each trial fits with the
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
+    Every trial shares one Gram matrix, so ``theorem_check`` takes the
+    SVD of [K 1] at most once per call.
     """
     magnitudes = list(magnitudes)
     if not magnitudes:

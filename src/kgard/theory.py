@@ -7,10 +7,15 @@ greedy selection is guaranteed to pick true outlier locations first
 (pure-outlier regime), and a closed-form expression for the residual
 after k correct selections that serves as an independent oracle for
 the solver.
+
+The certificate needs only sigma_max(X0), computed once per distinct
+Gram matrix: a single-entry memo keyed by the exact bytes of X0 serves
+repeated checks and retains the bytes of the last Gram checked.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,10 +101,37 @@ def _outlier_stats(true_outliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, support
 
 
-def _bound_report(
-    sigma_max: float, theta: np.ndarray, u: np.ndarray, support: np.ndarray, lam: float
+@functools.lru_cache(maxsize=1)
+def _sigma_max(x0_bytes: bytes, shape: tuple[int, int]) -> float:
+    """sigma_max of the C-ordered float64 matrix with these bytes; keyed by
+    content, so an array changed in place is never served a stale value."""
+    x0 = np.frombuffer(x0_bytes).reshape(shape)
+    return float(np.linalg.svd(x0, compute_uv=False)[0])
+
+
+def theorem_check(
+    gram: np.ndarray,
+    true_theta: np.ndarray,
+    true_outliers: np.ndarray,
+    lam: float,
 ) -> BoundReport:
-    """The certificate at ``lam`` from sigma_max(X0) and a validated truth."""
+    """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
+
+    ``true_theta`` is the (alpha; c) vector of length N+1 and
+    ``true_outliers`` a dense N-vector that is zero off the outlier
+    support.  Applies to the pure-outlier regime (no inlier noise).
+    sigma_max(X0) is computed once per distinct Gram matrix.
+    """
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    u, support = _outlier_stats(true_outliers)
+    if support.size == 0:
+        raise ValueError("true outlier vector has empty support")
+    theta = np.asarray(true_theta, dtype=np.float64).ravel()
+    x0 = _initial_design(gram)
+    if theta.shape[0] != x0.shape[1]:
+        raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
+    sigma_max = _sigma_max(x0.tobytes(), x0.shape)
     min_outlier = float(np.min(np.abs(u[support])))
     theta_norm = float(np.linalg.norm(theta))
     outlier_norm = float(np.linalg.norm(u))
@@ -128,39 +160,6 @@ def _bound_report(
         outlier_norm=outlier_norm,
         lam=float(lam),
     )
-
-
-def _validated_truth(
-    gram: np.ndarray, true_theta: np.ndarray, true_outliers: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma_max(X0), theta, u, outlier support) after checking shapes
-    and that the outlier support is nonempty."""
-    u, support = _outlier_stats(true_outliers)
-    if support.size == 0:
-        raise ValueError("true outlier vector has empty support")
-    theta = np.asarray(true_theta, dtype=np.float64).ravel()
-    x0 = _initial_design(gram)
-    if theta.shape[0] != x0.shape[1]:
-        raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
-    sigma_max = float(np.linalg.svd(x0, compute_uv=False)[0])
-    return sigma_max, theta, u, support
-
-
-def theorem_check(
-    gram: np.ndarray,
-    true_theta: np.ndarray,
-    true_outliers: np.ndarray,
-    lam: float,
-) -> BoundReport:
-    """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
-
-    ``true_theta`` is the (alpha; c) vector of length N+1 and
-    ``true_outliers`` a dense N-vector that is zero off the outlier
-    support.  Applies to the pure-outlier regime (no inlier noise).
-    """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return _bound_report(*_validated_truth(gram, true_theta, true_outliers), lam)
 
 
 @dataclass
@@ -241,19 +240,16 @@ def best_certificate(
 ) -> Optional[BoundReport]:
     """Scan lambda below lambda_cap and return the report with the
     largest margin gamma*sqrt(lambda) - sigma_max, or None if gamma is
-    undefined everywhere.  The SVD of X0 does not depend on lambda and
-    is computed once."""
-    sigma_max, theta, u, support = _validated_truth(gram, true_theta, true_outliers)
-    theta_norm = float(np.linalg.norm(theta))
-    if theta_norm == 0:
-        # any lambda is admissible; pick a wide absolute grid
-        cap = float(np.min(np.abs(u[support])) ** 2)
-    else:
-        cap = (float(np.min(np.abs(u[support]))) / theta_norm) ** 2 / 2.0
+    undefined everywhere.  Each grid point is a ``theorem_check``, which
+    takes the SVD of X0 at most once per Gram matrix."""
+    # min|u|, ||theta|| and lambda_cap do not depend on lambda
+    truth = theorem_check(gram, true_theta, true_outliers, 1.0)
+    # with theta = 0 any lambda is admissible; pick a wide absolute grid
+    cap = truth.lambda_cap if truth.theta_norm else truth.min_outlier**2
     best: Optional[BoundReport] = None
     best_margin = -np.inf
     for lam in np.geomspace(1e-6, 0.999, grid_size) * cap:
-        report = _bound_report(sigma_max, theta, u, support, lam)
+        report = theorem_check(gram, true_theta, true_outliers, lam)
         if report.gamma is None:
             continue
         margin = report.gamma * np.sqrt(lam) - report.sigma_max

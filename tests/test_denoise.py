@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kgard.denoise as denoise_mod
 from kgard.core import NumericalError
@@ -57,10 +59,16 @@ def test_tile_plan_extends_non_multiple_dimensions():
     assert len(plan.roi_origins) == 4 * 5
 
 
-def test_cores_tile_image_exactly_once():
-    rng = rng_for(0)
-    img = rng.uniform(0, 255, size=(30, 33))
-    cfg = RoiConfig()
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    core=st.integers(1, 10),
+    margin=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cores_tile_image_exactly_once(h, w, core, margin, seed):
+    img = rng_for(seed).uniform(0, 255, size=(h, w))
+    cfg = RoiConfig(roi_size=core + 2 * margin, core_size=core)
     plan = tile_plan(img, cfg)
     padded = pad_image(img, cfg)
     n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
@@ -72,7 +80,6 @@ def test_cores_tile_image_exactly_once():
         assert np.all(np.isnan(target))  # no double coverage
         assembled[r : r + ell, c : c + ell] = core
     assert not np.any(np.isnan(assembled))
-    h, w = img.shape
     assert np.array_equal(assembled[:h, :w], img)
 
 
@@ -107,7 +114,7 @@ def test_auto_lambda_constant_image_middle_tier():
     cfg = RoiConfig()
     img = np.full((16, 16), 77.0)
     plan = tile_plan(img, cfg)
-    lam = auto_lambda_map(img, plan, cfg)
+    lam = auto_lambda_map(pad_image(img, cfg), plan, cfg)
     assert np.all(lam.lambdas == 5.0 * cfg.lambda0)
     assert lam.s == 0.0
 
@@ -118,7 +125,7 @@ def test_auto_lambda_tiers():
     # one detailed quadrant: checkerboard with a strong gradient
     img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
     plan = tile_plan(img, cfg)
-    lam = auto_lambda_map(img, plan, cfg)
+    lam = auto_lambda_map(pad_image(img, cfg), plan, cfg)
     assert lam.lambdas[0] == cfg.lambda0  # detailed ROI
     assert np.all(lam.lambdas[1:] == 15.0 * cfg.lambda0)  # smooth ROIs
 
@@ -225,6 +232,26 @@ def test_denoise_diagnostics_contents():
         assert d.lam in (1.0, 5.0, 15.0)
         assert d.epsilon <= 40.0
         assert d.iterations >= d.outliers == 0 or d.outliers <= d.iterations
+
+
+def test_denoise_pads_once(monkeypatch):
+    calls = []
+    real_pad = denoise_mod.pad_image
+
+    def counting_pad(*args, **kwargs):
+        calls.append(1)
+        return real_pad(*args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod, "pad_image", counting_pad)
+    denoise_image(_bump(16))
+    assert calls == [1]
+
+
+def test_auto_lambda_map_rejects_unpadded_image():
+    cfg = RoiConfig()
+    img = _bump(16)
+    with pytest.raises(ValueError, match="tile plan"):
+        auto_lambda_map(img, tile_plan(img, cfg), cfg)
 
 
 def test_denoise_rejects_bad_image():

@@ -6,6 +6,7 @@ import pytest
 
 import kgard.core
 import kgard.experiments as experiments
+import kgard.theory
 from kgard.core import (
     Dataset,
     KgardConfig,
@@ -225,8 +226,10 @@ def test_sweep_zero_magnitude_degrades_without_error():
 def test_sweep_builds_one_solver(monkeypatch):
     calls = []
     _count_calls(monkeypatch, KgardSolver, "__init__", calls)
+    _count_calls(monkeypatch, np.linalg, "svd", calls)
+    kgard.theory._sigma_max.cache_clear()
     sweep_outlier_magnitude([100.0, 300.0], trials=3, base_seed=0)
-    assert calls == ["__init__"]
+    assert sorted(calls) == ["__init__", "svd"]
 
 
 def test_sweep_point_matches_per_trial_reference():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgard.pgm import PgmFormatError, quantize, read_pgm, write_pgm
 
@@ -10,6 +13,14 @@ def test_round_trip_canonical_header():
     assert data.startswith(b"P5\n4 3\n255\n")
     again = read_pgm(data)
     assert np.array_equal(again, img)
+    assert write_pgm(again) == data
+
+
+@given(arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+def test_round_trip_random_uint8_images(pixels):
+    data = write_pgm(pixels)
+    again = read_pgm(data)
+    assert np.array_equal(again, pixels)
     assert write_pgm(again) == data
 
 

@@ -94,6 +94,16 @@ def test_theorem_check_holds_for_large_outliers_only():
     assert not theorem_check(gram, theta, u, 4000.0).holds
 
 
+def test_theorem_check_memo_keyed_by_content():
+    gram, theta, u, _ = _certified_setup(4)
+    before = theorem_check(gram, theta, u, 4000.0).sigma_max
+    gram *= 2.0
+    after = theorem_check(gram, theta, u, 4000.0).sigma_max
+    x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
+    assert after == float(np.linalg.svd(x0, compute_uv=False)[0])
+    assert after != before
+
+
 def test_theorem_check_rejects_empty_support():
     gram, theta, _, _ = _certified_setup(3)
     with pytest.raises(ValueError):
