@@ -10,12 +10,15 @@ the residual at a selected coordinate is driven exactly to zero.
 Because of that, the fit over [K 1 I_S] reduces to the residual map of
 the ridge fit over [K 1] alone, and each selection is a rank-one update
 of that map; the coefficients are solved once, after the last
-selection.
+selection.  Fits that share one residual map run as a batch: a (B, N)
+stack of residuals advances one selection per step, every row with its
+own argmax, update and stop test.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -140,13 +143,18 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KgardSolution:
-    """Fit result: kernel coefficients, bias, and the sparse outliers."""
+    """Fit result: kernel coefficients, bias, and the sparse outliers.
+
+    ``epsilon`` is the threshold of the fit's last stop test: the fixed
+    epsilon, or what ``epsilon_fn`` returned for this fit's row.
+    """
 
     alpha: np.ndarray
     bias: float
     outliers: dict  # index -> estimated outlier value, selection order
     iterations: int
     residual_history: list
+    epsilon: float
     truncated: bool = False
 
     @property
@@ -154,10 +162,10 @@ class KgardSolution:
         return list(self.outliers.keys())
 
 
-def _stop_norm(r: np.ndarray, kind: str) -> float:
+def _stop_norms(r: np.ndarray, abs_r: np.ndarray, kind: str) -> np.ndarray:
     if kind == "l2":
-        return float(np.linalg.norm(r))
-    return float(np.max(np.abs(r))) if r.size else 0.0
+        return np.linalg.norm(r, axis=1)
+    return np.max(abs_r, axis=1, initial=0.0)
 
 
 class KgardSolver:
@@ -203,63 +211,137 @@ class KgardSolver:
         epsilon: float,
         stop_norm: str = "l2",
         max_selections: Optional[int] = None,
-        epsilon_fn: Optional[Callable[[np.ndarray], float]] = None,
-    ) -> KgardSolution:
+        epsilon_fn: Optional[Callable[[np.ndarray], object]] = None,
+    ):
+        """Fit one observation vector ``y`` of shape (N,), or a batch of
+        B independent ones stacked as (B, N).
+
+        A 1-D ``y`` returns one :class:`KgardSolution`, a 2-D one a list
+        of B, in row order.  The rows advance in lockstep, one selection
+        per step, and a row leaves the batch when it stops; every row's
+        result is bit-identical to fitting it alone.  A row stops when
+        its residual norm is at most the threshold, at
+        ``max_selections`` (``truncated``), or on a degenerate pivot.
+        ``epsilon_fn``, when given, replaces ``epsilon`` at every step:
+        it receives |r| shaped like ``y``, (N,) for a 1-D fit and (L, N)
+        for the L rows of a batch still running, and returns a scalar or
+        one threshold per row.
+        """
         n = self._n
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.shape[0] != n:
-            raise ValueError(f"expected {n} observations, got {y.shape[0]}")
+        y = np.asarray(y, dtype=np.float64)
+        if y.ndim not in (1, 2) or y.shape[-1] != n:
+            raise ValueError(f"expected {n} observations per row, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
         if max_selections is None:
             max_selections = n // 2
         if not 0 <= max_selections <= n:
             raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
+        single = y.ndim == 1
+        ys = y.reshape(-1, n)
+        batch = ys.shape[0]
+        if batch == 0:
+            return []
 
-        q = np.empty((n, max_selections), order="F")
-        c = np.empty(max_selections)
-        support: list[int] = []
-        active = np.zeros(n, dtype=bool)
-        r = self._residual_map @ y
-        residual_history = [_stop_norm(r, stop_norm)]
-        if not math.isfinite(residual_history[0]):
+        # one R y per row keeps every row's arithmetic independent of B
+        r = np.empty((batch, n))
+        for i in range(batch):
+            r[i] = self._residual_map @ ys[i]
+        abs_r = np.abs(r)
+        norms = _stop_norms(r, abs_r, stop_norm)
+        if not np.all(np.isfinite(norms)):
             raise ValueError(f"the initial residual's {stop_norm} norm overflows")
-        truncated = False
 
+        solutions: list = [None] * batch
+        live = np.arange(batch)  # original row of each running row
+        active = np.zeros((batch, n), dtype=bool)
+        # one (rows, N) slab of Q columns per selection, in an anonymous
+        # mapping: slabs no selection reaches are never touched, and
+        # freeing it unmaps it.  A malloc'd block this large raises
+        # glibc's mmap threshold, after which freed temporaries of later
+        # fits stay in the heap and peak RSS grows with every batch.
+        size = max_selections * batch * n
+        q = np.frombuffer(mmap.mmap(-1, 8 * size or 1), count=size)
+        q = q.reshape(max_selections, batch, n)
+        picks = np.empty((batch, max_selections), dtype=np.intp)
+        coef = np.empty((batch, max_selections))
+        history = np.empty((batch, max_selections + 1))
+        history[:, 0] = norms
+        k = 0
         while True:
-            eps_k = epsilon if epsilon_fn is None else epsilon_fn(np.abs(r))
-            if residual_history[-1] <= eps_k:
-                break
-            k = len(support)
-            if k >= max_selections:
-                truncated = True
-                break
-            masked = np.abs(r)
-            masked[active] = -np.inf
-            j = int(np.argmax(masked))
-            col = self._residual_map[j] - q[:, :k] @ q[j, :k]
-            if col[j] <= _PIVOT_FLOOR:
-                # R - Q Q^T is PSD with eigenvalues in [0, 1], so the
-                # argmax |r_j| <= sqrt(col[j]) ||y||: r is already ~0
-                break
-            q[:, k] = col / np.sqrt(col[j])
-            c[k] = r[j] / q[j, k]
-            r -= c[k] * q[:, k]
-            support.append(j)
-            active[j] = True
-            residual_history.append(_stop_norm(r, stop_norm))
+            m = live.size
+            if epsilon_fn is None:
+                eps = np.full(m, float(epsilon))
+            else:
+                eps = epsilon_fn(abs_r[0] if single else abs_r)
+                eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (m,))
+            done = norms <= eps
+            capped = k == max_selections
+            if not capped:
+                rows = np.arange(m)
+                j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
+                col = self._residual_map[j]
+                if k:
+                    # col -= Q[j, :k] Q^T row by row, one stacked matmul
+                    qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
+                    col -= np.matmul(qj, q[:k, :m].transpose(1, 0, 2))[:, 0]
+                pivot = col[rows, j]
+                # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
+                # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
+                done |= pivot <= _PIVOT_FLOOR
+            if capped or done.any():
+                for pos in np.flatnonzero(done | capped):
+                    solutions[live[pos]] = self._solution(
+                        ys[live[pos]],
+                        q[:k, pos],
+                        picks[pos, :k],
+                        coef[pos, :k],
+                        history[pos, : k + 1],
+                        float(eps[pos]),
+                        capped and not done[pos],
+                    )
+                if capped or done.all():
+                    break
+                # compact the running rows to the front of every array
+                keep = ~done
+                q[:k, : keep.sum()] = q[:k, :m][:, keep]
+                live, r, abs_r, active = live[keep], r[keep], abs_r[keep], active[keep]
+                picks, coef, history = picks[keep], coef[keep], history[keep]
+                j, col, pivot = j[keep], col[keep], pivot[keep]
+                m = live.size
+                rows = rows[:m]
 
-        k = len(support)
-        u = solve_triangular(q[support, :k], c[:k], lower=True, trans="T")
+            qk = col / np.sqrt(pivot)[:, None]
+            q[k, :m] = qk
+            ck = r[rows, j] / qk[rows, j]
+            r -= ck[:, None] * qk
+            picks[:, k] = j
+            coef[:, k] = ck
+            active[rows, j] = True
+            k += 1
+            abs_r = np.abs(r)
+            norms = _stop_norms(r, abs_r, stop_norm)
+            history[:, k] = norms
+        return solutions[0] if single else solutions
+
+    def _solution(self, y, q, support, c, history, epsilon, truncated) -> KgardSolution:
+        """Coefficients of one finished row from its k Q slabs."""
+        n, k = self._n, support.size
+        # Q[S] is lower triangular: u_S = Q[S]^-T c; fit has already
+        # checked everything these solves read for finiteness
+        u = solve_triangular(
+            q[:, support].T.copy(), c, lower=True, trans="T", check_finite=False
+        )
         e = y.copy()
         e[support] -= u
-        theta = cho_solve((self._lower0, True), self._design.T @ e)
+        theta = cho_solve((self._lower0, True), self._design.T @ e, check_finite=False)
         return KgardSolution(
             alpha=theta[:n],
             bias=float(theta[n]),
-            outliers={j: float(v) for j, v in zip(support, u)},
+            outliers=dict(zip(support.tolist(), u.tolist())),
             iterations=k,
-            residual_history=residual_history,
+            residual_history=history.tolist(),
+            epsilon=epsilon,
             truncated=truncated,
         )
 

@@ -191,65 +191,112 @@ def auto_lambda_map(padded, plan: TilePlan, cfg: RoiConfig) -> LambdaMap:
 
 @dataclass
 class EpsilonHistogram:
+    """One histogram per residual row; for a 1-D input every field is
+    that row's (an array for ``edges``/``heights``, a scalar otherwise),
+    for an (L, N) input every field gains a leading axis of length L."""
+
     edges: np.ndarray
     heights: np.ndarray
-    h_min: int
-    e1: float
-    e2: float  # +inf when no bar satisfies the jump scan
-    dispersion: float
+    h_min: object
+    e1: object
+    e2: object  # +inf when no bar satisfies the jump scan
+    dispersion: object
+
+
+def _magnitude_rows(residual_abs) -> np.ndarray:
+    """Validated residual magnitudes as an (L, N) array."""
+    r = np.asarray(residual_abs, dtype=np.float64)
+    if r.ndim not in (1, 2):
+        raise ValueError(f"residual magnitudes must be 1-D or 2-D, got shape {r.shape}")
+    if r.size == 0:
+        raise ValueError("residual vector is empty")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residual magnitudes must be finite")
+    if np.any(r < 0):
+        raise ValueError("residual magnitudes must be nonnegative")
+    return r.reshape(-1, r.shape[-1])
+
+
+def _histograms(r: np.ndarray) -> EpsilonHistogram:
+    """Row-wise ``np.histogram(row, bins, range=(row.min(), row.max()))``
+    of an (L, N) array, bit for bit: the same linspace edges, the same
+    index formula with its +-1 edge corrections, and a closed last bin;
+    then the two threshold candidates of every row."""
+    rows_n, n = r.shape
+    bins = n // 10 + 1
+    first, last = r.min(axis=1), r.max(axis=1)
+    flat = first == last  # np.histogram widens an empty range by 0.5
+    first = np.where(flat, first - 0.5, first)
+    last = np.where(flat, last + 0.5, last)
+    delta = last - first
+    # np.linspace with scalar ends: i * step + first, last edge exact
+    edges = np.arange(bins + 1.0) * (delta / bins)[:, None] + first[:, None]
+    edges[:, -1] = last
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        raise ValueError(
+            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
+        )
+    rows = np.arange(rows_n)[:, None]
+    idx = (((r - first[:, None]) / delta[:, None]) * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[r < edges[rows, idx]] -= 1
+    idx[(r >= edges[rows, idx + 1]) & (idx != bins - 1)] += 1
+    heights = np.bincount(
+        (idx + rows * bins).ravel(), minlength=rows_n * bins
+    ).reshape(rows_n, bins)
+
+    rows = rows[:, 0]
+    h_min = heights.min(axis=1)
+    e1 = edges[rows, np.argmax(heights == h_min[:, None], axis=1)]
+    # E2 scan: bar ell >= 1 rising by >= 1 from a near-minimum bar; the
+    # appended sentinel marks "none" as ell == bins
+    rise = (np.diff(heights, axis=1) >= 1) & (heights[:, :-1] <= h_min[:, None] + 5)
+    ell = np.argmax(np.hstack([rise, np.ones((rows_n, 1), dtype=bool)]), axis=1) + 1
+    e2 = np.where(ell < bins, edges[rows, ell], np.inf)
+    dispersion = np.sqrt(np.var(heights, axis=1)) / np.mean(heights, axis=1)
+    return EpsilonHistogram(edges, heights, h_min, e1, e2, dispersion)
 
 
 def epsilon_histogram(residual_abs: np.ndarray) -> EpsilonHistogram:
-    """Histogram of |r| over floor(len/10) + 1 equal bins with the two
-    threshold candidates read off it.
+    """Histogram of |r| over floor(N/10) + 1 equal bins with the two
+    threshold candidates read off it, for a row (N,) or row-wise for
+    (L, N).
 
     E1 is the left edge of the first bar of minimum height.  E2 is the
     left edge of the first bar (second or later) that rises by at least
     1 from a predecessor of near-minimum height (h <= h_min + 5).
     """
-    r = np.asarray(residual_abs, dtype=np.float64).ravel()
-    if r.size == 0:
-        raise ValueError("residual vector is empty")
-    if np.any(r < 0):
-        raise ValueError("residual magnitudes must be nonnegative")
-    bins = r.size // 10 + 1
-    heights, edges = np.histogram(r, bins=bins, range=(r.min(), r.max()))
-    h_min = int(heights.min())
-    e1 = float(edges[int(np.argmax(heights == h_min))])
-    e2 = math.inf
-    for ell in range(1, bins):
-        if heights[ell] - heights[ell - 1] >= 1 and heights[ell - 1] <= h_min + 5:
-            e2 = float(edges[ell])
-            break
-    mean_h = float(np.mean(heights))
-    dispersion = float(np.sqrt(np.var(heights)) / mean_h) if mean_h > 0 else 0.0
+    r = _magnitude_rows(residual_abs)
+    hist = _histograms(r)
+    if np.ndim(residual_abs) == 2:
+        return hist
     return EpsilonHistogram(
-        edges=edges,
-        heights=heights,
-        h_min=h_min,
-        e1=e1,
-        e2=e2,
-        dispersion=dispersion,
+        edges=hist.edges[0],
+        heights=hist.heights[0],
+        h_min=int(hist.h_min[0]),
+        e1=float(hist.e1[0]),
+        e2=float(hist.e2[0]),
+        dispersion=float(hist.dispersion[0]),
     )
 
 
-def auto_epsilon(residual_abs: np.ndarray, e0: float) -> float:
-    """Stopping threshold from the residual-magnitude histogram.
+def auto_epsilon(residual_abs: np.ndarray, e0: float):
+    """Stopping threshold from the residual-magnitude histogram, for a
+    row (N,) as a float or row-wise for (L, N) as an (L,) array.
 
     Returns min(e0, E1, E2) when the bar heights are strongly dispersed
     (sqrt(var)/mean > 0.9, the signature of a separated outlier mode)
-    and min(e0, E1) otherwise.  A degenerate histogram (all residuals
-    equal) returns e0.
+    and min(e0, E1) otherwise.  A degenerate row (residual span below
+    1e-9) returns e0.
     """
-    r = np.asarray(residual_abs, dtype=np.float64).ravel()
-    if r.size == 0:
-        raise ValueError("residual vector is empty")
-    if float(r.max() - r.min()) < _DEGENERATE_SPAN:
-        return float(e0)
-    hist = epsilon_histogram(r)
-    if hist.dispersion > _DISPERSION_GATE:
-        return float(min(e0, hist.e1, hist.e2))
-    return float(min(e0, hist.e1))
+    r = _magnitude_rows(residual_abs)
+    eps = np.full(r.shape[0], float(e0))
+    live = r.max(axis=1) - r.min(axis=1) >= _DEGENERATE_SPAN
+    if live.any():
+        hist = _histograms(r[live])
+        e2 = np.where(hist.dispersion > _DISPERSION_GATE, hist.e2, np.inf)
+        eps[live] = np.minimum(np.minimum(eps[live], hist.e1), e2)
+    return eps if np.ndim(residual_abs) == 2 else float(eps[0])
 
 
 @dataclass
@@ -279,9 +326,10 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     rule with the threshold recomputed from the residual histogram at
     every iteration.  The fitted smooth surface fills the denoised
     image's core pixels and the estimated impulses fill the outlier
-    map.  A ROI whose solve fails passes through unchanged and is
-    flagged in the diagnostics.  ROIs run one after another, in raster
-    order, on the calling thread.
+    map.  The ROIs of one lambda tier share a solver and are fitted as
+    one batch, on the calling thread; a batch whose solve fails passes
+    its ROIs through unchanged, flagged in the diagnostics.
+    Diagnostics are in raster order.
     """
     if cfg is None:
         cfg = RoiConfig()
@@ -293,49 +341,48 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     inner = np.s_[pad : pad + ell, pad : pad + ell]
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
-    solvers = {
-        lam: KgardSolver(gram, lam) for lam in sorted(set(lam_map.lambdas.tolist()))
-    }
+    tiers: dict[float, list[int]] = {}
+    for idx, lam in enumerate(lam_map.lambdas.tolist()):
+        tiers.setdefault(lam, []).append(idx)
+    solvers = {lam: KgardSolver(gram, lam) for lam in sorted(tiers)}
     max_sel = (n * n) // 3
 
     denoised_ext = np.empty(plan.extended_shape)
     outlier_ext = np.zeros(plan.extended_shape)
-    diagnostics: list[RoiDiagnostics] = []
+    diagnostics: list = [None] * len(plan.roi_origins)
 
-    for idx, (r0, c0) in enumerate(plan.roi_origins):
-        block = padded[r0 : r0 + n, c0 : c0 + n]
-        core = np.s_[r0 : r0 + ell, c0 : c0 + ell]
-        lam = float(lam_map.lambdas[idx])
-        last_eps = [float(cfg.e0)]
+    def block(idx: int) -> np.ndarray:
+        r0, c0 = plan.roi_origins[idx]
+        return padded[r0 : r0 + n, c0 : c0 + n]
 
-        def eps_fn(abs_r: np.ndarray) -> float:
-            last_eps[0] = auto_epsilon(abs_r, cfg.e0)
-            return last_eps[0]
-
+    for lam, members in tiers.items():
         try:
-            sol = solvers[lam].fit(
-                rearrange(block),
+            solutions = solvers[lam].fit(
+                np.stack([rearrange(block(idx)) for idx in members]),
                 epsilon=cfg.e0,
                 stop_norm="linf",
                 max_selections=max_sel,
-                epsilon_fn=eps_fn,
+                epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
             )
         except NumericalError:
-            denoised_ext[core] = block[inner]
-            diagnostics.append(
-                RoiDiagnostics(idx, (r0, c0), lam, last_eps[0], 0, 0, failed=True)
+            solutions = [None] * len(members)
+        for idx, sol in zip(members, solutions):
+            r0, c0 = plan.roi_origins[idx]
+            core = np.s_[r0 : r0 + ell, c0 : c0 + ell]
+            if sol is None:
+                denoised_ext[core] = block(idx)[inner]
+                diagnostics[idx] = RoiDiagnostics(
+                    idx, (r0, c0), lam, float(cfg.e0), 0, 0, failed=True
+                )
+                continue
+            u = np.zeros(n * n)
+            for j, val in sol.outliers.items():
+                u[j] = val
+            denoised_ext[core] = unrearrange(gram @ sol.alpha + sol.bias, n)[inner]
+            outlier_ext[core] = unrearrange(u, n)[inner]
+            diagnostics[idx] = RoiDiagnostics(
+                idx, (r0, c0), lam, sol.epsilon, len(sol.outliers), sol.iterations
             )
-            continue
-        u = np.zeros(n * n)
-        for j, val in sol.outliers.items():
-            u[j] = val
-        denoised_ext[core] = unrearrange(gram @ sol.alpha + sol.bias, n)[inner]
-        outlier_ext[core] = unrearrange(u, n)[inner]
-        diagnostics.append(
-            RoiDiagnostics(
-                idx, (r0, c0), lam, last_eps[0], len(sol.outliers), sol.iterations
-            )
-        )
 
     h, w = plan.original_shape
     denoised = denoised_ext[:h, :w]

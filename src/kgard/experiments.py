@@ -10,9 +10,10 @@ Runs repeated corrupt/fit/score trials for three protocols:
   inlier noise.
 
 Each trial reports validation MSE against the noise-free truth, support
-recovery versus the true outlier locations, and the wall time of the
-fit call alone.  Trials run one after another on the calling thread;
-trial t derives every random draw from seed base_seed + t, so a run is
+recovery versus the true outlier locations, and its share of the fit
+time.  A run draws every trial first, then fits all of them as one
+batch against the run's shared solver, on the calling thread; trial t
+derives every random draw from seed base_seed + t, so a run is
 reproducible from its base seed.
 """
 
@@ -56,7 +57,9 @@ BORDER_BOOST_FACTOR = np.sqrt(5.0)
 @dataclass
 class TrialResult:
     """One Monte-Carlo trial.  correct/wrong fractions are NaN when the
-    trial had no true outliers (metrics not applicable)."""
+    trial had no true outliers (metrics not applicable).
+    ``wall_time_seconds`` is the run's batched fit time divided by its
+    number of trials."""
 
     mse_validation: float
     correct_fraction: float
@@ -159,10 +162,13 @@ def run_monte_carlo(
     The Gram matrix, the solver's initial factorization and the
     validation cross-Gram depend only on the protocol's fixed inputs,
     so they are built once, before the first trial; a
-    ``NumericalError`` there fails the whole run.  A trial whose fit
-    raises ``NumericalError`` is recorded with ``failed=True`` and
-    excluded from the aggregates.  The trial list (and the CSV, when
-    requested) is ordered by trial index.
+    ``NumericalError`` there fails the whole run.  The trials are then
+    drawn and fitted as one batch.  A ``NumericalError`` from that fit
+    records every trial with ``failed=True``, excluded from the
+    aggregates.  Each trial's ``wall_time_seconds`` (the CSV ``seconds``
+    column) is the batch's fit time divided by the number of trials;
+    drawing, setup and scoring are not counted.  The trial list (and
+    the CSV, when requested) is ordered by trial index.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -188,31 +194,40 @@ def run_monte_carlo(
     )
     cross = cross_gram(validation, train, params)
 
-    def one(t: int) -> TrialResult:
+    draws = []
+    for t in range(trials):
         seed = base_seed + t
         rng = rng_for(seed)
         data = make_lattice_dataset(rng) if fixed is None else fixed
         y, support, _ = corrupt(data.train_truth, noise, rng=rng)
-        t0 = time.perf_counter()
-        try:
-            solution = solver.fit(
-                y,
-                epsilon=config.epsilon,
-                stop_norm=config.stop_norm,
-                max_selections=config.max_selections,
-            )
-        except NumericalError:
-            return TrialResult(math.nan, math.nan, math.nan, math.nan, seed, True)
-        wall = time.perf_counter() - t0
+        # only what scoring reads: whole datasets would all stay alive
+        # until the batch is scored
+        draws.append((seed, data.validation_truth, y, support))
+
+    t0 = time.perf_counter()
+    try:
+        solutions = solver.fit(
+            np.stack([y for _, _, y, _ in draws]),
+            epsilon=config.epsilon,
+            stop_norm=config.stop_norm,
+            max_selections=config.max_selections,
+        )
+    except NumericalError:
+        solutions = [None] * trials
+    wall = (time.perf_counter() - t0) / trials
+
+    results = []
+    for (seed, validation_truth, _, support), solution in zip(draws, solutions):
+        if solution is None:
+            results.append(TrialResult(math.nan, math.nan, math.nan, math.nan, seed, True))
+            continue
         fitted_val = cross @ solution.alpha + solution.bias
-        mse = float(np.mean((fitted_val - data.validation_truth) ** 2))
+        mse = float(np.mean((fitted_val - validation_truth) ** 2))
         if support.size:
             correct, wrong = support_metrics(solution.support, support)
         else:
             correct = wrong = math.nan
-        return TrialResult(mse, correct, wrong, wall, seed)
-
-    results = [one(t) for t in range(trials)]
+        results.append(TrialResult(mse, correct, wrong, wall, seed))
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
     return _aggregate(results), results
@@ -240,7 +255,8 @@ def sweep_outlier_magnitude(
     the given fraction, no inlier noise.  Each trial fits with the
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
-    Every trial shares one Gram matrix, so ``theorem_check`` takes the
+    Every trial shares one Gram matrix and solver: the trials of one
+    magnitude are fitted as one batch, and ``theorem_check`` takes the
     SVD of [K 1] at most once per call.
     """
     magnitudes = list(magnitudes)
@@ -254,23 +270,27 @@ def sweep_outlier_magnitude(
     gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
     solver = KgardSolver(gram, SWEEP_LAMBDA)
 
-    def one(spec: NoiseSpec, t: int) -> tuple[float, float, bool]:
-        rng = rng_for(base_seed + t)
-        _, truth, alpha = make_support_dataset(rng, SWEEP_N)
-        y, support, u = corrupt(truth, spec, rng=rng)
-        solution = solver.fit(y, epsilon=0.0, max_selections=n_impulses)
-        correct, wrong = support_metrics(solution.support, support)
-        if np.any(u):
-            theta = np.append(alpha, 0.0)  # the protocol target has no bias
-            holds = theorem_check(gram, theta, u, SWEEP_LAMBDA).holds
-        else:
-            holds = False  # zero-magnitude impulses carry no certificate
-        return correct, wrong, holds
-
     points = []
     for magnitude in magnitudes:
         spec = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
-        rows = [one(spec, t) for t in range(trials)]
+        draws = []
+        for t in range(trials):
+            rng = rng_for(base_seed + t)
+            _, truth, alpha = make_support_dataset(rng, SWEEP_N)
+            y, support, u = corrupt(truth, spec, rng=rng)
+            draws.append((alpha, y, support, u))
+        solutions = solver.fit(
+            np.stack([y for _, y, _, _ in draws]), epsilon=0.0, max_selections=n_impulses
+        )
+        rows = []
+        for (alpha, _, support, u), solution in zip(draws, solutions):
+            correct, wrong = support_metrics(solution.support, support)
+            if np.any(u):
+                theta = np.append(alpha, 0.0)  # the protocol target has no bias
+                holds = theorem_check(gram, theta, u, SWEEP_LAMBDA).holds
+            else:
+                holds = False  # zero-magnitude impulses carry no certificate
+            rows.append((correct, wrong, holds))
         points.append(
             SweepPoint(
                 magnitude=float(magnitude),

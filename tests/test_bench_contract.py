@@ -1,0 +1,66 @@
+"""The layer boundaries that the benchmark's span tracer patches.
+
+``bench/spans.py`` wraps ``kgard.core.KgardSolver.fit`` and the
+``auto_epsilon`` name in ``kgard.denoise``, and ``bench/selftest.py``
+requires every workload to reach them.  These tests keep the batched
+entry points going through both, with one fit per batch: per lambda
+tier when denoising, per run for the Monte-Carlo protocols and per
+magnitude for the sweep.
+"""
+
+import numpy as np
+import pytest
+
+import kgard.denoise as denoise_mod
+from kgard.core import KgardConfig, KgardSolver
+from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image, tile_plan
+from kgard.experiments import run_monte_carlo, sweep_outlier_magnitude
+from kgard.noise import NoiseSpec
+
+
+@pytest.fixture
+def fit_batches(monkeypatch):
+    """Rows of y in each KgardSolver.fit call, in call order."""
+    batches = []
+    real_fit = KgardSolver.fit
+
+    def counting_fit(self, y, *args, **kwargs):
+        batches.append(1 if np.ndim(y) == 1 else len(y))
+        return real_fit(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(KgardSolver, "fit", counting_fit)
+    return batches
+
+
+def test_denoise_fits_once_per_lambda_tier(monkeypatch, fit_batches):
+    cfg = RoiConfig()
+    img = np.full((32, 32), 100.0)
+    img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
+    img[20:, 20:] += np.indices((12, 12))[0] * 3.0
+    lambdas = auto_lambda_map(pad_image(img, cfg), tile_plan(img, cfg), cfg).lambdas
+    thresholds = []
+    real_auto_epsilon = denoise_mod.auto_epsilon
+
+    def counting_auto_epsilon(*args, **kwargs):
+        thresholds.append(1)
+        return real_auto_epsilon(*args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod, "auto_epsilon", counting_auto_epsilon)
+    result = denoise_image(img, cfg)
+    tiers = np.unique(lambdas)
+    assert tiers.size >= 2
+    assert sorted(fit_batches) == sorted(int(np.sum(lambdas == lam)) for lam in tiers)
+    assert len(thresholds) > 0
+    assert len(result.diagnostics) == lambdas.size
+
+
+@pytest.mark.parametrize("protocol", ["sinc1d", "lattice2d"])
+def test_monte_carlo_fits_once_per_run(fit_batches, protocol):
+    noise = NoiseSpec(inlier_sigma=1.0, impulse_fraction=0.05, impulse_magnitude=40.0)
+    run_monte_carlo(protocol, noise, KgardConfig(lam=0.2, epsilon=10.0), 4, 0)
+    assert fit_batches == [4]
+
+
+def test_sweep_fits_once_per_magnitude(fit_batches):
+    sweep_outlier_magnitude([100.0, 300.0, 600.0], trials=3, base_seed=0)
+    assert fit_batches == [3, 3, 3]

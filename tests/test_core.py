@@ -14,6 +14,7 @@ from kgard.core import (
     _cholesky,
     _normal_matrix,
 )
+from kgard.denoise import auto_epsilon
 from kgard.kernel import KernelParams, gram_matrix
 from oracle import dense_solve, design_matrix, residual, solution_vector
 
@@ -321,3 +322,106 @@ def test_predict_rejects_mismatched_coefficients():
     sol = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.zeros(3), epsilon=1.0)
     with pytest.raises(ValueError):
         predict(sol, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
+
+
+def _duplicate_pair_case():
+    # the degenerate case plus copies of points 3 and 17: the ridge fit
+    # interpolates every coordinate except the difference across each
+    # duplicate pair, so one selection per differing pair clears the
+    # pivot floor and every later pivot falls below it
+    x = np.linspace(0, 1, 30)
+    pts = np.r_[x, x[3], x[17]]
+    gram = gram_matrix(pts, KernelParams(0.02))
+    base = np.sin(2 * np.pi * pts)
+    pair = np.zeros((2, 32))
+    pair[0, 3], pair[1, 17] = 20.0, -15.0
+    return KgardSolver(gram, 1e-12), base, pair
+
+
+def _assert_same_solution(a, b):
+    assert a.alpha.tobytes() == b.alpha.tobytes()
+    assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+    assert list(a.outliers.items()) == list(b.outliers.items())
+    assert a.iterations == b.iterations
+    assert a.residual_history == b.residual_history
+    assert a.truncated == b.truncated
+    assert a.epsilon == b.epsilon
+
+
+@pytest.mark.parametrize("stop_norm", ["l2", "linf"])
+def test_batched_fit_rows_stop_independently(stop_norm):
+    solver, base, pair = _duplicate_pair_case()
+    rows = np.array(
+        [
+            np.zeros(32),  # threshold at step 0 (r = 0)
+            1e9 * base,  # pivot floor at step 0
+            base + pair[0],  # threshold at step 1
+            1e9 * (base + pair[0]),  # pivot floor at step 1
+            base + pair.sum(axis=0),  # threshold at step 2
+            1e9 * (base + pair.sum(axis=0)),  # cap at step 2
+        ]
+    )
+    kwargs = dict(epsilon=1e-4, stop_norm=stop_norm, max_selections=2)
+    batch = solver.fit(rows, **kwargs)
+    assert isinstance(batch, list) and len(batch) == len(rows)
+    stops = [
+        (
+            sol.iterations,
+            "cap" if sol.truncated
+            else "threshold" if sol.residual_history[-1] <= 1e-4
+            else "pivot",
+        )
+        for sol in batch
+    ]
+    assert stops == [
+        (0, "threshold"), (0, "pivot"), (1, "threshold"),
+        (1, "pivot"), (2, "threshold"), (2, "cap"),
+    ]
+    for y, sol in zip(rows, batch):
+        _assert_same_solution(sol, solver.fit(y, **kwargs))
+    # the batch's row order does not matter either
+    for y, sol in zip(rows[::-1], solver.fit(rows[::-1], **kwargs)):
+        _assert_same_solution(sol, solver.fit(y, **kwargs))
+
+
+@given(
+    design=st.sampled_from(["kernel", "duplicate-pairs"]),
+    rows=st.integers(1, 8),
+    stop_norm=st.sampled_from(["l2", "linf"]),
+    threshold=st.sampled_from(["fixed", "scalar-fn", "auto-epsilon", "never"]),
+    cap_frac=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_fit_matches_single_fits(design, rows, stop_norm, threshold, cap_frac, seed):
+    rng = np.random.default_rng(seed)
+    if design == "kernel":
+        n = int(rng.integers(6, 50))
+        gram, _ = _random_gram(rng, n, sigma=rng.uniform(0.05, 0.6))
+        weights = rng.uniform(0.5, 2.0, size=n + 1) if rng.random() < 0.5 else None
+        solver = KgardSolver(gram, rng.uniform(1e-3, 30.0), tikhonov_weights=weights)
+        y = rng.normal(size=(rows, n))
+        for i in range(rows):  # a different outlier count per row
+            spikes = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
+            y[i, spikes] += rng.normal(0, 20, size=spikes.size)
+        y[rng.random(rows) < 0.2] = 0.0
+    else:
+        solver, base, pair = _duplicate_pair_case()
+        n = base.size
+        scale = rng.choice([0.0, 1.0, 1e9], size=(rows, 1))
+        y = scale * (base + rng.integers(0, 2, size=(rows, 2)) @ pair)
+    cap = int(cap_frac * n)
+    start = np.array([s.residual_history[0] for s in solver.fit(y, 0.0, stop_norm, 0)])
+    eps = float(rng.uniform(0.0, start.max()))
+    epsilon_fn = {
+        "fixed": None,
+        "scalar-fn": lambda abs_r: eps,
+        "auto-epsilon": lambda abs_r: auto_epsilon(abs_r, 40.0),
+        "never": lambda abs_r: np.zeros(abs_r.shape[:-1]),
+    }[threshold]
+    kwargs = dict(
+        epsilon=eps, stop_norm=stop_norm, max_selections=cap, epsilon_fn=epsilon_fn
+    )
+    batch = solver.fit(y, **kwargs)
+    assert len(batch) == rows
+    for row, sol in zip(y, batch):
+        _assert_same_solution(sol, solver.fit(row, **kwargs))

@@ -21,6 +21,7 @@ from kgard.denoise import (
     unrearrange,
 )
 from kgard.noise import rng_for
+from oracle import auto_epsilon_reference, epsilon_histogram_reference
 
 
 def _bump(n=32, amp=10.0, base=60.0):
@@ -274,3 +275,59 @@ def test_denoise_rejects_non_finite_pixel_before_any_fit(monkeypatch, bad):
     with pytest.raises(ValueError, match="finite"):
         denoise_image(img)
     assert calls == []
+
+
+def _residual_rows(rng, rows, n):
+    """Nonnegative residual rows of mixed kinds: spread rows with values
+    placed exactly on interior bin edges and on the last edge, integer
+    rows with ties, constant rows, and rows whose span is below 1e-9."""
+    out = []
+    for _ in range(rows):
+        kind = rng.integers(4)
+        level = float(rng.choice([1e-3, 1.0, 40.0, 255.0, 1e4]))
+        if kind == 0:
+            r = level * rng.random(n)
+            if n > 1:
+                r[0], r[1] = 0.0, level  # fix the range, then land on its edges
+                _, edges = np.histogram(r, bins=n // 10 + 1, range=(0.0, level))
+                on_edge = rng.choice(n, size=min(n, 5), replace=False)
+                r[on_edge] = rng.choice(edges, size=on_edge.size)
+        elif kind == 1:
+            r = rng.integers(0, 8, size=n).astype(float) * level / 8
+        elif kind == 2:
+            r = np.full(n, level)
+        else:
+            r = level + rng.random(n) * 10.0 ** -rng.integers(10, 14)
+        out.append(r)
+    return np.array(out)
+
+
+@given(rows=st.integers(1, 6), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_row_wise_threshold_matches_np_histogram(rows, n, seed):
+    r = _residual_rows(np.random.default_rng(seed), rows, n)
+    expected = [auto_epsilon_reference(row, 40.0) for row in r]
+    eps = auto_epsilon(r, 40.0)
+    assert eps.shape == (rows,)
+    assert eps.tolist() == expected
+    assert [auto_epsilon(row, 40.0) for row in r] == expected
+    try:
+        reference = [epsilon_histogram_reference(row) for row in r]
+    except ValueError:  # np.histogram: too many bins for a row's range
+        with pytest.raises(ValueError):
+            epsilon_histogram(r)
+        return
+    hist = epsilon_histogram(r)
+    for i, (edges, heights, h_min, e1, e2, dispersion) in enumerate(reference):
+        assert hist.edges[i].tobytes() == edges.tobytes()
+        assert np.array_equal(hist.heights[i], heights)
+        assert (hist.h_min[i], hist.e1[i], hist.e2[i]) == (h_min, e1, e2)
+        assert hist.dispersion[i] == dispersion
+
+
+def test_row_wise_threshold_rejects_bad_rows():
+    good = np.linspace(0.0, 3.0, 20)
+    for bad in (np.array([]), np.empty((2, 0)), np.vstack([good, -good])):
+        with pytest.raises(ValueError):
+            auto_epsilon(bad, 40.0)
+        with pytest.raises(ValueError):
+            epsilon_histogram(bad)
