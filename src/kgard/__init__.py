@@ -13,7 +13,6 @@ from .core import (
     KgardSolution,
     KgardSolver,
     NumericalError,
-    RegularizerKind,
     kgard_fit,
     predict,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "NoiseSpec",
     "NumericalError",
     "PgmFormatError",
-    "RegularizerKind",
     "RoiConfig",
     "SpectralDiagnostics",
     "StableParams",

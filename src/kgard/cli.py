@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .core import Dataset, KgardConfig, NumericalError, RegularizerKind, kgard_fit
+from .core import Dataset, KgardConfig, NumericalError, kgard_fit
 from .denoise import RoiConfig, denoise_image, psnr
-from .experiments import run_monte_carlo, sweep_outlier_magnitude
+from .experiments import PROTOCOLS, run_monte_carlo, sweep_outlier_magnitude
 from .kernel import KernelParams, gram_matrix
 from .noise import NoiseSpec, StableParams, corrupt, rng_for
 from .pgm import PgmFormatError, read_pgm_file, write_pgm_file
@@ -47,16 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True, help="kernel width")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument(
-        "--regularizer",
-        choices=["coefficient", "rkhs"],
-        default="coefficient",
-        help="penalty on (alpha; c) or on the RKHS norm (default: coefficient)",
-    )
     p.add_argument("--stop-norm", choices=["l2", "linf"], default="l2")
 
     p = sub.add_parser("experiment", help="Monte-Carlo benchmark trials")
-    p.add_argument("--protocol", choices=["sinc1d", "lattice2d", "stable1d"], required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--snr-db", type=float, default=None, help="Gaussian inlier SNR")
     p.add_argument(
         "--inlier-sigma",
@@ -139,14 +133,7 @@ def _read_dataset_csv(path) -> Dataset:
 
 def _cmd_regress(args) -> int:
     data = _read_dataset_csv(args.infile)
-    kind = (
-        RegularizerKind.COEFFICIENT_NORM
-        if args.regularizer == "coefficient"
-        else RegularizerKind.RKHS_NORM
-    )
-    config = KgardConfig(
-        lam=args.lam, epsilon=args.epsilon, regularizer=kind, stop_norm=args.stop_norm
-    )
+    config = KgardConfig(lam=args.lam, epsilon=args.epsilon, stop_norm=args.stop_norm)
     params = KernelParams(args.sigma)
     solution = kgard_fit(data, params, config)
     fitted = gram_matrix(data.inputs, params) @ solution.alpha + solution.bias

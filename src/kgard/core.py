@@ -4,8 +4,11 @@ The model is y = K alpha + c 1 + u + eta, with u a sparse outlier
 vector.  The solver alternates a regularized least-squares fit over the
 active columns of the augmented design X = [K 1 I_N] with a greedy
 selection of the identity column whose residual coordinate is largest
-in magnitude.  Selected identity columns carry no regularization, so
-the residual at a selected coordinate is driven exactly to zero.
+in magnitude.  The one penalty is lam ||diag(w) (alpha; c)||^2, with
+Tikhonov weights w (all 1 by default), so the normal matrix of the ridge
+design X0 = [K 1] is positive definite for every lam > 0 in exact
+arithmetic.  Selected identity columns carry no regularization, so the
+residual at a selected coordinate is driven exactly to zero.
 
 Because of that, the fit over [K 1 I_S] reduces to the residual map of
 the ridge fit over [K 1] alone, and each selection is a rank-one update
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,11 +46,36 @@ class NumericalError(Exception):
         self.pivot = pivot
 
 
-class RegularizerKind(Enum):
-    # penalize ||(alpha; c)||_2^2
-    COEFFICIENT_NORM = "coefficient_norm"
-    # penalize alpha^T K alpha (the RKHS norm of the expansion)
-    RKHS_NORM = "rkhs_norm"
+def _check_lambda(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+
+
+def _check_stop_norm(stop_norm: str) -> None:
+    if stop_norm not in ("l2", "linf"):
+        raise ValueError(f"stop_norm must be 'l2' or 'linf', got {stop_norm!r}")
+
+
+def _check_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if not np.all((w > 0) & (w < math.inf)):
+        raise ValueError("all tikhonov_weights must be positive and finite")
+    return w
+
+
+def _ridge_design(gram: np.ndarray) -> np.ndarray:
+    """The ridge design X0 = [K 1] of a square, finite Gram matrix."""
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError(f"gram matrix must be square, got shape {gram.shape}")
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("gram matrix must be finite")
+    return np.hstack([gram, np.ones((gram.shape[0], 1))])
 
 
 @dataclass
@@ -87,47 +114,16 @@ class KgardConfig:
 
     lam: float
     epsilon: float
-    regularizer: RegularizerKind = RegularizerKind.COEFFICIENT_NORM
     stop_norm: str = "l2"
     tikhonov_weights: Optional[np.ndarray] = None
     max_selections: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.stop_norm not in ("l2", "linf"):
-            raise ValueError(f"stop_norm must be 'l2' or 'linf', got {self.stop_norm!r}")
+        _check_lambda(self.lam)
+        _check_epsilon(self.epsilon)
+        _check_stop_norm(self.stop_norm)
         if self.tikhonov_weights is not None:
-            w = np.asarray(self.tikhonov_weights, dtype=np.float64).ravel()
-            if not np.all(w > 0):
-                raise ValueError("all tikhonov_weights must be positive")
-            self.tikhonov_weights = w
-
-
-def _normal_matrix(
-    gram: np.ndarray,
-    regularizer: RegularizerKind,
-    lam: float,
-    weights: Optional[np.ndarray],
-) -> np.ndarray:
-    """X0^T X0 + lam B for the ridge design X0 = [K 1].
-
-    B is the regularizer on (alpha; c), its diagonal scaled by the
-    squared Tikhonov weights.
-    """
-    n = gram.shape[0]
-    x = np.hstack([gram, np.ones((n, 1))])
-    if regularizer is RegularizerKind.COEFFICIENT_NORM:
-        b = np.eye(n + 1)
-    else:
-        b = np.zeros((n + 1, n + 1))
-        b[:n, :n] = gram
-    if weights is not None:
-        idx = np.arange(n + 1)
-        b[idx, idx] *= weights**2
-    return x.T @ x + lam * b
+            self.tikhonov_weights = _check_weights(self.tikhonov_weights)
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -169,11 +165,12 @@ def _stop_norms(r: np.ndarray, abs_r: np.ndarray, kind: str) -> np.ndarray:
 
 
 class KgardSolver:
-    """Reusable solver bound to one (gram, lambda, regularizer, weights).
+    """Reusable solver bound to one (gram, lambda, weights).
 
-    The constructor factors A0 = X0^T X0 + lam B of X0 = [K 1] and forms
-    the ridge residual map R = I - X0 A0^{-1} X0^T once.  A fit starts
-    from r = R y and makes one rank-one Schur update per selection; the
+    The constructor factors A0 = X0^T X0 + lam diag(w^2) of X0 = [K 1],
+    with w = 1 when no Tikhonov weights are given, and forms the ridge
+    residual map R = I - X0 A0^{-1} X0^T once.  A fit starts from
+    r = R y and makes one rank-one Schur update per selection; the
     columns of Q hold them, so Q[S] is the lower Cholesky factor of
     R[S, S].  A pivot of R at or below ``_PIVOT_FLOOR`` stops the fit.
     """
@@ -182,25 +179,20 @@ class KgardSolver:
         self,
         gram: np.ndarray,
         lam: float,
-        regularizer: RegularizerKind = RegularizerKind.COEFFICIENT_NORM,
         tikhonov_weights: Optional[np.ndarray] = None,
     ):
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError(f"gram matrix must be square, got {gram.shape}")
-        n = gram.shape[0]
+        _check_lambda(lam)
+        self._design = _ridge_design(gram)
+        n = self._design.shape[0]
+        penalty = float(lam)
         if tikhonov_weights is not None:
-            tikhonov_weights = np.asarray(tikhonov_weights, dtype=np.float64).ravel()
-            if tikhonov_weights.shape[0] != n + 1:
-                raise ValueError(
-                    f"expected {n + 1} tikhonov_weights, got {tikhonov_weights.shape[0]}"
-                )
-        self._lower0 = _cholesky(
-            _normal_matrix(gram, regularizer, float(lam), tikhonov_weights)
-        )
-        self._design = np.hstack([gram, np.ones((n, 1))])
+            w = _check_weights(tikhonov_weights)
+            if w.shape[0] != n + 1:
+                raise ValueError(f"expected {n + 1} tikhonov_weights, got {w.shape[0]}")
+            penalty = penalty * w**2
+        a0 = self._design.T @ self._design
+        a0[np.diag_indices(n + 1)] += penalty
+        self._lower0 = _cholesky(a0)
         h = solve_triangular(self._lower0, self._design.T, lower=True)
         self._residual_map = np.eye(n) - h.T @ h
         self._n = n
@@ -233,6 +225,8 @@ class KgardSolver:
             raise ValueError(f"expected {n} observations per row, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
+        _check_epsilon(epsilon)
+        _check_stop_norm(stop_norm)
         if max_selections is None:
             max_selections = n // 2
         if not 0 <= max_selections <= n:
@@ -354,12 +348,8 @@ def kgard_fit(
     """Run the full greedy fit on a dataset."""
     if data.size == 0:
         raise ValueError("dataset is empty")
-    solver = KgardSolver(
-        gram_matrix(data.inputs, params),
-        config.lam,
-        regularizer=config.regularizer,
-        tikhonov_weights=config.tikhonov_weights,
-    )
+    gram = gram_matrix(data.inputs, params)
+    solver = KgardSolver(gram, config.lam, tikhonov_weights=config.tikhonov_weights)
     return solver.fit(
         data.targets,
         epsilon=config.epsilon,

@@ -1,6 +1,8 @@
 """Spectral diagnostics and outlier-identification certificates.
 
-Everything here works from the SVD of the initial design X0 = [K 1]:
+Everything here works from the SVD of the initial design X0 = [K 1],
+built by the same function as the solver's, under the solver's penalty
+lam ||theta||^2 on theta = (alpha; c) with unit Tikhonov weights:
 leverage (hat-matrix) diagnostics showing how the ridge term
 down-weights leverage points, the sufficient condition under which the
 greedy selection is guaranteed to pick true outlier locations first
@@ -21,17 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError
+from .core import NumericalError, _check_lambda, _ridge_design
 
 _RANK_TOL = 1e-10
-
-
-def _initial_design(gram: np.ndarray) -> np.ndarray:
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"gram matrix must be square, got shape {gram.shape}")
-    n = gram.shape[0]
-    return np.hstack([gram, np.ones((n, 1))])
 
 
 @dataclass
@@ -53,9 +47,8 @@ def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     lambda), so every ridge leverage is strictly below its
     unregularized counterpart.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    x0 = _initial_design(gram)
+    _check_lambda(lam)
+    x0 = _ridge_design(gram)
     q, s, _ = np.linalg.svd(x0, full_matrices=False)  # q: N x N, s: N
     rank_deficient = bool(np.any(s <= _RANK_TOL * s[0]))
     g = s**2 / (s**2 + lam)
@@ -122,13 +115,12 @@ def theorem_check(
     support.  Applies to the pure-outlier regime (no inlier noise).
     sigma_max(X0) is computed once per distinct Gram matrix.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     u, support = _outlier_stats(true_outliers)
     if support.size == 0:
         raise ValueError("true outlier vector has empty support")
     theta = np.asarray(true_theta, dtype=np.float64).ravel()
-    x0 = _initial_design(gram)
+    x0 = _ridge_design(gram)
     if theta.shape[0] != x0.shape[1]:
         raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
     sigma_max = _sigma_max(x0.tobytes(), x0.shape)
@@ -178,7 +170,7 @@ def residual_oracle(
 ) -> tuple[np.ndarray, OracleIntermediates]:
     """Closed-form residual after the given (correct) selections.
 
-    Valid for the coefficient-norm regularizer in the pure-outlier
+    Valid for the solver's penalty with unit weights in the pure-outlier
     regime, with ``selected`` a subset of the true outlier support (or
     empty).  With X0 = Q S V^T, G = diag(sigma^2/(sigma^2+lambda)) and
     F = S - G S, the residual after k selections is
@@ -190,8 +182,7 @@ def residual_oracle(
     P_k = I_N + Q G Q^T I_S W_k^{-1} I_S^T - I_S W_k^{-1} I_S^T.
     For k = 0 this reduces to r_0 = u + Q F V^T theta - Q G Q^T u.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     u, support = _outlier_stats(true_outliers)
     selected = [int(j) for j in selected]
     if len(set(selected)) != len(selected):
@@ -200,7 +191,7 @@ def residual_oracle(
         raise ValueError("selected indices must lie inside the true outlier support")
     theta = np.asarray(true_theta, dtype=np.float64).ravel()
 
-    x0 = _initial_design(gram)
+    x0 = _ridge_design(gram)
     n = x0.shape[0]
     q, s, vt = np.linalg.svd(x0, full_matrices=False)
     g = s**2 / (s**2 + lam)

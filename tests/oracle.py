@@ -3,16 +3,14 @@
 
 The solve forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
-with ``np.linalg.solve``, independently of the solver's rank-one
-residual updates.  z stacks (alpha, c, u_S).
+with ``np.linalg.solve``, independently of the solver's ridge design
+and its rank-one residual updates.  z stacks (alpha, c, u_S).
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import block_diag
-
-from kgard.core import RegularizerKind
 
 
 def design_matrix(gram, support=()):
@@ -21,30 +19,20 @@ def design_matrix(gram, support=()):
     return np.hstack([gram, np.ones((n, 1)), np.eye(n)[:, list(support)]])
 
 
-def regularizer_matrix(gram, regularizer, support=(), weights=None):
-    """B over the active columns: the penalty on (alpha; c), its
+def regularizer_matrix(gram, support=(), weights=None):
+    """B over the active columns: the identity on (alpha; c), its
     diagonal scaled by the squared weights, then zeros for the
     unregularized identity columns."""
     n = gram.shape[0]
-    if regularizer is RegularizerKind.COEFFICIENT_NORM:
-        head = np.eye(n + 1)
-    else:
-        head = block_diag(gram, 0.0)
+    head = np.eye(n + 1)
     if weights is not None:
         head[np.arange(n + 1), np.arange(n + 1)] *= np.asarray(weights) ** 2
     return block_diag(head, np.zeros((len(support), len(support))))
 
 
-def dense_solve(
-    gram,
-    y,
-    lam,
-    support=(),
-    regularizer=RegularizerKind.COEFFICIENT_NORM,
-    weights=None,
-):
+def dense_solve(gram, y, lam, support=(), weights=None):
     x = design_matrix(gram, support)
-    b = regularizer_matrix(gram, regularizer, support, weights)
+    b = regularizer_matrix(gram, support, weights)
     return np.linalg.solve(x.T @ x + lam * b, x.T @ y)
 
 

@@ -1,12 +1,16 @@
 """The layer boundaries that the benchmark's span tracer patches.
 
-``bench/spans.py`` wraps ``kgard.core.KgardSolver.fit`` and the
-``auto_epsilon`` name in ``kgard.denoise``, and ``bench/selftest.py``
-requires every workload to reach them.  These tests keep the batched
-entry points going through both, with one fit per batch: per lambda
-tier when denoising, per run for the Monte-Carlo protocols and per
-magnitude for the sweep.
+``bench/spans.py`` wraps every ``(owner, attr)`` of its ``BOUNDARIES``,
+among them ``kgard.core.KgardSolver.fit`` and the ``auto_epsilon`` name
+in ``kgard.denoise``, and ``bench/selftest.py`` requires every workload
+to reach them.  These tests keep every boundary resolvable, and the
+batched entry points going through both, with one fit per batch: per
+lambda tier when denoising, per run for the Monte-Carlo protocols and
+per magnitude for the sweep.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,24 @@ from kgard.core import KgardConfig, KgardSolver
 from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image, tile_plan
 from kgard.experiments import run_monte_carlo, sweep_outlier_magnitude
 from kgard.noise import NoiseSpec
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_boundary_resolves():
+    spans = _load_spans()
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr, _ in spans.BOUNDARIES
+        if getattr(spans._resolve(owner), attr, None) is None
+    ]
+    assert missing == []
 
 
 @pytest.fixture

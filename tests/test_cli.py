@@ -110,7 +110,7 @@ def test_experiment_writes_csv(tmp_path, capsys):
 
 def test_experiment_stable_args_must_pair(tmp_path, capsys):
     code = main(
-        ["experiment", "--protocol", "stable1d", "--stable-alpha", "1.5",
+        ["experiment", "--protocol", "sinc1d", "--stable-alpha", "1.5",
          "--lambda", "0.2", "--epsilon", "10", "--trials", "1",
          "--out", str(tmp_path / "x.csv")]
     )

@@ -8,11 +8,9 @@ from kgard.core import (
     KgardConfig,
     KgardSolver,
     NumericalError,
-    RegularizerKind,
     kgard_fit,
     predict,
     _cholesky,
-    _normal_matrix,
 )
 from kgard.denoise import auto_epsilon
 from kgard.kernel import KernelParams, gram_matrix
@@ -43,17 +41,65 @@ def test_config_validation():
         KgardConfig(lam=1.0, epsilon=1.0, tikhonov_weights=[1.0, 0.0])
 
 
+BAD_SETTINGS = [
+    pytest.param(dict(lam=0.0), "lambda must be positive and finite", id="zero-lam"),
+    pytest.param(dict(lam=np.inf), "lambda must be positive and finite", id="inf-lam"),
+    pytest.param(dict(lam=np.nan), "lambda must be positive and finite", id="nan-lam"),
+    pytest.param(
+        dict(tikhonov_weights=-np.ones(5)), "weights must be positive and finite",
+        id="negative-weights",
+    ),
+    pytest.param(
+        dict(tikhonov_weights=np.zeros(5)), "weights must be positive and finite",
+        id="zero-weights",
+    ),
+    pytest.param(
+        dict(tikhonov_weights=[1, 1, np.nan, 1, 1]), "weights must be positive and finite",
+        id="nan-weight",
+    ),
+    pytest.param(
+        dict(tikhonov_weights=[1, 1, np.inf, 1, 1]), "weights must be positive and finite",
+        id="inf-weight",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    BAD_SETTINGS
+    + [
+        pytest.param(dict(gram=np.ones((3, 4))), "must be square", id="non-square-gram"),
+        pytest.param(dict(gram=np.diag([1, np.nan, 1, 1])), "gram matrix must be finite",
+                     id="nan-gram"),
+        pytest.param(dict(gram=np.diag([1, np.inf, 1, 1])), "gram matrix must be finite",
+                     id="inf-gram"),
+    ],
+)
+def test_solver_rejects_bad_settings(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        KgardSolver(**(dict(gram=np.eye(4), lam=1.0) | kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    BAD_SETTINGS
+    + [
+        pytest.param(dict(epsilon=np.nan), "epsilon must be nonnegative", id="nan-epsilon"),
+        pytest.param(dict(epsilon=-1.0), "epsilon must be nonnegative", id="negative-epsilon"),
+    ],
+)
+def test_config_rejects_bad_settings(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        KgardConfig(**(dict(lam=1.0, epsilon=0.0) | kwargs))
+
+
 def test_regularized_ls_matches_dense_oracle():
     rng = np.random.default_rng(0)
-    # narrow kernel keeps the Gram well conditioned so the RKHS-norm
-    # variant (whose penalty vanishes along near-null directions of K)
-    # stays factorizable
     gram, _ = _random_gram(rng, 20, sigma=0.05)
     y = rng.normal(size=20)
-    for kind in RegularizerKind:
-        sol = KgardSolver(gram, 0.5, kind).fit(y, epsilon=0.0, max_selections=0)
-        expected = dense_solve(gram, y, 0.5, regularizer=kind)
-        assert np.allclose(solution_vector(sol), expected, atol=1e-10)
+    sol = KgardSolver(gram, 0.5).fit(y, epsilon=0.0, max_selections=0)
+    expected = dense_solve(gram, y, 0.5)
+    assert np.allclose(solution_vector(sol), expected, atol=1e-10)
 
 
 def test_selected_identity_column_zeroes_its_residual():
@@ -202,21 +248,25 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
 
 
 @pytest.mark.parametrize(
-    "y, max_selections, match",
+    "y, kwargs, match",
     [
-        ([0.0, np.nan, 0.0, 0.0], None, "finite"),
-        ([0.0, np.inf, 0.0, 0.0], None, "finite"),
-        ([0.0, 1.0, 0.0, 0.0], -1, "max_selections"),
-        ([0.0, 1.0, 0.0, 0.0], 5, "max_selections"),
-        ([1e300, -1e300, 1e300, -1e300], None, "overflows"),
+        ([0.0, np.nan, 0.0, 0.0], {}, "finite"),
+        ([0.0, np.inf, 0.0, 0.0], {}, "finite"),
+        ([0.0, 1.0, 0.0, 0.0], dict(max_selections=-1), "max_selections"),
+        ([0.0, 1.0, 0.0, 0.0], dict(max_selections=5), "max_selections"),
+        ([1e300, -1e300, 1e300, -1e300], {}, "overflows"),
+        ([0.0, 1.0, 0.0, 0.0], dict(stop_norm="l1"), "stop_norm must be 'l2' or 'linf'"),
+        ([0.0, 1.0, 0.0, 0.0], dict(epsilon=np.nan), "epsilon must be nonnegative"),
+        ([0.0, 1.0, 0.0, 0.0], dict(epsilon=-1.0), "epsilon must be nonnegative"),
     ],
-    ids=["nan", "inf", "negative-cap", "cap-above-n", "overflow"],
+    ids=["nan", "inf", "negative-cap", "cap-above-n", "overflow", "l1-stop-norm",
+         "nan-epsilon", "negative-epsilon"],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_fit_rejects_bad_input(y, max_selections, match):
+def test_fit_rejects_bad_input(y, kwargs, match):
     solver = KgardSolver(np.eye(4), lam=1.0)
     with pytest.raises(ValueError, match=match):
-        solver.fit(np.array(y), epsilon=0.0, max_selections=max_selections)
+        solver.fit(np.array(y), **(dict(epsilon=0.0) | kwargs))
 
 
 def test_tikhonov_weights_scale_effective_penalty():
@@ -227,14 +277,11 @@ def test_tikhonov_weights_scale_effective_penalty():
     y[6] += 20.0
     w = np.ones(n + 1)
     w[:5] = np.sqrt(5.0)
-    for kind in RegularizerKind:
-        sol = KgardSolver(gram, 0.4, kind, tikhonov_weights=w).fit(
-            y, epsilon=0.0, max_selections=2
-        )
-        expected = dense_solve(gram, y, 0.4, sol.support, kind, weights=w)
-        assert np.allclose(solution_vector(sol), expected, atol=1e-10)
-        unweighted = dense_solve(gram, y, 0.4, sol.support, kind)
-        assert not np.allclose(unweighted, expected)
+    sol = KgardSolver(gram, 0.4, tikhonov_weights=w).fit(y, epsilon=0.0, max_selections=2)
+    expected = dense_solve(gram, y, 0.4, sol.support, weights=w)
+    assert np.allclose(solution_vector(sol), expected, atol=1e-10)
+    unweighted = dense_solve(gram, y, 0.4, sol.support)
+    assert not np.allclose(unweighted, expected)
 
 
 def test_solver_rejects_wrong_length_weights():
@@ -245,20 +292,6 @@ def test_solver_rejects_wrong_length_weights():
             KgardSolver(gram, 1.0, tikhonov_weights=bad)
 
 
-def test_rkhs_regularizer_uses_gram_penalty():
-    rng = np.random.default_rng(11)
-    gram, _ = _random_gram(rng, 15, sigma=0.05)
-    y = rng.normal(size=15)
-    y[3] += 20.0
-    sol = KgardSolver(gram, 0.5, RegularizerKind.RKHS_NORM).fit(
-        y, epsilon=0.0, max_selections=2
-    )
-    rkhs = dense_solve(gram, y, 0.5, sol.support, RegularizerKind.RKHS_NORM)
-    assert np.allclose(solution_vector(sol), rkhs, atol=1e-10)
-    coef = dense_solve(gram, y, 0.5, sol.support, RegularizerKind.COEFFICIENT_NORM)
-    assert not np.allclose(rkhs, coef)
-
-
 def test_b_matrix_zero_padding_for_selected_columns():
     # the normal matrix covers (alpha; c) only: selected identity
     # columns are unregularized and never enter it (the oracle tests
@@ -266,13 +299,11 @@ def test_b_matrix_zero_padding_for_selected_columns():
     rng = np.random.default_rng(12)
     gram, _ = _random_gram(rng, 8)
     x0 = design_matrix(gram)
-    for kind, head in (
-        (RegularizerKind.COEFFICIENT_NORM, np.eye(9)),
-        (RegularizerKind.RKHS_NORM, np.pad(gram, ((0, 1), (0, 1)))),
-    ):
-        m = _normal_matrix(gram, kind, 0.3, None)
-        assert m.shape == (9, 9)
-        assert np.allclose(m, x0.T @ x0 + 0.3 * head, atol=1e-14)
+    w = rng.uniform(0.5, 2.0, size=9)
+    for weights, head in ((None, np.eye(9)), (w, np.diag(w**2))):
+        lower = KgardSolver(gram, 0.3, tikhonov_weights=weights)._lower0
+        assert lower.shape == (9, 9)
+        assert np.allclose(lower @ lower.T, x0.T @ x0 + 0.3 * head, atol=1e-12)
 
 
 def _degenerate_case():

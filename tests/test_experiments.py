@@ -205,7 +205,7 @@ def test_stable_protocol_runs():
 
     noise = NoiseSpec(stable_params=StableParams(1.5, 0.05), impulse_fraction=0.05)
     config = KgardConfig(lam=0.2, epsilon=10.0)
-    stats, _ = run_monte_carlo("stable1d", noise, config, 2, 0)
+    stats, _ = run_monte_carlo("sinc1d", noise, config, 2, 0)
     assert stats.trials == 2
 
 
@@ -230,6 +230,13 @@ def test_sweep_builds_one_solver(monkeypatch):
     kgard.theory._sigma_max.cache_clear()
     sweep_outlier_magnitude([100.0, 300.0], trials=3, base_seed=0)
     assert sorted(calls) == ["__init__", "svd"]
+
+
+def test_sweep_draws_each_truth_once(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, experiments, "make_support_dataset", calls)
+    sweep_outlier_magnitude([100.0, 300.0, 600.0, 900.0], trials=3, base_seed=0)
+    assert len(calls) == 3
 
 
 def test_sweep_point_matches_per_trial_reference():

@@ -52,6 +52,8 @@ def test_spectral_diagnostics_requires_positive_lambda():
     _, gram = _instance(3)
     with pytest.raises(ValueError):
         spectral_diagnostics(gram, 0.0)
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        spectral_diagnostics(gram, np.inf)
 
 
 def _certified_setup(seed, magnitude=800.0, n=40):
@@ -142,6 +144,13 @@ def test_residual_oracle_zero_at_selected_coordinates():
     picks = sorted(support.tolist())[:2]
     rk, _ = residual_oracle(gram, theta, u, lam=4000.0, selected=picks)
     assert np.max(np.abs(rk[picks])) < 1e-8
+
+
+def test_theorem_check_rejects_non_finite_gram():
+    gram, theta, u, _ = _certified_setup(9)
+    gram[0, 1] = np.nan
+    with pytest.raises(ValueError, match="gram matrix must be finite"):
+        theorem_check(gram, theta, u, 1.0)
 
 
 def test_residual_oracle_input_validation():
