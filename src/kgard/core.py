@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
 from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
@@ -54,6 +55,15 @@ def _check_lambda(lam: float) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+
+
+def _check_max_selections(max_selections) -> None:
+    if isinstance(max_selections, bool) or not isinstance(
+        max_selections, (int, np.integer)
+    ):
+        raise ValueError(f"max_selections must be an integer, got {max_selections!r}")
+    if max_selections < 0:
+        raise ValueError(f"max_selections must be nonnegative, got {max_selections}")
 
 
 def _check_stop_norm(stop_norm: str) -> None:
@@ -124,6 +134,8 @@ class KgardConfig:
         _check_stop_norm(self.stop_norm)
         if self.tikhonov_weights is not None:
             self.tikhonov_weights = _check_weights(self.tikhonov_weights)
+        if self.max_selections is not None:
+            _check_max_selections(self.max_selections)
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -190,11 +202,19 @@ class KgardSolver:
             if w.shape[0] != n + 1:
                 raise ValueError(f"expected {n + 1} tikhonov_weights, got {w.shape[0]}")
             penalty = penalty * w**2
-        a0 = self._design.T @ self._design
+        # numpy and scipy each bundle an OpenBLAS, and every switch between
+        # them waits for the other's spinning worker threads to give up a
+        # core, so setup makes all its BLAS calls through scipy, where
+        # dpotrf and solve_triangular run.  dsyrk of X0^T (Fortran-ordered,
+        # so not copied) fills the lower triangle of X0^T X0, the only one
+        # dpotrf reads.
+        a0 = dsyrk(1.0, self._design.T, lower=1)
         a0[np.diag_indices(n + 1)] += penalty
         self._lower0 = _cholesky(a0)
         h = solve_triangular(self._lower0, self._design.T, lower=True)
-        self._residual_map = np.eye(n) - h.T @ h
+        hth = dsyrk(1.0, h, trans=1, lower=1)
+        # mirrored from the lower triangle, so R is exactly symmetric
+        self._residual_map = np.eye(n) - np.where(np.tri(n, dtype=bool), hth, hth.T)
         self._n = n
 
     def fit(
@@ -229,7 +249,8 @@ class KgardSolver:
         _check_stop_norm(stop_norm)
         if max_selections is None:
             max_selections = n // 2
-        if not 0 <= max_selections <= n:
+        _check_max_selections(max_selections)
+        if max_selections > n:
             raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
         single = y.ndim == 1
         ys = y.reshape(-1, n)

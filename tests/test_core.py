@@ -12,9 +12,16 @@ from kgard.core import (
     predict,
     _cholesky,
 )
-from kgard.denoise import auto_epsilon
+from kgard.denoise import auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
-from oracle import dense_solve, design_matrix, residual, solution_vector
+from kgard.noise import lattice_nodes
+from oracle import (
+    dense_solve,
+    design_matrix,
+    residual,
+    residual_map_reference,
+    solution_vector,
+)
 
 
 def _random_gram(rng, n, d=1, sigma=0.4):
@@ -86,6 +93,12 @@ def test_solver_rejects_bad_settings(kwargs, match):
     + [
         pytest.param(dict(epsilon=np.nan), "epsilon must be nonnegative", id="nan-epsilon"),
         pytest.param(dict(epsilon=-1.0), "epsilon must be nonnegative", id="negative-epsilon"),
+        pytest.param(dict(max_selections=2.5), "max_selections must be an integer",
+                     id="float-cap"),
+        pytest.param(dict(max_selections=True), "max_selections must be an integer",
+                     id="bool-cap"),
+        pytest.param(dict(max_selections=-3), "max_selections must be nonnegative",
+                     id="negative-cap"),
     ],
 )
 def test_config_rejects_bad_settings(kwargs, match):
@@ -258,15 +271,43 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
         ([0.0, 1.0, 0.0, 0.0], dict(stop_norm="l1"), "stop_norm must be 'l2' or 'linf'"),
         ([0.0, 1.0, 0.0, 0.0], dict(epsilon=np.nan), "epsilon must be nonnegative"),
         ([0.0, 1.0, 0.0, 0.0], dict(epsilon=-1.0), "epsilon must be nonnegative"),
+        ([0.0, 1.0, 0.0, 0.0], dict(max_selections=2.5), "max_selections must be an integer"),
+        ([0.0, 1.0, 0.0, 0.0], dict(max_selections=True), "max_selections must be an integer"),
     ],
     ids=["nan", "inf", "negative-cap", "cap-above-n", "overflow", "l1-stop-norm",
-         "nan-epsilon", "negative-epsilon"],
+         "nan-epsilon", "negative-epsilon", "float-cap", "bool-cap"],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fit_rejects_bad_input(y, kwargs, match):
     solver = KgardSolver(np.eye(4), lam=1.0)
     with pytest.raises(ValueError, match=match):
         solver.fit(np.array(y), **(dict(epsilon=0.0) | kwargs))
+
+
+def test_fit_accepts_numpy_integer_cap():
+    y = np.array([0.0, 9.0, 0.0, 0.0])
+    sol = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=np.int64(1))
+    assert sol.support == [1]
+
+
+@pytest.mark.parametrize(
+    "points, sigma, lam",
+    [
+        pytest.param(roi_lattice(12), 0.3, 1.0, id="roi-144"),
+        pytest.param(np.linspace(0.0, 1.0, 100), 0.1, 4000.0, id="sweep-100"),
+        pytest.param(lattice_nodes()[1], 0.2, 0.15, id="lattice-256"),
+    ],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_residual_map_matches_dense_oracle(points, sigma, lam, weighted):
+    # the benchmark's three Gram shapes; R's entries lie in [-1, 1]
+    gram = gram_matrix(points, KernelParams(sigma))
+    n = gram.shape[0]
+    weights = np.random.default_rng(n).uniform(0.5, 2.0, size=n + 1) if weighted else None
+    r = KgardSolver(gram, lam, tikhonov_weights=weights)._residual_map
+    assert np.array_equal(r, r.T)
+    expected = residual_map_reference(gram, lam, weights)
+    assert np.max(np.abs(r - expected)) <= 1e-12
 
 
 def test_tikhonov_weights_scale_effective_penalty():
