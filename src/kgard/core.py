@@ -12,10 +12,11 @@ residual at a selected coordinate is driven exactly to zero.
 
 Because of that, the fit over [K 1 I_S] reduces to the residual map of
 the ridge fit over [K 1] alone, and each selection is a rank-one update
-of that map; the coefficients are solved once, after the last
-selection.  Fits that share one residual map run as a batch: a (B, N)
-stack of residuals advances one selection per step, every row with its
-own argmax, update and stop test.
+of that map; the coefficients are read once, after the last
+selection, through the ridge fit's coefficient map.  Fits that share
+one residual map run as a batch: a (B, N) stack of residuals advances
+one selection per step, every row with its own argmax, update and stop
+test.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
@@ -180,11 +181,16 @@ class KgardSolver:
     """Reusable solver bound to one (gram, lambda, weights).
 
     The constructor factors A0 = X0^T X0 + lam diag(w^2) of X0 = [K 1],
-    with w = 1 when no Tikhonov weights are given, and forms the ridge
-    residual map R = I - X0 A0^{-1} X0^T once.  A fit starts from
+    with w = 1 when no Tikhonov weights are given, and forms two maps
+    once, from H = L0^{-1} X0^T: the ridge residual map
+    R = I - X0 A0^{-1} X0^T = I - H^T H and the coefficient map
+    P = A0^{-1} X0^T = L0^{-T} H, an (N+1) x N matrix.  A fit starts from
     r = R y and makes one rank-one Schur update per selection; the
     columns of Q hold them, so Q[S] is the lower Cholesky factor of
     R[S, S].  A pivot of R at or below ``_PIVOT_FLOOR`` stops the fit.
+    A finished row's outliers u_S come from one k x k triangular solve
+    with Q[S], and its coefficients (alpha; c) = P (y - I_S u_S) from one
+    matrix-vector product.
     """
 
     def __init__(
@@ -194,8 +200,8 @@ class KgardSolver:
         tikhonov_weights: Optional[np.ndarray] = None,
     ):
         _check_lambda(lam)
-        self._design = _ridge_design(gram)
-        n = self._design.shape[0]
+        design = _ridge_design(gram)
+        n = design.shape[0]
         penalty = float(lam)
         if tikhonov_weights is not None:
             w = _check_weights(tikhonov_weights)
@@ -208,13 +214,15 @@ class KgardSolver:
         # dpotrf and solve_triangular run.  dsyrk of X0^T (Fortran-ordered,
         # so not copied) fills the lower triangle of X0^T X0, the only one
         # dpotrf reads.
-        a0 = dsyrk(1.0, self._design.T, lower=1)
+        a0 = dsyrk(1.0, design.T, lower=1)
         a0[np.diag_indices(n + 1)] += penalty
         self._lower0 = _cholesky(a0)
-        h = solve_triangular(self._lower0, self._design.T, lower=True)
+        h = solve_triangular(self._lower0, design.T, lower=True)
         hth = dsyrk(1.0, h, trans=1, lower=1)
         # mirrored from the lower triangle, so R is exactly symmetric
         self._residual_map = np.eye(n) - np.where(np.tri(n, dtype=bool), hth, hth.T)
+        # the coefficient map P = A0^-1 X0^T = L0^-T H
+        self._coef_map = solve_triangular(self._lower0, h, lower=True, trans="T")
         self._n = n
 
     def fit(
@@ -237,7 +245,8 @@ class KgardSolver:
         ``epsilon_fn``, when given, replaces ``epsilon`` at every step:
         it receives |r| shaped like ``y``, (N,) for a 1-D fit and (L, N)
         for the L rows of a batch still running, and returns a scalar or
-        one threshold per row.
+        one threshold per row, each nonnegative like ``epsilon``; any
+        other result raises ``ValueError``.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
@@ -288,8 +297,15 @@ class KgardSolver:
             if epsilon_fn is None:
                 eps = np.full(m, float(epsilon))
             else:
-                eps = epsilon_fn(abs_r[0] if single else abs_r)
-                eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (m,))
+                eps = np.asarray(epsilon_fn(abs_r[0] if single else abs_r), dtype=np.float64)
+                if eps.shape not in ((), (m,)):
+                    raise ValueError(
+                        f"epsilon_fn must return a scalar or {m} thresholds, "
+                        f"one per running row, got shape {eps.shape}"
+                    )
+                if not (eps >= 0).all():
+                    raise ValueError("epsilon_fn returned a negative or NaN threshold")
+                eps = np.broadcast_to(eps, (m,))
             done = norms <= eps
             capped = k == max_selections
             if not capped:
@@ -343,13 +359,13 @@ class KgardSolver:
         """Coefficients of one finished row from its k Q slabs."""
         n, k = self._n, support.size
         # Q[S] is lower triangular: u_S = Q[S]^-T c; fit has already
-        # checked everything these solves read for finiteness
+        # checked everything this solve reads for finiteness
         u = solve_triangular(
             q[:, support].T.copy(), c, lower=True, trans="T", check_finite=False
         )
         e = y.copy()
         e[support] -= u
-        theta = cho_solve((self._lower0, True), self._design.T @ e, check_finite=False)
+        theta = self._coef_map @ e
         return KgardSolution(
             alpha=theta[:n],
             bias=float(theta[n]),

@@ -61,8 +61,11 @@ class RoiConfig:
             raise ValueError("roi_size - core_size must be even")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
+        # the smooth tier, 15 lambda0, is the largest ridge parameter used
+        if not (self.lambda0 > 0 and 15.0 * self.lambda0 < math.inf):
+            raise ValueError(
+                f"lambda0 must be positive with 15 * lambda0 finite, got {self.lambda0}"
+            )
         if not self.e0 > 0:
             raise ValueError(f"e0 must be positive, got {self.e0}")
 
@@ -203,57 +206,74 @@ class EpsilonHistogram:
     dispersion: object
 
 
-def _magnitude_rows(residual_abs) -> np.ndarray:
-    """Validated residual magnitudes as an (L, N) array."""
+def _magnitude_rows(residual_abs) -> tuple:
+    """Validated residual magnitudes as an (L, N) array, with each row's
+    minimum and maximum."""
     r = np.asarray(residual_abs, dtype=np.float64)
     if r.ndim not in (1, 2):
         raise ValueError(f"residual magnitudes must be 1-D or 2-D, got shape {r.shape}")
     if r.size == 0:
         raise ValueError("residual vector is empty")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual magnitudes must be finite")
-    if np.any(r < 0):
+    r = r.reshape(-1, r.shape[-1])
+    first, last = r.min(axis=1), r.max(axis=1)
+    # min and max propagate NaN, so these two bounds catch every bad value
+    if not (first.min() >= 0 and last.max() < math.inf):
+        if not np.all(np.isfinite(r)):
+            raise ValueError("residual magnitudes must be finite")
         raise ValueError("residual magnitudes must be nonnegative")
-    return r.reshape(-1, r.shape[-1])
+    return r, first, last
 
 
-def _histograms(r: np.ndarray) -> EpsilonHistogram:
+def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> EpsilonHistogram:
     """Row-wise ``np.histogram(row, bins, range=(row.min(), row.max()))``
-    of an (L, N) array, bit for bit: the same linspace edges, the same
-    index formula with its +-1 edge corrections, and a closed last bin;
-    then the two threshold candidates of every row."""
+    of an (L, N) array whose row minima and maxima are ``first`` and
+    ``last``, bit for bit: the same linspace edges, the same index
+    formula with its +-1 edge corrections, and a closed last bin; then
+    the two threshold candidates of every row."""
     rows_n, n = r.shape
     bins = n // 10 + 1
-    first, last = r.min(axis=1), r.max(axis=1)
-    flat = first == last  # np.histogram widens an empty range by 0.5
-    first = np.where(flat, first - 0.5, first)
-    last = np.where(flat, last + 0.5, last)
+    half = 0.5 * (first == last)  # np.histogram widens an empty range by 0.5
+    first = first - half
+    last = last + half
     delta = last - first
     # np.linspace with scalar ends: i * step + first, last edge exact
     edges = np.arange(bins + 1.0) * (delta / bins)[:, None] + first[:, None]
     edges[:, -1] = last
-    if np.any(edges[:, :-1] >= edges[:, 1:]):
+    if (edges[:, :-1] >= edges[:, 1:]).any():
         raise ValueError(
             f"Too many bins for data range. Cannot create {bins} finite-sized bins."
         )
-    rows = np.arange(rows_n)[:, None]
+    # indices into the raveled edges, row i's bins starting at i (bins + 1)
+    flat_edges = edges.ravel()
+    offset = np.arange(0, rows_n * (bins + 1), bins + 1)
     idx = (((r - first[:, None]) / delta[:, None]) * bins).astype(np.intp)
-    idx[idx == bins] -= 1
-    idx[r < edges[rows, idx]] -= 1
-    idx[(r >= edges[rows, idx + 1]) & (idx != bins - 1)] += 1
-    heights = np.bincount(
-        (idx + rows * bins).ravel(), minlength=rows_n * bins
-    ).reshape(rows_n, bins)
+    idx = np.minimum(idx, bins - 1)
+    idx += offset[:, None]
+    idx -= r < flat_edges.take(idx)
+    # a value on the last edge moves to the spare bin `bins`, folded back
+    # below: the last bin is closed
+    idx += r >= flat_edges[1:].take(idx)
+    counts = np.bincount(idx.ravel(), minlength=rows_n * (bins + 1))
+    counts = counts.reshape(rows_n, bins + 1)
+    counts[:, -2] += counts[:, -1]
+    heights = counts[:, :-1]
 
-    rows = rows[:, 0]
     h_min = heights.min(axis=1)
-    e1 = edges[rows, np.argmax(heights == h_min[:, None], axis=1)]
-    # E2 scan: bar ell >= 1 rising by >= 1 from a near-minimum bar; the
-    # appended sentinel marks "none" as ell == bins
-    rise = (np.diff(heights, axis=1) >= 1) & (heights[:, :-1] <= h_min[:, None] + 5)
-    ell = np.argmax(np.hstack([rise, np.ones((rows_n, 1), dtype=bool)]), axis=1) + 1
-    e2 = np.where(ell < bins, edges[rows, ell], np.inf)
-    dispersion = np.sqrt(np.var(heights, axis=1)) / np.mean(heights, axis=1)
+    e1 = flat_edges.take(heights.argmin(axis=1) + offset)
+    # E2 scan: the first bar ell >= 1 rising by >= 1 from a near-minimum
+    # bar; a one-bar histogram has none
+    e2 = np.full(rows_n, np.inf)
+    if bins > 1:
+        before = heights[:, :-1]
+        rise = (heights[:, 1:] > before) & (before <= h_min[:, None] + 5)
+        ell = rise.argmax(axis=1)
+        e2 = np.where(rise.any(axis=1), flat_edges[1:].take(ell + offset), np.inf)
+    # np.var's arithmetic: every value lands in one bin, so the float sum
+    # of a row's heights is n and their mean n / bins
+    mean = n / bins
+    dev = heights - mean
+    dev *= dev
+    dispersion = np.sqrt(dev.sum(axis=1) / bins) / mean
     return EpsilonHistogram(edges, heights, h_min, e1, e2, dispersion)
 
 
@@ -266,8 +286,7 @@ def epsilon_histogram(residual_abs: np.ndarray) -> EpsilonHistogram:
     left edge of the first bar (second or later) that rises by at least
     1 from a predecessor of near-minimum height (h <= h_min + 5).
     """
-    r = _magnitude_rows(residual_abs)
-    hist = _histograms(r)
+    hist = _histograms(*_magnitude_rows(residual_abs))
     if np.ndim(residual_abs) == 2:
         return hist
     return EpsilonHistogram(
@@ -289,11 +308,13 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float):
     and min(e0, E1) otherwise.  A degenerate row (residual span below
     1e-9) returns e0.
     """
-    r = _magnitude_rows(residual_abs)
+    r, first, last = _magnitude_rows(residual_abs)
     eps = np.full(r.shape[0], float(e0))
-    live = r.max(axis=1) - r.min(axis=1) >= _DEGENERATE_SPAN
-    if live.any():
-        hist = _histograms(r[live])
+    live = last - first >= _DEGENERATE_SPAN
+    if not live.all():
+        r, first, last = r[live], first[live], last[live]
+    if r.shape[0]:
+        hist = _histograms(r, first, last)
         e2 = np.where(hist.dispersion > _DISPERSION_GATE, hist.e2, np.inf)
         eps[live] = np.minimum(np.minimum(eps[live], hist.e1), e2)
     return eps if np.ndim(residual_abs) == 2 else float(eps[0])

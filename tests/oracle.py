@@ -1,6 +1,6 @@
-"""Dense reference solve for the greedy solver, a dense reference of
-its ridge residual map, and a per-row ``np.histogram`` reference for
-the denoising threshold.
+"""Dense reference solve for the greedy solver, dense references of
+its ridge coefficient and residual maps, and a per-row
+``np.histogram`` reference for the denoising threshold.
 
 The solve forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
@@ -37,12 +37,20 @@ def dense_solve(gram, y, lam, support=(), weights=None):
     return np.linalg.solve(x.T @ x + lam * b, x.T @ y)
 
 
+def coefficient_map_reference(gram, lam, weights=None):
+    """(X0^T X0 + lam diag(w^2))^-1 X0^T of the ridge design X0 = [K 1],
+    the map from y to the ridge fit's coefficients (alpha; c)."""
+    x0 = design_matrix(gram)
+    a0 = x0.T @ x0 + lam * regularizer_matrix(gram, (), weights)
+    return np.linalg.solve(a0, x0.T)
+
+
 def residual_map_reference(gram, lam, weights=None):
     """I - X0 (X0^T X0 + lam diag(w^2))^-1 X0^T of the ridge design
     X0 = [K 1], the map from y to the ridge fit's residual."""
-    x0 = design_matrix(gram)
-    a0 = x0.T @ x0 + lam * regularizer_matrix(gram, (), weights)
-    return np.eye(gram.shape[0]) - x0 @ np.linalg.solve(a0, x0.T)
+    return np.eye(gram.shape[0]) - design_matrix(gram) @ coefficient_map_reference(
+        gram, lam, weights
+    )
 
 
 def solution_vector(sol):

@@ -187,6 +187,15 @@ def test_threads_below_one_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_denoise_infinite_lambda0_exits_2(tmp_path, capsys):
+    src = tmp_path / "src.pgm"
+    _bump_pgm(src)
+    out = tmp_path / "out.pgm"
+    assert main(["denoise", "--in", str(src), "--out", str(out), "--lambda0", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("error: argument: lambda0 must be positive")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "value,message",
     [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from kgard.denoise import auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import lattice_nodes
 from oracle import (
+    coefficient_map_reference,
     dense_solve,
     design_matrix,
     residual,
@@ -224,6 +227,34 @@ def test_fit_epsilon_fn_overrides_epsilon():
     assert len(calls) == 1 and calls[0].shape == (30,)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize(
+    "thresholds, match",
+    [
+        pytest.param(lambda rows: math.nan, "negative or NaN", id="nan"),
+        pytest.param(lambda rows: np.full(rows, -1.0), "negative or NaN", id="negative"),
+        pytest.param(lambda rows: np.zeros(rows + 1), "one per running row", id="wrong-length"),
+        pytest.param(lambda rows: np.zeros((rows, 1)), "one per running row", id="2-d"),
+    ],
+)
+def test_fit_rejects_bad_epsilon_fn_result(thresholds, match, batched):
+    solver = KgardSolver(np.eye(4), lam=1.0)
+    y = np.array([0.0, 9.0, 0.0, 3.0])
+    y = np.stack([y, -y, 2 * y]) if batched else y
+    calls = []
+
+    def eps_fn(abs_r):
+        calls.append(abs_r.shape)
+        # good thresholds at the first step, bad ones from the second on
+        rows = 1 if abs_r.ndim == 1 else abs_r.shape[0]
+        return np.zeros(rows) if len(calls) == 1 else thresholds(rows)
+
+    with pytest.raises(ValueError, match=match) as exc:
+        solver.fit(y, epsilon=0.0, epsilon_fn=eps_fn)
+    assert "epsilon_fn" in str(exc.value)
+    assert len(calls) == 2
+
+
 def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(9)
     gram, _ = _random_gram(rng, 35)
@@ -290,24 +321,46 @@ def test_fit_accepts_numpy_integer_cap():
     assert sol.support == [1]
 
 
-@pytest.mark.parametrize(
+# the benchmark's three Gram shapes: ROI (at its three ridge tiers),
+# sweep and lattice
+_BENCHMARK_GRAMS = pytest.mark.parametrize(
     "points, sigma, lam",
     [
         pytest.param(roi_lattice(12), 0.3, 1.0, id="roi-144"),
+        pytest.param(roi_lattice(12), 0.3, 5.0, id="roi-144-lam5"),
+        pytest.param(roi_lattice(12), 0.3, 15.0, id="roi-144-lam15"),
         pytest.param(np.linspace(0.0, 1.0, 100), 0.1, 4000.0, id="sweep-100"),
         pytest.param(lattice_nodes()[1], 0.2, 0.15, id="lattice-256"),
     ],
 )
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_residual_map_matches_dense_oracle(points, sigma, lam, weighted):
-    # the benchmark's three Gram shapes; R's entries lie in [-1, 1]
+_WEIGHTED = pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+
+
+def _benchmark_solver(points, sigma, lam, weighted):
     gram = gram_matrix(points, KernelParams(sigma))
     n = gram.shape[0]
     weights = np.random.default_rng(n).uniform(0.5, 2.0, size=n + 1) if weighted else None
-    r = KgardSolver(gram, lam, tikhonov_weights=weights)._residual_map
+    return gram, weights, KgardSolver(gram, lam, tikhonov_weights=weights)
+
+
+@_BENCHMARK_GRAMS
+@_WEIGHTED
+def test_residual_map_matches_dense_oracle(points, sigma, lam, weighted):
+    # R's entries lie in [-1, 1]
+    gram, weights, solver = _benchmark_solver(points, sigma, lam, weighted)
+    r = solver._residual_map
     assert np.array_equal(r, r.T)
     expected = residual_map_reference(gram, lam, weights)
     assert np.max(np.abs(r - expected)) <= 1e-12
+
+
+@_BENCHMARK_GRAMS
+@_WEIGHTED
+def test_coefficient_map_matches_dense_oracle(points, sigma, lam, weighted):
+    gram, weights, solver = _benchmark_solver(points, sigma, lam, weighted)
+    expected = coefficient_map_reference(gram, lam, weights)
+    assert solver._coef_map.shape == expected.shape
+    assert np.max(np.abs(solver._coef_map - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def test_tikhonov_weights_scale_effective_penalty():

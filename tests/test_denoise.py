@@ -40,6 +40,11 @@ def test_roi_config_validation():
         RoiConfig(sigma=0.0)
     with pytest.raises(ValueError):
         RoiConfig(core_size=0)
+    # 15 * lambda0, the smooth tier, must stay finite
+    for bad in (math.inf, 1e308, math.nan, 0.0):
+        with pytest.raises(ValueError, match="lambda0"):
+            RoiConfig(lambda0=bad)
+    assert RoiConfig(lambda0=1e307).lambda0 == 1e307
     assert RoiConfig().pad == 2
 
 
@@ -331,3 +336,26 @@ def test_row_wise_threshold_rejects_bad_rows():
             auto_epsilon(bad, 40.0)
         with pytest.raises(ValueError):
             epsilon_histogram(bad)
+
+
+def test_pipeline_thresholds_match_np_histogram(monkeypatch):
+    # the stacks a 64^2 impulse image really feeds the threshold: 144-pixel
+    # rows in batches of up to one ridge tier's ROIs
+    img = _bump(64)
+    rng = rng_for(5)
+    idx = rng.choice(img.size, size=round(0.10 * img.size), replace=False)
+    img.ravel()[idx] += np.where(rng.random(idx.size) < 0.5, -1, 1) * 100.0
+    calls = []
+    real_auto_epsilon = denoise_mod.auto_epsilon
+
+    def recording_auto_epsilon(residual_abs, e0):
+        eps = real_auto_epsilon(residual_abs, e0)
+        calls.append((residual_abs.copy(), e0, eps))
+        return eps
+
+    monkeypatch.setattr(denoise_mod, "auto_epsilon", recording_auto_epsilon)
+    denoise_image(img)
+    assert {r.shape[1] for r, _, _ in calls} == {144}
+    assert max(r.shape[0] for r, _, _ in calls) >= 10
+    for r, e0, eps in calls:
+        assert eps.tolist() == [auto_epsilon_reference(row, e0) for row in r]
