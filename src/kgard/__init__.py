@@ -38,7 +38,6 @@ from .theory import (
     BoundReport,
     SpectralDiagnostics,
     best_certificate,
-    residual_oracle,
     spectral_diagnostics,
     theorem_check,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "psnr",
     "rbf_eval",
     "read_pgm",
-    "residual_oracle",
     "rng_for",
     "run_monte_carlo",
     "spectral_diagnostics",

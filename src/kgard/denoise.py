@@ -1,7 +1,8 @@
 """Impulse-noise image denoising via tiled robust kernel regression.
 
 The image is split into overlapping N x N regions of interest (ROIs)
-whose central L x L cores tile the image exactly once.  Each ROI is
+stepping by L, whose central L x L cores tile the image exactly once;
+the ROIs are one strided view of the replicate-padded image.  Each ROI is
 treated as a regression surface over the unit square: a Gaussian-kernel
 ridge fit with sparse outlier estimation separates the smooth intensity
 surface from impulses.  The ridge parameter is picked per ROI from the
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import KgardSolver, NumericalError
 from .kernel import KernelParams, gram_matrix
@@ -51,6 +53,11 @@ class RoiConfig:
     e0: float = 40.0
 
     def __post_init__(self) -> None:
+        for name in ("roi_size", "core_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # origins stay Python ints
         if not self.core_size >= 1:
             raise ValueError(f"core_size must be >= 1, got {self.core_size}")
         if not self.roi_size > self.core_size:
@@ -59,8 +66,7 @@ class RoiConfig:
             )
         if (self.roi_size - self.core_size) % 2:
             raise ValueError("roi_size - core_size must be even")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        KernelParams(self.sigma)
         # the smooth tier, 15 lambda0, is the largest ridge parameter used
         if not (self.lambda0 > 0 and 15.0 * self.lambda0 < math.inf):
             raise ValueError(
@@ -74,19 +80,6 @@ class RoiConfig:
         return (self.roi_size - self.core_size) // 2
 
 
-@dataclass
-class TilePlan:
-    """Geometry of one tiling: ROI origins are top-left corners in
-    padded coordinates, stepping by the core size in raster order."""
-
-    original_shape: tuple
-    extended_shape: tuple  # original grown to multiples of core_size
-    padded_shape: tuple
-    pad: int
-    roi_origins: list
-    rois_per_row: int
-
-
 def _as_image(image) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
@@ -96,54 +89,34 @@ def _as_image(image) -> np.ndarray:
     return img
 
 
-def _replicate_extend(image: np.ndarray, multiple: int) -> np.ndarray:
-    """Grow both dimensions up to the next multiple by replicating the
-    last row/column."""
-    h, w = image.shape
-    eh = math.ceil(h / multiple) * multiple
-    ew = math.ceil(w / multiple) * multiple
-    return np.pad(image, ((0, eh - h), (0, ew - w)), mode="edge")
-
-
-def tile_plan(image, cfg: RoiConfig) -> TilePlan:
-    """Plan the ROI grid for an image under the given configuration."""
-    img = _as_image(image)
-    n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
-    extended = _replicate_extend(img, ell)
-    eh, ew = extended.shape
-    origins = [
-        (r, c) for r in range(0, eh, ell) for c in range(0, ew, ell)
-    ]
-    return TilePlan(
-        original_shape=img.shape,
-        extended_shape=(eh, ew),
-        padded_shape=(eh + 2 * pad, ew + 2 * pad),
-        pad=pad,
-        roi_origins=origins,
-        rois_per_row=ew // ell,
-    )
-
-
 def pad_image(image, cfg: RoiConfig) -> np.ndarray:
-    """Extend to core-size multiples, then replicate-pad all sides."""
-    img = _replicate_extend(_as_image(image), cfg.core_size)
-    return np.pad(img, cfg.pad, mode="edge")
+    """Grow both sides to multiples of the core size by replicating the
+    last row/column, then replicate-pad all sides by (N - L) / 2."""
+    img = _as_image(image)
+    pad, ell = cfg.pad, cfg.core_size
+    h, w = img.shape
+    return np.pad(img, ((pad, pad + -h % ell), (pad, pad + -w % ell)), mode="edge")
 
 
-def rearrange(roi: np.ndarray) -> np.ndarray:
-    """Flatten a square block row by row into a vector."""
-    roi = np.asarray(roi, dtype=np.float64)
-    if roi.ndim != 2 or roi.shape[0] != roi.shape[1]:
-        raise ValueError(f"ROI must be square, got shape {roi.shape}")
-    return roi.reshape(-1)
+def _rois(padded: np.ndarray, cfg: RoiConfig) -> np.ndarray:
+    """The ROIs of a padded image as a read-only (rows, cols, N, N) view:
+    ROI (i, j) has its top-left corner at (i L, j L)."""
+    n, ell = cfg.roi_size, cfg.core_size
+    if any(side < n or (side - n) % ell for side in padded.shape):
+        raise ValueError(
+            f"padded image shape {padded.shape} does not fit ROIs of size {n} "
+            f"stepping by {ell}; pass the output of pad_image"
+        )
+    return sliding_window_view(padded, (n, n))[::ell, ::ell]
 
 
-def unrearrange(vector: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`rearrange`."""
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.shape[0] != n * n:
-        raise ValueError(f"expected {n * n} values, got {v.shape[0]}")
-    return v.reshape(n, n)
+def _cores(stack: np.ndarray, cfg: RoiConfig) -> np.ndarray:
+    """The central L x L cores of a (rows, cols, N, N) stack, assembled
+    into one (rows L, cols L) image."""
+    rows, cols = stack.shape[:2]
+    pad, ell = cfg.pad, cfg.core_size
+    cores = stack[:, :, pad : pad + ell, pad : pad + ell]
+    return cores.transpose(0, 2, 1, 3).reshape(rows * ell, cols * ell)
 
 
 def roi_lattice(n: int) -> np.ndarray:
@@ -168,7 +141,7 @@ def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
     return np.sqrt(gx**2 + gy**2)
 
 
-def auto_lambda_map(padded, plan: TilePlan, cfg: RoiConfig) -> LambdaMap:
+def auto_lambda_map(padded, cfg: RoiConfig) -> LambdaMap:
     """Three-tier ridge selection from local gradient statistics.
 
     ``padded`` is the image as returned by :func:`pad_image`.  Detailed
@@ -177,13 +150,9 @@ def auto_lambda_map(padded, plan: TilePlan, cfg: RoiConfig) -> LambdaMap:
     mean and standard deviation over all ROI mean gradients.
     """
     padded = _as_image(padded)
-    if padded.shape != plan.padded_shape:
-        raise ValueError("tile plan does not match this image and configuration")
-    grad = _gradient_magnitude(padded)
-    n = cfg.roi_size
-    means = np.array(
-        [float(np.mean(grad[r : r + n, c : c + n])) for r, c in plan.roi_origins]
-    )
+    _rois(padded, cfg)  # rejects a shape that is not a padded image's
+    windows = _rois(_gradient_magnitude(padded), cfg)
+    means = np.array([float(np.mean(win)) for row in windows for win in row])
     m = float(np.mean(means))
     s = float(np.std(means))
     lambdas = np.full(means.shape, 5.0 * cfg.lambda0)
@@ -342,24 +311,26 @@ class DenoiseResult:
 def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     """Run the full tiled pipeline on a grayscale image.
 
-    Per ROI: fit the robust kernel ridge model on the N^2 lattice with
-    the ROI's automatic ridge parameter, using the max-norm stopping
-    rule with the threshold recomputed from the residual histogram at
-    every iteration.  The fitted smooth surface fills the denoised
-    image's core pixels and the estimated impulses fill the outlier
-    map.  The ROIs of one lambda tier share a solver and are fitted as
-    one batch, on the calling thread; a batch whose solve fails passes
-    its ROIs through unchanged, flagged in the diagnostics.
+    The ROIs are read off the padded image as one (R, N^2) stack in
+    raster order.  Each ROI is fitted with the robust kernel ridge model
+    on the N^2 lattice and the ROI's automatic ridge parameter, using
+    the max-norm stopping rule with the threshold recomputed from the
+    residual histogram at every iteration.  The ROIs of one lambda tier
+    share a solver and are fitted as one batch, on the calling thread; a
+    batch whose solve fails passes its ROIs through unchanged, flagged
+    in the diagnostics.  The fitted smooth surfaces' cores form the
+    denoised image and the estimated impulses' cores the outlier map.
     Diagnostics are in raster order.
     """
     if cfg is None:
         cfg = RoiConfig()
     img = _as_image(image)
-    plan = tile_plan(img, cfg)
     padded = pad_image(img, cfg)
-    lam_map = auto_lambda_map(padded, plan, cfg)
-    n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
-    inner = np.s_[pad : pad + ell, pad : pad + ell]
+    lam_map = auto_lambda_map(padded, cfg)
+    n, ell = cfg.roi_size, cfg.core_size
+    rois = _rois(padded, cfg)
+    rows, cols = rois.shape[:2]
+    ys = rois.reshape(rows * cols, n * n)
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     tiers: dict[float, list[int]] = {}
@@ -368,18 +339,13 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     solvers = {lam: KgardSolver(gram, lam) for lam in sorted(tiers)}
     max_sel = (n * n) // 3
 
-    denoised_ext = np.empty(plan.extended_shape)
-    outlier_ext = np.zeros(plan.extended_shape)
-    diagnostics: list = [None] * len(plan.roi_origins)
-
-    def block(idx: int) -> np.ndarray:
-        r0, c0 = plan.roi_origins[idx]
-        return padded[r0 : r0 + n, c0 : c0 + n]
-
+    surfaces = ys.copy()  # a failed ROI passes through unchanged
+    outliers = np.zeros(ys.shape)
+    diagnostics: list = [None] * len(ys)
     for lam, members in tiers.items():
         try:
             solutions = solvers[lam].fit(
-                np.stack([rearrange(block(idx)) for idx in members]),
+                ys[members],
                 epsilon=cfg.e0,
                 stop_norm="linf",
                 max_selections=max_sel,
@@ -388,26 +354,23 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         except NumericalError:
             solutions = [None] * len(members)
         for idx, sol in zip(members, solutions):
-            r0, c0 = plan.roi_origins[idx]
-            core = np.s_[r0 : r0 + ell, c0 : c0 + ell]
+            origin = (idx // cols * ell, idx % cols * ell)
             if sol is None:
-                denoised_ext[core] = block(idx)[inner]
                 diagnostics[idx] = RoiDiagnostics(
-                    idx, (r0, c0), lam, float(cfg.e0), 0, 0, failed=True
+                    idx, origin, lam, float(cfg.e0), 0, 0, failed=True
                 )
                 continue
-            u = np.zeros(n * n)
+            surfaces[idx] = gram @ sol.alpha + sol.bias
             for j, val in sol.outliers.items():
-                u[j] = val
-            denoised_ext[core] = unrearrange(gram @ sol.alpha + sol.bias, n)[inner]
-            outlier_ext[core] = unrearrange(u, n)[inner]
+                outliers[idx, j] = val
             diagnostics[idx] = RoiDiagnostics(
-                idx, (r0, c0), lam, sol.epsilon, len(sol.outliers), sol.iterations
+                idx, origin, lam, sol.epsilon, len(sol.outliers), sol.iterations
             )
 
-    h, w = plan.original_shape
-    denoised = denoised_ext[:h, :w]
-    outlier_map = np.round(outlier_ext[:h, :w] / _MAP_QUANTUM) * _MAP_QUANTUM
+    h, w = img.shape
+    denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]
+    outlier_map = _cores(outliers.reshape(rows, cols, n, n), cfg)[:h, :w]
+    outlier_map = np.round(outlier_map / _MAP_QUANTUM) * _MAP_QUANTUM
     return DenoiseResult(
         denoised=denoised,
         outlier_map=outlier_map,

@@ -6,6 +6,8 @@ modules build on the Gram matrices produced here.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,13 +15,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Width of the Gaussian RBF kernel, in input-space units."""
+    """Width of the Gaussian RBF kernel, in input-space units.
+
+    sigma must be positive and finite, with sigma^2 a finite, normal
+    float: every squared distance is divided by it.
+    """
 
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # a Python float product overflows to inf where sigma**2 would raise
+        sigma = float(self.sigma) if self.sigma > 0 else 0.0
+        if not (sigma < math.inf and sys.float_info.min <= sigma * sigma < math.inf):
+            raise ValueError(
+                f"sigma must be positive and finite with sigma^2 a finite, "
+                f"normal float, got {self.sigma}"
+            )
 
 
 def as_point_matrix(points) -> np.ndarray:

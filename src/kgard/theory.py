@@ -4,11 +4,9 @@ Everything here works from the SVD of the initial design X0 = [K 1],
 built by the same function as the solver's, under the solver's penalty
 lam ||theta||^2 on theta = (alpha; c) with unit Tikhonov weights:
 leverage (hat-matrix) diagnostics showing how the ridge term
-down-weights leverage points, the sufficient condition under which the
-greedy selection is guaranteed to pick true outlier locations first
-(pure-outlier regime), and a closed-form expression for the residual
-after k correct selections that serves as an independent oracle for
-the solver.
+down-weights leverage points, and the sufficient condition under which
+the greedy selection is guaranteed to pick true outlier locations first
+(pure-outlier regime).
 
 The certificate needs only sigma_max(X0), computed once per distinct
 Gram matrix: a single-entry memo keyed by the exact bytes of X0 serves
@@ -23,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, _check_lambda, _ridge_design
+from .core import _check_lambda, _ridge_design
 
 _RANK_TOL = 1e-10
 
@@ -88,12 +86,6 @@ class BoundReport:
     lam: float
 
 
-def _outlier_stats(true_outliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(true_outliers, dtype=np.float64).ravel()
-    support = np.flatnonzero(u)
-    return u, support
-
-
 @functools.lru_cache(maxsize=1)
 def _sigma_max(x0_bytes: bytes, shape: tuple[int, int]) -> float:
     """sigma_max of the C-ordered float64 matrix with these bytes; keyed by
@@ -116,7 +108,8 @@ def theorem_check(
     sigma_max(X0) is computed once per distinct Gram matrix.
     """
     _check_lambda(lam)
-    u, support = _outlier_stats(true_outliers)
+    u = np.asarray(true_outliers, dtype=np.float64).ravel()
+    support = np.flatnonzero(u)
     if support.size == 0:
         raise ValueError("true outlier vector has empty support")
     theta = np.asarray(true_theta, dtype=np.float64).ravel()
@@ -152,75 +145,6 @@ def theorem_check(
         outlier_norm=outlier_norm,
         lam=float(lam),
     )
-
-
-@dataclass
-class OracleIntermediates:
-    p_matrix: np.ndarray
-    w_matrix: np.ndarray
-    u_k: np.ndarray
-
-
-def residual_oracle(
-    gram: np.ndarray,
-    true_theta: np.ndarray,
-    true_outliers: np.ndarray,
-    lam: float,
-    selected,
-) -> tuple[np.ndarray, OracleIntermediates]:
-    """Closed-form residual after the given (correct) selections.
-
-    Valid for the solver's penalty with unit weights in the pure-outlier
-    regime, with ``selected`` a subset of the true outlier support (or
-    empty).  With X0 = Q S V^T, G = diag(sigma^2/(sigma^2+lambda)) and
-    F = S - G S, the residual after k selections is
-
-        r_k = u_k + P_k Q F V^T theta - Q G Q^T u_k,
-
-    where u_k keeps the not-yet-selected outliers plus a correction
-    through W_k = I_k - I_S^T Q G Q^T I_S, and
-    P_k = I_N + Q G Q^T I_S W_k^{-1} I_S^T - I_S W_k^{-1} I_S^T.
-    For k = 0 this reduces to r_0 = u + Q F V^T theta - Q G Q^T u.
-    """
-    _check_lambda(lam)
-    u, support = _outlier_stats(true_outliers)
-    selected = [int(j) for j in selected]
-    if len(set(selected)) != len(selected):
-        raise ValueError("selected indices contain duplicates")
-    if not set(selected) <= set(support.tolist()):
-        raise ValueError("selected indices must lie inside the true outlier support")
-    theta = np.asarray(true_theta, dtype=np.float64).ravel()
-
-    x0 = _ridge_design(gram)
-    n = x0.shape[0]
-    q, s, vt = np.linalg.svd(x0, full_matrices=False)
-    g = s**2 / (s**2 + lam)
-    phi = lam * s / (s**2 + lam)
-    qgqt = (q * g) @ q.T
-    smooth = (q * phi) @ (vt @ theta)  # Q F V^T theta
-
-    k = len(selected)
-    if k == 0:
-        r0 = u + smooth - qgqt @ u
-        return r0, OracleIntermediates(
-            p_matrix=np.eye(n), w_matrix=np.zeros((0, 0)), u_k=u.copy()
-        )
-
-    i_s = np.zeros((n, k))
-    for pos, j in enumerate(selected):
-        i_s[j, pos] = 1.0
-    w = np.eye(k) - i_s.T @ qgqt @ i_s
-    try:
-        w_inv = np.linalg.inv(w)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("W_k is numerically singular", pivot=-1) from exc
-
-    u_rest = u.copy()
-    u_rest[selected] = 0.0  # outliers not yet selected
-    u_k = u_rest + i_s @ (w_inv @ (i_s.T @ (qgqt @ u_rest)))
-    p = np.eye(n) + qgqt @ i_s @ w_inv @ i_s.T - i_s @ w_inv @ i_s.T
-    r_k = u_k + p @ smooth - qgqt @ u_k
-    return r_k, OracleIntermediates(p_matrix=p, w_matrix=w, u_k=u_k)
 
 
 def best_certificate(

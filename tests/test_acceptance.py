@@ -22,8 +22,8 @@ from kgard.noise import (
     round_half_away,
 )
 from kgard.pgm import write_pgm_file
-from kgard.theory import residual_oracle, spectral_diagnostics, theorem_check
-from oracle import dense_solve, solution_vector
+from kgard.theory import spectral_diagnostics, theorem_check
+from oracle import dense_solve, residual_oracle, solution_vector
 
 DETAILS = {}
 

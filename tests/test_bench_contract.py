@@ -17,7 +17,7 @@ import pytest
 
 import kgard.denoise as denoise_mod
 from kgard.core import KgardConfig, KgardSolver
-from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image, tile_plan
+from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image
 from kgard.experiments import run_monte_carlo, sweep_outlier_magnitude
 from kgard.noise import NoiseSpec
 
@@ -59,7 +59,7 @@ def test_denoise_fits_once_per_lambda_tier(monkeypatch, fit_batches):
     img = np.full((32, 32), 100.0)
     img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
     img[20:, 20:] += np.indices((12, 12))[0] * 3.0
-    lambdas = auto_lambda_map(pad_image(img, cfg), tile_plan(img, cfg), cfg).lambdas
+    lambdas = auto_lambda_map(pad_image(img, cfg), cfg).lambdas
     thresholds = []
     real_auto_epsilon = denoise_mod.auto_epsilon
 

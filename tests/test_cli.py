@@ -187,6 +187,27 @@ def test_threads_below_one_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,sigma",
+    [("regress", "inf"), ("regress", "1e200"), ("denoise", "inf")],
+    ids=["regress-inf", "regress-overflow", "denoise-inf"],
+)
+def test_bad_sigma_exits_2(tmp_path, capsys, command, sigma):
+    extra = []
+    if command == "regress":
+        src = tmp_path / "data.csv"
+        src.write_text("x1,y\n0.0,1.0\n0.5,2.0\n1.0,3.0\n")
+        extra = ["--lambda", "0.05", "--epsilon", "1.0"]
+    else:
+        src = tmp_path / "src.pgm"
+        _bump_pgm(src)
+    out = tmp_path / "out"
+    argv = [command, "--in", str(src), "--out", str(out), "--sigma", sigma, *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: argument: sigma must be positive")
+    assert not out.exists()
+
+
 def test_denoise_infinite_lambda0_exits_2(tmp_path, capsys):
     src = tmp_path / "src.pgm"
     _bump_pgm(src)

@@ -9,19 +9,18 @@ import kgard.denoise as denoise_mod
 from kgard.core import NumericalError
 from kgard.denoise import (
     RoiConfig,
+    _cores,
+    _rois,
     auto_epsilon,
     auto_lambda_map,
     denoise_image,
     epsilon_histogram,
     pad_image,
     psnr,
-    rearrange,
     roi_lattice,
-    tile_plan,
-    unrearrange,
 )
 from kgard.noise import rng_for
-from oracle import auto_epsilon_reference, epsilon_histogram_reference
+from oracle import auto_epsilon_reference, denoise_reference, epsilon_histogram_reference
 
 
 def _bump(n=32, amp=10.0, base=60.0):
@@ -40,6 +39,15 @@ def test_roi_config_validation():
         RoiConfig(sigma=0.0)
     with pytest.raises(ValueError):
         RoiConfig(core_size=0)
+    with pytest.raises(ValueError, match="sigma"):
+        RoiConfig(sigma=math.inf)
+    # sizes are Python or numpy integers, never bools or floats
+    with pytest.raises(ValueError, match="roi_size must be an integer"):
+        RoiConfig(roi_size=12.0, core_size=8.0)
+    with pytest.raises(ValueError, match="core_size must be an integer"):
+        RoiConfig(core_size=True, roi_size=3)
+    cfg = RoiConfig(roi_size=np.int64(12), core_size=np.int32(8))
+    assert (type(cfg.roi_size), type(cfg.core_size), cfg.pad) == (int, int, 2)
     # 15 * lambda0, the smooth tier, must stay finite
     for bad in (math.inf, 1e308, math.nan, 0.0):
         with pytest.raises(ValueError, match="lambda0"):
@@ -49,20 +57,29 @@ def test_roi_config_validation():
 
 
 def test_tile_plan_32x32():
-    plan = tile_plan(np.zeros((32, 32)), RoiConfig())
-    assert len(plan.roi_origins) == 16
-    assert plan.rois_per_row == 4
-    assert plan.pad == 2
-    assert plan.extended_shape == (32, 32)
-    assert plan.padded_shape == (36, 36)
-    assert plan.roi_origins[0] == (0, 0)
-    assert plan.roi_origins[1] == (0, 8)
+    cfg = RoiConfig()
+    padded = pad_image(np.arange(32 * 32, dtype=float).reshape(32, 32), cfg)
+    assert padded.shape == (36, 36)
+    rois = _rois(padded, cfg)
+    assert rois.shape == (4, 4, 12, 12)
+    assert not rois.flags.writeable
+    # ROI (i, j) has its top-left corner at (8 i, 8 j) of the padded image
+    assert np.array_equal(rois[0, 0], padded[0:12, 0:12])
+    assert np.array_equal(rois[0, 1], padded[0:12, 8:20])
+    assert np.array_equal(rois[3, 2], padded[24:36, 16:28])
 
 
 def test_tile_plan_extends_non_multiple_dimensions():
-    plan = tile_plan(np.zeros((30, 33)), RoiConfig())
-    assert plan.extended_shape == (32, 40)
-    assert len(plan.roi_origins) == 4 * 5
+    cfg = RoiConfig()
+    img = rng_for(0).uniform(0, 255, size=(30, 33))
+    padded = pad_image(img, cfg)
+    # grown to (32, 40) by replicating the last row and column, then
+    # replicate-padded by 2 on every side
+    assert padded.shape == (36, 44)
+    assert np.array_equal(padded[2:32, 2:35], img)
+    assert np.array_equal(padded[32:, 2:35], np.broadcast_to(img[-1], (4, 33)))
+    assert np.array_equal(padded[2:32, 35:], np.broadcast_to(img[:, -1:], (30, 9)))
+    assert _rois(padded, cfg).shape == (4, 5, 12, 12)
 
 
 @given(
@@ -75,36 +92,41 @@ def test_tile_plan_extends_non_multiple_dimensions():
 def test_cores_tile_image_exactly_once(h, w, core, margin, seed):
     img = rng_for(seed).uniform(0, 255, size=(h, w))
     cfg = RoiConfig(roi_size=core + 2 * margin, core_size=core)
-    plan = tile_plan(img, cfg)
-    padded = pad_image(img, cfg)
-    n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
-    assembled = np.full(plan.extended_shape, np.nan)
-    for r, c in plan.roi_origins:
-        block = padded[r : r + n, c : c + n]
-        core = block[pad : pad + ell, pad : pad + ell]
-        target = assembled[r : r + ell, c : c + ell]
-        assert np.all(np.isnan(target))  # no double coverage
-        assembled[r : r + ell, c : c + ell] = core
-    assert not np.any(np.isnan(assembled))
+    rois = _rois(pad_image(img, cfg), cfg)
+    rows, cols = rois.shape[:2]
+    assert (rows, cols) == (math.ceil(h / core), math.ceil(w / core))
+    assembled = _cores(rois, cfg)
     assert np.array_equal(assembled[:h, :w], img)
+    # each core pixel comes from the one ROI whose core covers it
+    labels = np.broadcast_to(
+        np.arange(rows * cols, dtype=float).reshape(rows, cols, 1, 1), rois.shape
+    )
+    expected = np.kron(np.arange(rows * cols).reshape(rows, cols), np.ones((core, core)))
+    assert np.array_equal(_cores(labels, cfg), expected)
 
 
 def test_rearrange_row_major_position():
-    n = 12
-    block = np.arange(n * n, dtype=float).reshape(n, n)
-    v = rearrange(block)
+    # the pipeline's rows of y are the ROI view reshaped to (R, N^2)
+    cfg = RoiConfig()
+    n = cfg.roi_size
+    padded = np.arange(36 * 36, dtype=float).reshape(36, 36)
+    rois = _rois(padded, cfg)
+    ys = rois.reshape(-1, n * n)
+    block = rois[1, 1]  # ROI 5 in raster order
+    v = ys[5]
     # pixel (i, j) = (3, 4) in 1-based terms lands at position 28
-    assert v[27] == block[2, 3]
+    assert v[27] == block[2, 3] == padded[10, 11]
     assert v[0] == block[0, 0]
     assert v[n] == block[1, 0]
-    assert np.array_equal(unrearrange(v, n), block)
+    assert np.array_equal(ys.reshape(rois.shape), rois)
 
 
 def test_rearrange_validation():
-    with pytest.raises(ValueError):
-        rearrange(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        unrearrange(np.zeros(10), 12)
+    cfg = RoiConfig()
+    for shape in ((36, 35), (37, 36), (8, 8), (4, 12)):
+        with pytest.raises(ValueError, match="does not fit ROIs"):
+            _rois(np.zeros(shape), cfg)
+    assert _rois(np.zeros((12, 20)), cfg).shape == (1, 2, 12, 12)
 
 
 def test_roi_lattice_coordinates():
@@ -119,8 +141,7 @@ def test_roi_lattice_coordinates():
 def test_auto_lambda_constant_image_middle_tier():
     cfg = RoiConfig()
     img = np.full((16, 16), 77.0)
-    plan = tile_plan(img, cfg)
-    lam = auto_lambda_map(pad_image(img, cfg), plan, cfg)
+    lam = auto_lambda_map(pad_image(img, cfg), cfg)
     assert np.all(lam.lambdas == 5.0 * cfg.lambda0)
     assert lam.s == 0.0
 
@@ -130,8 +151,7 @@ def test_auto_lambda_tiers():
     img = np.full((16, 16), 100.0)
     # one detailed quadrant: checkerboard with a strong gradient
     img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
-    plan = tile_plan(img, cfg)
-    lam = auto_lambda_map(pad_image(img, cfg), plan, cfg)
+    lam = auto_lambda_map(pad_image(img, cfg), cfg)
     assert lam.lambdas[0] == cfg.lambda0  # detailed ROI
     assert np.all(lam.lambdas[1:] == 15.0 * cfg.lambda0)  # smooth ROIs
 
@@ -233,11 +253,42 @@ def test_denoise_failed_roi_passes_through(monkeypatch):
 def test_denoise_diagnostics_contents():
     img = _bump(16)
     result = denoise_image(img)
-    assert len(result.diagnostics) == 4
+    assert [(d.index, d.origin) for d in result.diagnostics] == [
+        (0, (0, 0)), (1, (0, 8)), (2, (8, 0)), (3, (8, 8))
+    ]
     for d in result.diagnostics:
         assert d.lam in (1.0, 5.0, 15.0)
         assert d.epsilon <= 40.0
         assert d.iterations >= d.outliers == 0 or d.outliers <= d.iterations
+
+
+def _impulse_image(h, w, seed):
+    xx, yy = np.meshgrid(np.linspace(-1, 1, w), np.linspace(-1, 1, h))
+    img = np.round(60.0 + 10.0 * np.exp(-(xx**2 + yy**2) / 0.5) + 8.0 * xx)
+    rng = rng_for(seed)
+    idx = rng.choice(img.size, size=round(0.10 * img.size), replace=False)
+    img.ravel()[idx] += np.where(rng.random(idx.size) < 0.5, -1, 1) * 100.0
+    return img
+
+
+@pytest.mark.parametrize(
+    "shape,cfg",
+    [((30, 33), RoiConfig()), ((37, 29), RoiConfig(roi_size=9, core_size=5))],
+    ids=["30x33", "37x29-roi9-core5"],
+)
+def test_pipeline_matches_per_roi_reference(shape, cfg):
+    img = _impulse_image(*shape, seed=11)
+    result = denoise_image(img, cfg)
+    denoised, outlier_map, diagnostics = denoise_reference(img, cfg)
+    assert result.denoised.tobytes() == denoised.tobytes()
+    assert result.outlier_map.tobytes() == outlier_map.tobytes()
+    assert result.impulse_removed.tobytes() == (img - outlier_map).tobytes()
+    assert [
+        (d.index, d.origin, d.lam, d.epsilon, d.outliers, d.iterations, d.failed)
+        for d in result.diagnostics
+    ] == diagnostics
+    assert {d.lam for d in result.diagnostics} == {1.0, 5.0, 15.0}
+    assert np.any(outlier_map)
 
 
 def test_denoise_pads_once(monkeypatch):
@@ -256,8 +307,8 @@ def test_denoise_pads_once(monkeypatch):
 def test_auto_lambda_map_rejects_unpadded_image():
     cfg = RoiConfig()
     img = _bump(16)
-    with pytest.raises(ValueError, match="tile plan"):
-        auto_lambda_map(img, tile_plan(img, cfg), cfg)
+    with pytest.raises(ValueError, match="does not fit ROIs"):
+        auto_lambda_map(img, cfg)
 
 
 def test_denoise_rejects_bad_image():

@@ -15,6 +15,13 @@ def test_params_require_positive_sigma():
         KernelParams(0.0)
     with pytest.raises(ValueError):
         KernelParams(-1.0)
+    # sigma^2 divides every squared distance: it must be a finite, normal
+    # float, and the check itself must not overflow
+    for sigma in (np.inf, np.nan, 1e200, np.float64(1e200), 1e-300, 1e-160):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            KernelParams(sigma)
+    for sigma in (1e-150, 1e150, np.float64(0.3), 2):
+        assert np.all(np.isfinite(gram_matrix([0.0, 1.0], KernelParams(sigma))))
 
 
 def test_rbf_eval_known_value():

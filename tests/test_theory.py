@@ -3,13 +3,8 @@ import pytest
 
 from kgard.core import KgardSolver
 from kgard.kernel import KernelParams, gram_matrix
-from kgard.theory import (
-    best_certificate,
-    residual_oracle,
-    spectral_diagnostics,
-    theorem_check,
-)
-from oracle import residual
+from kgard.theory import best_certificate, spectral_diagnostics, theorem_check
+from oracle import residual, residual_oracle
 
 
 def _instance(seed, n=20, sigma=0.15):
