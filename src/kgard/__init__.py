@@ -38,6 +38,7 @@ from .theory import (
     BoundReport,
     SpectralDiagnostics,
     best_certificate,
+    design_sigma_max,
     spectral_diagnostics,
     theorem_check,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "corrupt",
     "cross_gram",
     "denoise_image",
+    "design_sigma_max",
     "gram_matrix",
     "kgard_fit",
     "make_lattice_dataset",

@@ -168,7 +168,6 @@ def _cmd_experiment(args) -> int:
         impulse_fraction=args.outlier_frac,
         impulse_magnitude=args.magnitude,
         stable_params=stable,
-        seed=args.seed,
     )
     config = KgardConfig(lam=args.lam, epsilon=args.epsilon)
     stats, _ = run_monte_carlo(
@@ -225,7 +224,6 @@ def _cmd_corrupt_image(args) -> int:
         inlier_snr_db=args.snr_db,
         impulse_fraction=args.fraction,
         impulse_magnitude=args.magnitude,
-        seed=args.seed,
     )
     y, support, _ = corrupt(img.ravel(), spec, rng=rng_for(args.seed))
     write_pgm_file(args.out, y.reshape(img.shape))

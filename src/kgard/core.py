@@ -58,13 +58,13 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
 
-def _check_max_selections(max_selections) -> None:
-    if isinstance(max_selections, bool) or not isinstance(
-        max_selections, (int, np.integer)
-    ):
-        raise ValueError(f"max_selections must be an integer, got {max_selections!r}")
-    if max_selections < 0:
-        raise ValueError(f"max_selections must be nonnegative, got {max_selections}")
+def _check_count(name: str, value, minimum: int = 0) -> None:
+    """A count is an int or numpy integer, never a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _check_stop_norm(stop_norm: str) -> None:
@@ -136,7 +136,7 @@ class KgardConfig:
         if self.tikhonov_weights is not None:
             self.tikhonov_weights = _check_weights(self.tikhonov_weights)
         if self.max_selections is not None:
-            _check_max_selections(self.max_selections)
+            _check_count("max_selections", self.max_selections)
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -216,13 +216,13 @@ class KgardSolver:
         # dpotrf reads.
         a0 = dsyrk(1.0, design.T, lower=1)
         a0[np.diag_indices(n + 1)] += penalty
-        self._lower0 = _cholesky(a0)
-        h = solve_triangular(self._lower0, design.T, lower=True)
+        lower0 = _cholesky(a0)
+        h = solve_triangular(lower0, design.T, lower=True)
         hth = dsyrk(1.0, h, trans=1, lower=1)
         # mirrored from the lower triangle, so R is exactly symmetric
         self._residual_map = np.eye(n) - np.where(np.tri(n, dtype=bool), hth, hth.T)
         # the coefficient map P = A0^-1 X0^T = L0^-T H
-        self._coef_map = solve_triangular(self._lower0, h, lower=True, trans="T")
+        self._coef_map = solve_triangular(lower0, h, lower=True, trans="T")
         self._n = n
 
     def fit(
@@ -258,7 +258,7 @@ class KgardSolver:
         _check_stop_norm(stop_norm)
         if max_selections is None:
             max_selections = n // 2
-        _check_max_selections(max_selections)
+        _check_count("max_selections", max_selections)
         if max_selections > n:
             raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
         single = y.ndim == 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KgardConfig, KgardSolver, NumericalError
+from .core import KgardConfig, KgardSolver, NumericalError, _check_count
 from .kernel import KernelParams, cross_gram, gram_matrix
 from .noise import (
     LATTICE_KERNEL_SIGMA,
@@ -42,7 +42,7 @@ from .noise import (
     rng_for,
     round_half_away,
 )
-from .theory import theorem_check
+from .theory import design_sigma_max, theorem_check
 
 PROTOCOLS = ("sinc1d", "lattice2d")
 
@@ -92,20 +92,16 @@ def support_metrics(estimated, truth) -> tuple[float, float]:
     return len(s & t) / len(t), len(s - t) / len(t)
 
 
-def border_weights(
-    n: int,
-    count: int = BORDER_BOOST_COUNT,
-    factor: float = BORDER_BOOST_FACTOR,
-) -> np.ndarray:
-    """Tikhonov weights boosting the first and last ``count`` kernel
-    coefficients by ``factor``; the bias weight stays 1.  Counteracts
-    boundary oscillation in 1-D fits."""
-    if count < 0 or 2 * count > n:
+def border_weights(n: int) -> np.ndarray:
+    """Tikhonov weights boosting the first and last ``BORDER_BOOST_COUNT``
+    kernel coefficients by ``BORDER_BOOST_FACTOR``; the bias weight stays
+    1.  Counteracts boundary oscillation in 1-D fits."""
+    count = BORDER_BOOST_COUNT
+    if 2 * count > n:
         raise ValueError(f"cannot boost {count} coefficients per side with n={n}")
     w = np.ones(n + 1)
-    if count:
-        w[:count] = factor
-        w[n - count : n] = factor
+    w[:count] = BORDER_BOOST_FACTOR
+    w[n - count : n] = BORDER_BOOST_FACTOR
     return w
 
 
@@ -173,8 +169,7 @@ def run_monte_carlo(
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
 
     weights = config.tikhonov_weights
     if protocol == "lattice2d":
@@ -252,21 +247,21 @@ def sweep_outlier_magnitude(
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
     Every trial shares one Gram matrix and solver: the trials of one
-    magnitude are fitted as one batch, and ``theorem_check`` takes the
-    SVD of [K 1] at most once per call.  Each trial's truth is drawn
-    once per call; every magnitude corrupts it from the generator state
-    that followed the draw, as if the trial were drawn afresh.
+    magnitude are fitted as one batch, and sigma_max([K 1]) is computed
+    once per call.  Each trial's truth is drawn once per call; every
+    magnitude corrupts it from the generator state that followed the
+    draw, as if the trial were drawn afresh.
     """
     magnitudes = list(magnitudes)
     if not magnitudes:
         raise ValueError("magnitudes list is empty")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     n_impulses = round_half_away(fraction * SWEEP_N)
     gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
     solver = KgardSolver(gram, SWEEP_LAMBDA)
+    sigma_max = design_sigma_max(gram)
     truths = []
     for t in range(trials):
         rng = rng_for(base_seed + t)
@@ -289,7 +284,7 @@ def sweep_outlier_magnitude(
             correct, wrong = support_metrics(solution.support, support)
             if np.any(u):
                 theta = np.append(alpha, 0.0)  # the protocol target has no bias
-                holds = theorem_check(gram, theta, u, SWEEP_LAMBDA).holds
+                holds = theorem_check(sigma_max, theta, u, SWEEP_LAMBDA).holds
             else:
                 holds = False  # zero-magnitude impulses carry no certificate
             rows.append((correct, wrong, holds))

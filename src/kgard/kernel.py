@@ -52,14 +52,21 @@ def rbf_eval(a, b, params: KernelParams) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d2 = float(np.dot(a - b, a - b))
-    return float(np.exp(-d2 / params.sigma**2))
+    return float(_rbf(a[None, :], b[None, :], params)[0, 0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # exact squared Euclidean distances, (len(a), len(b))
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _rbf(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
+    """kappa(a_i, b_j) for (M, d) and (N, d) point matrices."""
+    # a small admitted sigma can send d^2 / sigma^2 to inf, and
+    # exp(-inf) = 0 is then the exact kernel value
+    with np.errstate(over="ignore"):
+        return np.exp(-_sq_dists(a, b) / params.sigma**2)
 
 
 def gram_matrix(points, params: KernelParams) -> np.ndarray:
@@ -73,7 +80,7 @@ def gram_matrix(points, params: KernelParams) -> np.ndarray:
     pts = as_point_matrix(points)
     if pts.shape[0] == 0:
         raise ValueError("point set must be nonempty")
-    k = np.exp(-_sq_dists(pts, pts) / params.sigma**2)
+    k = _rbf(pts, pts, params)
     # enforce exact symmetry/unit diagonal against round-off
     k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
@@ -88,4 +95,4 @@ def cross_gram(query_points, train_points, params: KernelParams) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: query dim {q.shape[1]} vs train dim {x.shape[1]}"
         )
-    return np.exp(-_sq_dists(q, x) / params.sigma**2)
+    return _rbf(q, x, params)

@@ -16,8 +16,9 @@ use seed base_seed + t so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import csv
 import functools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,28 +42,37 @@ class StableParams:
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.gamma_scale > 0:
-            raise ValueError(f"gamma_scale must be positive, got {self.gamma_scale}")
+        if not 0 < self.gamma_scale < math.inf:
+            raise ValueError(
+                f"gamma_scale must be positive and finite, got {self.gamma_scale}"
+            )
 
 
 @dataclass
 class NoiseSpec:
-    """Corruption model: impulses plus at most one inlier-noise family."""
+    """Corruption model: impulses plus at most one inlier-noise family.
+
+    Every value must be finite.  ``inlier_snr_db`` also needs
+    10^(snr_db / 10) to be a finite, normal float, since the inlier
+    variance is divided by it.
+    """
 
     inlier_snr_db: Optional[float] = None
     inlier_sigma: Optional[float] = None
     impulse_fraction: float = 0.0
     impulse_magnitude: float = 15.0
     stable_params: Optional[StableParams] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.impulse_fraction < 1:
             raise ValueError(
                 f"impulse_fraction must be in [0, 1), got {self.impulse_fraction}"
             )
-        if self.impulse_magnitude < 0:
-            raise ValueError("impulse_magnitude must be nonnegative")
+        if not 0 <= self.impulse_magnitude < math.inf:
+            raise ValueError(
+                f"impulse_magnitude must be nonnegative and finite, "
+                f"got {self.impulse_magnitude}"
+            )
         families = [
             self.inlier_snr_db is not None,
             self.inlier_sigma is not None,
@@ -72,8 +82,19 @@ class NoiseSpec:
             raise ValueError(
                 "set at most one of inlier_snr_db, inlier_sigma, stable_params"
             )
-        if self.inlier_sigma is not None and not self.inlier_sigma > 0:
-            raise ValueError(f"inlier_sigma must be positive, got {self.inlier_sigma}")
+        if self.inlier_sigma is not None and not 0 < self.inlier_sigma < math.inf:
+            raise ValueError(
+                f"inlier_sigma must be positive and finite, got {self.inlier_sigma}"
+            )
+        if self.inlier_snr_db is not None:
+            # numpy's power gives inf where Python's ** raises OverflowError
+            with np.errstate(over="ignore", under="ignore"):
+                scale = np.power(10.0, float(self.inlier_snr_db) / 10.0)
+            if not sys.float_info.min <= scale < math.inf:
+                raise ValueError(
+                    f"inlier_snr_db must be finite with 10^(snr_db / 10) a finite, "
+                    f"normal float, got {self.inlier_snr_db}"
+                )
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -230,7 +251,7 @@ def sample_alpha_stable(
 def corrupt(
     truth: np.ndarray,
     spec: NoiseSpec,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the noise model to a noise-free target vector.
 
@@ -239,13 +260,11 @@ def corrupt(
     halves away from zero; signs are independent equiprobable +/-.
     Gaussian inlier variance is mean(truth^2) / 10^(snr_db / 10).
 
-    Passing ``rng`` overrides ``spec.seed``; a caller that generated the
-    dataset from the same stream can keep consuming it here.
+    Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
+    that drew the dataset from the same stream keeps consuming it here.
     """
     truth = np.asarray(truth, dtype=np.float64).ravel()
     n = truth.shape[0]
-    if rng is None:
-        rng = rng_for(spec.seed)
 
     count = round_half_away(spec.impulse_fraction * n)
     if count >= n:
@@ -264,25 +283,3 @@ def corrupt(
     elif spec.stable_params is not None:
         y = y + sample_alpha_stable(rng, spec.stable_params, n)
     return y, support, u
-
-
-def dataset_to_csv(
-    path,
-    dataset: Dataset,
-    observations: np.ndarray,
-    outlier_support,
-) -> None:
-    """Write x_1..x_d, y, truth, is_outlier rows for inspection."""
-    support = set(int(i) for i in outlier_support)
-    d = dataset.inputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(d)] + ["y", "truth", "is_outlier"])
-        for i in range(dataset.size):
-            row = [repr(float(v)) for v in dataset.inputs[i]]
-            row += [
-                repr(float(observations[i])),
-                repr(float(dataset.targets[i])),
-                str(int(i in support)),
-            ]
-            writer.writerow(row)

@@ -97,5 +97,7 @@ def read_pgm_file(path) -> np.ndarray:
 
 
 def write_pgm_file(path, image) -> None:
+    # serialized first, so an invalid image leaves no file behind
+    data = write_pgm(image)
     with open(path, "wb") as fh:
-        fh.write(write_pgm(image))
+        fh.write(data)

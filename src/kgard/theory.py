@@ -8,20 +8,21 @@ down-weights leverage points, and the sufficient condition under which
 the greedy selection is guaranteed to pick true outlier locations first
 (pure-outlier regime).
 
-The certificate needs only sigma_max(X0), computed once per distinct
-Gram matrix: a single-entry memo keyed by the exact bytes of X0 serves
-repeated checks and retains the bytes of the last Gram checked.
+The certificate sigma_max(X0) < gamma sqrt(lambda), with gamma from
+theta and u, takes sigma_max itself: a caller checking many truths
+against one Gram matrix computes it once, with ``design_sigma_max``.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import svdvals
 
-from .core import _check_lambda, _ridge_design
+from .core import _check_count, _check_lambda, _ridge_design
 
 _RANK_TOL = 1e-10
 
@@ -86,37 +87,37 @@ class BoundReport:
     lam: float
 
 
-@functools.lru_cache(maxsize=1)
-def _sigma_max(x0_bytes: bytes, shape: tuple[int, int]) -> float:
-    """sigma_max of the C-ordered float64 matrix with these bytes; keyed by
-    content, so an array changed in place is never served a stale value."""
-    x0 = np.frombuffer(x0_bytes).reshape(shape)
-    return float(np.linalg.svd(x0, compute_uv=False)[0])
+def design_sigma_max(gram: np.ndarray) -> float:
+    """sigma_max of the ridge design X0 = [K 1].  scipy's SVD shares the
+    solver setup's OpenBLAS; numpy's would wait for the other's threads."""
+    return float(svdvals(_ridge_design(gram), check_finite=False)[0])
 
 
 def theorem_check(
-    gram: np.ndarray,
+    sigma_max: float,
     true_theta: np.ndarray,
     true_outliers: np.ndarray,
     lam: float,
 ) -> BoundReport:
     """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
 
-    ``true_theta`` is the (alpha; c) vector of length N+1 and
+    ``sigma_max`` is ``design_sigma_max`` of the Gram matrix,
+    ``true_theta`` the (alpha; c) vector of length N+1 and
     ``true_outliers`` a dense N-vector that is zero off the outlier
     support.  Applies to the pure-outlier regime (no inlier noise).
-    sigma_max(X0) is computed once per distinct Gram matrix.
     """
     _check_lambda(lam)
+    if not 0 <= sigma_max < math.inf:
+        raise ValueError(f"sigma_max must be nonnegative and finite, got {sigma_max}")
     u = np.asarray(true_outliers, dtype=np.float64).ravel()
+    theta = np.asarray(true_theta, dtype=np.float64).ravel()
+    if theta.shape[0] != u.shape[0] + 1:
+        raise ValueError(f"expected theta of length {u.shape[0] + 1}, got {theta.shape[0]}")
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(u))):
+        raise ValueError("true theta and outliers must be finite")
     support = np.flatnonzero(u)
     if support.size == 0:
         raise ValueError("true outlier vector has empty support")
-    theta = np.asarray(true_theta, dtype=np.float64).ravel()
-    x0 = _ridge_design(gram)
-    if theta.shape[0] != x0.shape[1]:
-        raise ValueError(f"expected theta of length {x0.shape[1]}, got {theta.shape[0]}")
-    sigma_max = _sigma_max(x0.tobytes(), x0.shape)
     min_outlier = float(np.min(np.abs(u[support])))
     theta_norm = float(np.linalg.norm(theta))
     outlier_norm = float(np.linalg.norm(u))
@@ -134,9 +135,9 @@ def theorem_check(
                 / (2.0 * outlier_norm - min_outlier + np.sqrt(2.0 * lam) * theta_norm)
             )
         )
-        holds = sigma_max < gamma * np.sqrt(lam)
+        holds = bool(sigma_max < gamma * np.sqrt(lam))
     return BoundReport(
-        sigma_max=sigma_max,
+        sigma_max=float(sigma_max),
         gamma=gamma,
         lambda_cap=float(lambda_cap),
         holds=holds,
@@ -155,16 +156,18 @@ def best_certificate(
 ) -> Optional[BoundReport]:
     """Scan lambda below lambda_cap and return the report with the
     largest margin gamma*sqrt(lambda) - sigma_max, or None if gamma is
-    undefined everywhere.  Each grid point is a ``theorem_check``, which
-    takes the SVD of X0 at most once per Gram matrix."""
+    undefined everywhere.  sigma_max(X0) is computed once; each grid
+    point is a ``theorem_check``."""
+    _check_count("grid_size", grid_size, 1)
+    sigma_max = design_sigma_max(gram)
     # min|u|, ||theta|| and lambda_cap do not depend on lambda
-    truth = theorem_check(gram, true_theta, true_outliers, 1.0)
+    truth = theorem_check(sigma_max, true_theta, true_outliers, 1.0)
     # with theta = 0 any lambda is admissible; pick a wide absolute grid
     cap = truth.lambda_cap if truth.theta_norm else truth.min_outlier**2
     best: Optional[BoundReport] = None
     best_margin = -np.inf
     for lam in np.geomspace(1e-6, 0.999, grid_size) * cap:
-        report = theorem_check(gram, true_theta, true_outliers, lam)
+        report = theorem_check(sigma_max, true_theta, true_outliers, lam)
         if report.gamma is None:
             continue
         margin = report.gamma * np.sqrt(lam) - report.sigma_max

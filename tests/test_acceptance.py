@@ -22,7 +22,7 @@ from kgard.noise import (
     round_half_away,
 )
 from kgard.pgm import write_pgm_file
-from kgard.theory import spectral_diagnostics, theorem_check
+from kgard.theory import design_sigma_max, spectral_diagnostics, theorem_check
 from oracle import dense_solve, residual_oracle, solution_vector
 
 DETAILS = {}
@@ -45,13 +45,11 @@ def _certified_instances(count, base_seed=0):
     while len(instances) < count:
         rng = rng_for(seed)
         x, truth, alpha = make_support_dataset(rng, 100)
-        spec = NoiseSpec(
-            impulse_fraction=0.1, impulse_magnitude=CERT_MAGNITUDE, seed=seed
-        )
+        spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=CERT_MAGNITUDE)
         y, support, u = corrupt(truth, spec, rng=rng)
         gram = gram_matrix(x, params)
         theta = np.append(alpha, 0.0)
-        if theorem_check(gram, theta, u, CERT_LAMBDA).holds:
+        if theorem_check(design_sigma_max(gram), theta, u, CERT_LAMBDA).holds:
             instances.append((gram, theta, u, support, y))
         seed += 1
     return instances

@@ -118,6 +118,48 @@ def test_experiment_stable_args_must_pair(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: argument:")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--snr-db", "4000"], "inlier_snr_db must be finite"),
+        (["--snr-db", "-4000"], "inlier_snr_db must be finite"),
+        (["--snr-db", "nan"], "inlier_snr_db must be finite"),
+        (["--inlier-sigma", "inf"], "inlier_sigma must be positive and finite"),
+        (["--magnitude", "nan"], "impulse_magnitude must be nonnegative and finite"),
+        (["--stable-alpha", "1.5", "--stable-gamma", "inf"],
+         "gamma_scale must be positive and finite"),
+    ],
+    ids=["snr-overflow", "snr-underflow", "snr-nan", "sigma-inf", "magnitude-nan",
+         "gamma-inf"],
+)
+def test_experiment_noise_that_cannot_be_drawn_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "trials.csv"
+    argv = ["experiment", "--protocol", "sinc1d", "--outlier-frac", "0.05",
+            "--lambda", "0.2", "--epsilon", "10", "--trials", "2", "--out", str(out)]
+    assert main(argv + args) == 2
+    assert capsys.readouterr().err.startswith(f"error: argument: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--magnitude", "inf"], "impulse_magnitude must be nonnegative and finite"),
+        (["--snr-db", "4000"], "inlier_snr_db must be finite"),
+    ],
+    ids=["magnitude-inf", "snr-overflow"],
+)
+def test_corrupt_image_noise_that_cannot_be_drawn_exits_2(tmp_path, capsys, args, message):
+    src = tmp_path / "src.pgm"
+    _bump_pgm(src)
+    out, mask = tmp_path / "out.pgm", tmp_path / "mask.pgm"
+    argv = ["corrupt-image", "--in", str(src), "--out", str(out), "--fraction", "0.1",
+            "--mask-out", str(mask)]
+    assert main(argv + args) == 2
+    assert capsys.readouterr().err.startswith(f"error: argument: {message}")
+    assert not out.exists() and not mask.exists()
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -33,7 +33,7 @@ from kgard.noise import (
     make_support_dataset,
     rng_for,
 )
-from kgard.theory import theorem_check
+from kgard.theory import design_sigma_max, theorem_check
 
 SINC = (
     "sinc1d",
@@ -76,7 +76,7 @@ def test_border_weights():
     assert np.all(w[5:194] == 1.0)
     assert w[199] == 1.0  # bias never boosted
     with pytest.raises(ValueError):
-        border_weights(8, count=5)
+        border_weights(8)
 
 
 def test_unknown_protocol_rejected():
@@ -216,6 +216,22 @@ def test_sweep_validation():
         sweep_outlier_magnitude([100.0], trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0), "2"])
+def test_trials_must_be_an_integer(trials):
+    noise, config = SINC[1], SINC[2]
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_monte_carlo("sinc1d", noise, config, trials)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        sweep_outlier_magnitude([100.0], trials=trials)
+
+
+def test_trials_accept_numpy_integers():
+    _, rows = run_monte_carlo("sinc1d", SINC[1], SINC[2], np.int64(2))
+    assert [r.seed for r in rows] == [0, 1]
+    (point,) = sweep_outlier_magnitude([100.0], trials=np.int32(2))
+    assert point.trials == 2
+
+
 def test_sweep_zero_magnitude_degrades_without_error():
     points = sweep_outlier_magnitude([0.0], trials=3, base_seed=0)
     assert len(points) == 1
@@ -226,10 +242,12 @@ def test_sweep_zero_magnitude_degrades_without_error():
 def test_sweep_builds_one_solver(monkeypatch):
     calls = []
     _count_calls(monkeypatch, KgardSolver, "__init__", calls)
-    _count_calls(monkeypatch, np.linalg, "svd", calls)
-    kgard.theory._sigma_max.cache_clear()
+    _count_calls(monkeypatch, kgard.theory, "svdvals", calls)
     sweep_outlier_magnitude([100.0, 300.0], trials=3, base_seed=0)
-    assert sorted(calls) == ["__init__", "svd"]
+    assert sorted(calls) == ["__init__", "svdvals"]
+    # nothing is kept between calls: a second sweep takes its own
+    sweep_outlier_magnitude([100.0], trials=2, base_seed=0)
+    assert sorted(calls) == ["__init__", "__init__", "svdvals", "svdvals"]
 
 
 def test_sweep_draws_each_truth_once(monkeypatch):
@@ -253,7 +271,8 @@ def test_sweep_point_matches_per_trial_reference():
         solution = KgardSolver(gram, SWEEP_LAMBDA).fit(
             y, epsilon=0.0, max_selections=support.size
         )
-        holds = theorem_check(gram, np.append(alpha, 0.0), u, SWEEP_LAMBDA).holds
+        sigma_max = design_sigma_max(gram)
+        holds = theorem_check(sigma_max, np.append(alpha, 0.0), u, SWEEP_LAMBDA).holds
         rows.append(support_metrics(solution.support, support) + (float(holds),))
     assert point.mean_correct == float(np.mean([r[0] for r in rows]))
     assert point.mean_wrong == float(np.mean([r[1] for r in rows]))

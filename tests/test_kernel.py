@@ -24,6 +24,14 @@ def test_params_require_positive_sigma():
         assert np.all(np.isfinite(gram_matrix([0.0, 1.0], KernelParams(sigma))))
 
 
+def test_smallest_admitted_sigma_gives_exact_zeros():
+    # d^2 / sigma^2 overflows to inf, and exp(-inf) = 0 is the exact value
+    params = KernelParams(1.5e-154)
+    assert np.array_equal(gram_matrix([0.0, 10.0], params), np.eye(2))
+    assert np.array_equal(cross_gram([0.0, 10.0], [0.0, 10.0], params), np.eye(2))
+    assert rbf_eval(0.0, 10.0, params) == 0.0
+
+
 def test_rbf_eval_known_value():
     params = KernelParams(2.0)
     # exp(-|1-3|^2 / 4) = exp(-1)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 import kgard.noise
-from kgard.core import Dataset
 from kgard.kernel import KernelParams, cross_gram
 from kgard.noise import (
     NoiseSpec,
     StableParams,
     corrupt,
-    dataset_to_csv,
     make_lattice_dataset,
     make_sinc_dataset,
     lattice_nodes,
@@ -31,6 +29,43 @@ def test_spec_validation():
         NoiseSpec(inlier_snr_db=20.0, inlier_sigma=3.0)
     with pytest.raises(ValueError):
         StableParams(alpha=2.5, gamma_scale=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(impulse_magnitude=np.nan), "impulse_magnitude must be nonnegative and finite"),
+        (dict(impulse_magnitude=np.inf), "impulse_magnitude must be nonnegative and finite"),
+        (dict(inlier_sigma=np.inf), "inlier_sigma must be positive and finite"),
+        (dict(inlier_snr_db=np.nan), "inlier_snr_db must be finite"),
+        (dict(inlier_snr_db=np.inf), "inlier_snr_db must be finite"),
+        (dict(inlier_snr_db=-np.inf), "inlier_snr_db must be finite"),
+        # 10^(snr/10) overflows, or is zero or subnormal
+        (dict(inlier_snr_db=4000.0), "inlier_snr_db must be finite"),
+        (dict(inlier_snr_db=np.float64(4000.0)), "inlier_snr_db must be finite"),
+        (dict(inlier_snr_db=-4000.0), "inlier_snr_db must be finite"),
+        (dict(inlier_snr_db=-3080.0), "inlier_snr_db must be finite"),
+    ],
+)
+def test_spec_rejects_values_that_cannot_be_drawn(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        NoiseSpec(**kwargs)
+
+
+def test_stable_params_reject_non_finite_values():
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            StableParams(alpha=alpha, gamma_scale=1.0)
+    for gamma in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="gamma_scale must be positive and finite"):
+            StableParams(alpha=1.5, gamma_scale=gamma)
+
+
+def test_extreme_admitted_snr_draws_finite_noise():
+    truth = np.ones(50)
+    for snr_db in (3000.0, -3000.0):
+        y, _, _ = corrupt(truth, NoiseSpec(inlier_snr_db=snr_db), rng_for(0))
+        assert np.all(np.isfinite(y))
 
 
 def test_round_half_away():
@@ -124,8 +159,8 @@ def test_support_dataset_shapes():
 
 def test_corrupt_counts_and_signs():
     truth = np.zeros(199)
-    spec = NoiseSpec(impulse_fraction=0.10, impulse_magnitude=15.0, seed=1)
-    y, support, u = corrupt(truth, spec)
+    spec = NoiseSpec(impulse_fraction=0.10, impulse_magnitude=15.0)
+    y, support, u = corrupt(truth, spec, rng_for(1))
     assert support.size == 20  # round(19.9)
     assert set(np.abs(u[support])) == {15.0}
     assert np.count_nonzero(u) == 20
@@ -134,36 +169,38 @@ def test_corrupt_counts_and_signs():
 
 def test_corrupt_fraction_zero_is_identity():
     truth = np.arange(10.0)
-    y, support, u = corrupt(truth, NoiseSpec(seed=3))
+    y, support, u = corrupt(truth, NoiseSpec(), rng_for(3))
     assert np.array_equal(y, truth)
     assert support.size == 0 and not np.any(u)
 
 
 def test_corrupt_rejects_full_support():
     with pytest.raises(ValueError):
-        corrupt(np.zeros(2), NoiseSpec(impulse_fraction=0.9, seed=0))
+        corrupt(np.zeros(2), NoiseSpec(impulse_fraction=0.9), rng_for(0))
 
 
 def test_corrupt_empirical_snr():
     truth = make_sinc_dataset().train_truth
     big = np.tile(truth, 503)  # ~1e5 samples
-    y, _, _ = corrupt(big, NoiseSpec(inlier_snr_db=20.0, seed=5))
+    y, _, _ = corrupt(big, NoiseSpec(inlier_snr_db=20.0), rng_for(5))
     snr = 10 * np.log10(np.mean(big**2) / np.var(y - big))
     assert 19.5 <= snr <= 20.5
 
 
 def test_corrupt_fixed_sigma_inliers():
     big = np.zeros(200000)
-    y, _, _ = corrupt(big, NoiseSpec(inlier_sigma=3.0, seed=6))
+    y, _, _ = corrupt(big, NoiseSpec(inlier_sigma=3.0), rng_for(6))
     assert np.std(y) == pytest.approx(3.0, rel=0.02)
 
 
 def test_corrupt_support_uniformity():
     counts = np.zeros(100)
     for s in range(10000):
-        _, support, _ = corrupt(np.zeros(100), NoiseSpec(
-            impulse_fraction=0.10, impulse_magnitude=1.0, seed=s
-        ))
+        _, support, _ = corrupt(
+            np.zeros(100),
+            NoiseSpec(impulse_fraction=0.10, impulse_magnitude=1.0),
+            rng_for(s),
+        )
         counts[support] += 1
     freq = counts / 10000
     assert np.all(np.abs(freq - 0.10) <= 0.01)
@@ -171,9 +208,9 @@ def test_corrupt_support_uniformity():
 
 def test_corrupt_determinism_and_rng_override():
     truth = np.arange(50.0)
-    spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=9.0, seed=11)
-    y1, s1, _ = corrupt(truth, spec)
-    y2, s2, _ = corrupt(truth, spec)
+    spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=9.0)
+    y1, s1, _ = corrupt(truth, spec, rng_for(11))
+    y2, s2, _ = corrupt(truth, spec, rng_for(11))
     assert np.array_equal(y1, y2) and np.array_equal(s1, s2)
     y3, _, _ = corrupt(truth, spec, rng=rng_for(999))
     assert not np.array_equal(y1, y3)
@@ -201,14 +238,3 @@ def test_alpha_stable_cauchy_branch():
     assert abs(np.median(samples)) < 0.02
     assert np.mean(np.abs(samples) < 1.0) == pytest.approx(0.5, abs=0.01)
 
-
-def test_dataset_to_csv(tmp_path):
-    data = Dataset(np.arange(5.0), np.arange(5.0) * 2)
-    y = data.targets + 1.0
-    path = tmp_path / "out.csv"
-    dataset_to_csv(path, data, y, [1, 3])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,y,truth,is_outlier"
-    assert len(lines) == 6
-    flags = [line.split(",")[-1] for line in lines[1:]]
-    assert flags == ["0", "1", "0", "1", "0"]

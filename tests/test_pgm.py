@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kgard.pgm import PgmFormatError, quantize, read_pgm, write_pgm
+from kgard.pgm import PgmFormatError, quantize, read_pgm, write_pgm, write_pgm_file
 
 
 def test_round_trip_canonical_header():
@@ -80,3 +80,10 @@ def test_write_rejects_bad_shapes():
 def test_write_rejects_non_finite_pixels():
     with pytest.raises(ValueError, match="finite"):
         write_pgm([[np.nan, 1.0]])
+
+
+def test_write_file_leaves_no_file_for_invalid_image(tmp_path):
+    path = tmp_path / "out.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm_file(path, [[np.inf, 1.0]])
+    assert not path.exists()

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from kgard.core import KgardSolver
+from kgard.denoise import roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
-from kgard.theory import best_certificate, spectral_diagnostics, theorem_check
+from kgard.noise import lattice_nodes
+from kgard.theory import (
+    best_certificate,
+    design_sigma_max,
+    spectral_diagnostics,
+    theorem_check,
+)
 from oracle import residual, residual_oracle
 
 
@@ -65,9 +72,28 @@ def _certified_setup(seed, magnitude=800.0, n=40):
     return gram, theta, u, support
 
 
+def _check(gram, theta, u, lam):
+    return theorem_check(design_sigma_max(gram), theta, u, lam)
+
+
+@pytest.mark.parametrize(
+    "points, sigma",
+    [
+        pytest.param(roi_lattice(12), 0.3, id="roi-144"),
+        pytest.param(np.linspace(0.0, 1.0, 100), 0.1, id="sweep-100"),
+        pytest.param(lattice_nodes()[1], 0.2, id="lattice-256"),
+    ],
+)
+def test_design_sigma_max_matches_numpy_svd(points, sigma):
+    gram = gram_matrix(points, KernelParams(sigma))
+    x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
+    expected = np.linalg.svd(x0, compute_uv=False)[0]
+    assert abs(design_sigma_max(gram) - expected) <= 1e-13 * expected
+
+
 def test_theorem_check_report_fields():
     gram, theta, u, _ = _certified_setup(0)
-    report = theorem_check(gram, theta, u, lam=4000.0)
+    report = _check(gram, theta, u, lam=4000.0)
     min_u = np.min(np.abs(u[u != 0]))
     assert report.min_outlier == pytest.approx(min_u)
     assert report.lambda_cap == pytest.approx(
@@ -79,32 +105,52 @@ def test_theorem_check_report_fields():
 
 def test_theorem_check_gamma_none_above_cap():
     gram, theta, u, _ = _certified_setup(1)
-    report = theorem_check(gram, theta, u, lam=4000.0)
-    over = theorem_check(gram, theta, u, lam=report.lambda_cap * 1.01)
+    report = _check(gram, theta, u, lam=4000.0)
+    over = _check(gram, theta, u, lam=report.lambda_cap * 1.01)
     assert over.gamma is None and not over.holds
 
 
 def test_theorem_check_holds_for_large_outliers_only():
     gram, theta, u, _ = _certified_setup(2, magnitude=800.0)
-    assert theorem_check(gram, theta, u, 4000.0).holds
+    report = _check(gram, theta, u, 4000.0)
+    assert report.holds is True
     gram, theta, u, _ = _certified_setup(2, magnitude=30.0)
-    assert not theorem_check(gram, theta, u, 4000.0).holds
-
-
-def test_theorem_check_memo_keyed_by_content():
-    gram, theta, u, _ = _certified_setup(4)
-    before = theorem_check(gram, theta, u, 4000.0).sigma_max
-    gram *= 2.0
-    after = theorem_check(gram, theta, u, 4000.0).sigma_max
-    x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
-    assert after == float(np.linalg.svd(x0, compute_uv=False)[0])
-    assert after != before
+    assert _check(gram, theta, u, 4000.0).holds is False
+    # below lambda_cap gamma exists, and holds is still a Python bool
+    below = _check(gram, theta, u, _check(gram, theta, u, 1.0).lambda_cap / 4)
+    assert below.gamma is not None and below.holds is False
 
 
 def test_theorem_check_rejects_empty_support():
     gram, theta, _, _ = _certified_setup(3)
     with pytest.raises(ValueError):
-        theorem_check(gram, theta, np.zeros(gram.shape[0]), 1.0)
+        _check(gram, theta, np.zeros(gram.shape[0]), 1.0)
+
+
+def test_theorem_check_rejects_bad_sigma_max():
+    _, theta, u, _ = _certified_setup(10)
+    for sigma_max in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma_max must be nonnegative and finite"):
+            theorem_check(sigma_max, theta, u, 1.0)
+
+
+def test_theorem_check_rejects_theta_of_wrong_length():
+    gram, theta, u, _ = _certified_setup(11)
+    for bad in (theta[:-1], np.append(theta, 0.0)):
+        with pytest.raises(ValueError, match="expected theta of length 41"):
+            _check(gram, bad, u, 1.0)
+
+
+def test_theorem_check_rejects_non_finite_truth():
+    gram, theta, u, support = _certified_setup(12)
+    sigma_max = design_sigma_max(gram)
+    for bad_theta, bad_u in (
+        (np.where(theta == theta[0], np.nan, theta), u),
+        (theta, np.where(np.arange(u.size) == support[0], np.inf, u)),
+        (theta, np.where(np.arange(u.size) == 0, -np.inf, u)),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            theorem_check(sigma_max, bad_theta, bad_u, 1.0)
 
 
 def _solver_residual(gram, y, lam, k):
@@ -145,7 +191,7 @@ def test_theorem_check_rejects_non_finite_gram():
     gram, theta, u, _ = _certified_setup(9)
     gram[0, 1] = np.nan
     with pytest.raises(ValueError, match="gram matrix must be finite"):
-        theorem_check(gram, theta, u, 1.0)
+        _check(gram, theta, u, 1.0)
 
 
 def test_residual_oracle_input_validation():
@@ -164,5 +210,16 @@ def test_best_certificate_finds_holding_lambda():
     assert report is not None
     assert report.holds
     assert report.lam < report.lambda_cap
-    # the hoisted SVD gives the same report as a full check at that lambda
-    assert report == theorem_check(gram, theta, u, report.lam)
+    # the hoisted sigma_max gives the same report as a full check at that lambda
+    assert report == _check(gram, theta, u, report.lam)
+
+
+def test_best_certificate_grid_size_is_a_count():
+    gram, theta, u, _ = _certified_setup(8, magnitude=900.0)
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            best_certificate(gram, theta, u, grid_size=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="grid_size must be >= 1"):
+            best_certificate(gram, theta, u, grid_size=bad)
+    assert best_certificate(gram, theta, u, grid_size=np.int64(1)) is not None
