@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
 
@@ -358,11 +358,14 @@ class KgardSolver:
     def _solution(self, y, q, support, c, history, epsilon, truncated) -> KgardSolution:
         """Coefficients of one finished row from its k Q slabs."""
         n, k = self._n, support.size
-        # Q[S] is lower triangular: u_S = Q[S]^-T c; fit has already
-        # checked everything this solve reads for finiteness
-        u = solve_triangular(
-            q[:, support].T.copy(), c, lower=True, trans="T", check_finite=False
-        )
+        # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK solve
+        # with the upper triangular q[:, S] = Q[S]^T.  LAPACK rejects the
+        # 0 x 0 system of a row with no selections.
+        u = c
+        if k:
+            u, info = dtrtrs(q[:, support], c, lower=0)
+            if info:
+                raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
         e = y.copy()
         e[support] -= u
         theta = self._coef_map @ e

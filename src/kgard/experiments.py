@@ -243,7 +243,8 @@ def sweep_outlier_magnitude(
 
     Protocol: 100 equidistant points on [0, 1], kernel width 0.1, a
     sparse random kernel target, impulses of the given magnitude at
-    the given fraction, no inlier noise.  Each trial fits with the
+    the given fraction, no inlier noise.  ``fraction`` must give between
+    1 and 99 impulses, checked before any work.  Each trial fits with the
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
     Every trial shares one Gram matrix and solver: the trials of one
@@ -256,9 +257,14 @@ def sweep_outlier_magnitude(
     if not magnitudes:
         raise ValueError("magnitudes list is empty")
     _check_count("trials", trials, 1)
+    n_impulses = round_half_away(fraction * SWEEP_N) if math.isfinite(fraction) else 0
+    if not 1 <= n_impulses < SWEEP_N:
+        raise ValueError(
+            f"fraction must be finite and give round(fraction * {SWEEP_N}) impulses "
+            f"in [1, {SWEEP_N - 1}], got {fraction}"
+        )
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
-    n_impulses = round_half_away(fraction * SWEEP_N)
     gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
     solver = KgardSolver(gram, SWEEP_LAMBDA)
     sigma_max = design_sigma_max(gram)

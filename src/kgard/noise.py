@@ -163,8 +163,9 @@ def lattice_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=1)
 def _lattice_geometry() -> tuple[np.ndarray, ...]:
-    """``lattice_nodes()`` plus the fixed training-by-center and
-    validation-by-center cross-Grams.  Every draw shares them, so they
+    """``lattice_nodes()`` plus the fixed center-by-training-node and
+    center-by-validation-node kernel matrices, center-major so that a
+    draw reads the rows of its support.  Every draw shares them, so they
     are built once and marked read-only."""
     centers, train_pts, val_pts = lattice_nodes()
     params = KernelParams(LATTICE_KERNEL_SIGMA)
@@ -172,8 +173,8 @@ def _lattice_geometry() -> tuple[np.ndarray, ...]:
         centers,
         train_pts,
         val_pts,
-        cross_gram(train_pts, centers, params),
-        cross_gram(val_pts, centers, params),
+        cross_gram(centers, train_pts, params),
+        cross_gram(centers, val_pts, params),
     )
     for a in arrays:
         a.flags.writeable = False
@@ -188,8 +189,13 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     uniform over 4%-17.5% of the 256 training points and their values
     are N(0, 25.6^2).  Every draw shares the same training and
     validation nodes.
+
+    Each truth is one product over the support only: the kernel rows of
+    the nonzero coefficients, in increasing center order, against those
+    coefficients.  A product over all 961 centers can differ from it in
+    the last bits.
     """
-    centers, train_pts, val_pts, train_gram, val_gram = _lattice_geometry()
+    centers, train_pts, val_pts, train_kernels, val_kernels = _lattice_geometry()
 
     n_train = train_pts.shape[0]
     lo = int(np.ceil(0.04 * n_train))
@@ -199,10 +205,12 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     alpha[rng.choice(centers.shape[0], size=nnz, replace=False)] = rng.normal(
         0.0, 25.6, size=nnz
     )
+    idx = np.flatnonzero(alpha)
+    weights = alpha[idx]
 
     return LatticeData(
-        train=Dataset(train_pts, train_gram @ alpha),
-        validation=Dataset(val_pts, val_gram @ alpha),
+        train=Dataset(train_pts, weights @ train_kernels[idx]),
+        validation=Dataset(val_pts, weights @ val_kernels[idx]),
         true_alpha=alpha,
         centers=centers,
     )
@@ -213,7 +221,9 @@ def make_support_dataset(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pure-outlier identification protocol: n equidistant points on
     [0, 1], target a sparse kernel combination (sigma 0.1) with 2 to 23
-    nonzero coefficients drawn from N(0, 0.5^2).
+    nonzero coefficients drawn from N(0, 0.5^2).  The truth is
+    evaluated from the support only, as ``cross_gram(x, x[idx]) @
+    alpha[idx]`` over the nonzero indices ``idx`` in increasing order.
 
     Returns (inputs, truth, true_alpha).
     """
@@ -221,8 +231,8 @@ def make_support_dataset(
     nnz = int(rng.integers(2, 24))
     alpha = np.zeros(n)
     alpha[rng.choice(n, size=nnz, replace=False)] = rng.normal(0.0, 0.5, size=nnz)
-    params = KernelParams(SUPPORT_KERNEL_SIGMA)
-    truth = cross_gram(x, x, params) @ alpha
+    idx = np.flatnonzero(alpha)
+    truth = cross_gram(x, x[idx], KernelParams(SUPPORT_KERNEL_SIGMA)) @ alpha[idx]
     return x, truth, alpha
 
 
@@ -259,11 +269,14 @@ def corrupt(
     outlier vector).  The impulse count is round(fraction * N) with
     halves away from zero; signs are independent equiprobable +/-.
     Gaussian inlier variance is mean(truth^2) / 10^(snr_db / 10).
+    ``truth`` must be finite, and so must that variance.
 
     Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
     that drew the dataset from the same stream keeps consuming it here.
     """
     truth = np.asarray(truth, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(truth)):
+        raise ValueError("truth must be finite")
     n = truth.shape[0]
 
     count = round_half_away(spec.impulse_fraction * n)
@@ -276,7 +289,14 @@ def corrupt(
 
     y = truth + u
     if spec.inlier_snr_db is not None:
-        var = float(np.mean(truth**2)) / 10.0 ** (spec.inlier_snr_db / 10.0)
+        # a huge truth at a low SNR can overflow truth^2 or the quotient
+        with np.errstate(over="ignore"):
+            var = float(np.mean(truth**2)) / 10.0 ** (spec.inlier_snr_db / 10.0)
+        if not math.isfinite(var):
+            raise ValueError(
+                f"the Gaussian inlier variance mean(truth^2) / 10^(snr_db / 10) "
+                f"overflows at inlier_snr_db={spec.inlier_snr_db}"
+            )
         y = y + rng.normal(0.0, np.sqrt(var), size=n)
     elif spec.inlier_sigma is not None:
         y = y + rng.normal(0.0, spec.inlier_sigma, size=n)

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import kgard.denoise as denoise_mod
+import kgard.experiments as experiments_mod
+import kgard.noise as noise_mod
 from kgard.core import KgardConfig, KgardSolver
 from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image
 from kgard.experiments import run_monte_carlo, sweep_outlier_magnitude
@@ -86,3 +88,28 @@ def test_monte_carlo_fits_once_per_run(fit_batches, protocol):
 def test_sweep_fits_once_per_magnitude(fit_batches):
     sweep_outlier_magnitude([100.0, 300.0, 600.0], trials=3, base_seed=0)
     assert fit_batches == [3, 3, 3]
+
+
+def _counting(monkeypatch, owner, attr) -> list:
+    calls = []
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_lattice_run_draws_each_truth_through_the_boundary(monkeypatch):
+    calls = _counting(monkeypatch, experiments_mod, "make_lattice_dataset")
+    noise = NoiseSpec(inlier_sigma=1.0, impulse_fraction=0.05, impulse_magnitude=40.0)
+    run_monte_carlo("lattice2d", noise, KgardConfig(lam=0.2, epsilon=10.0), 5, 0)
+    assert len(calls) == 5
+
+
+def test_sweep_evaluates_each_truth_through_the_boundary(monkeypatch):
+    calls = _counting(monkeypatch, noise_mod, "cross_gram")
+    sweep_outlier_magnitude([100.0, 300.0], trials=4, base_seed=0)
+    assert len(calls) == 4

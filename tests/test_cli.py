@@ -172,6 +172,18 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("fraction", ["0.001", "nan", "0.995"])
+def test_sweep_fraction_without_impulses_to_place_exits_2(tmp_path, capsys, fraction):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--magnitudes", "600", "--trials", "2", "--fraction", fraction,
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument: fraction must be finite")
+    assert f"got {float(fraction)}" in err
+    assert not out.exists()
+
+
 def test_regress_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = np.linspace(0, 1, 40)

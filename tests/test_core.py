@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -551,3 +552,45 @@ def test_batched_fit_matches_single_fits(design, rows, stop_norm, threshold, cap
     assert len(batch) == rows
     for row, sol in zip(y, batch):
         _assert_same_solution(sol, solver.fit(row, **kwargs))
+
+
+def test_dtrtrs_matches_solve_triangular_bit_for_bit():
+    # the finished-row solve calls LAPACK's dtrtrs on q[:, S] = Q[S]^T
+    # (upper triangular), the call solve_triangular makes for the lower
+    # triangular Q[S] with trans="T"
+    rng = np.random.default_rng(17)
+    for k in range(1, 41):
+        upper = np.triu(rng.normal(size=(k, k)))
+        upper[np.diag_indices(k)] = rng.uniform(0.05, 2.0, size=k)
+        c = rng.normal(size=k)
+        u, info = scipy.linalg.lapack.dtrtrs(upper, c, lower=0)
+        assert info == 0
+        expected = scipy.linalg.solve_triangular(
+            upper.T.copy(), c, lower=True, trans="T", check_finite=False
+        )
+        assert u.tobytes() == expected.tobytes()
+
+
+def test_finished_row_solve_raises_on_a_singular_system():
+    solver = KgardSolver(np.eye(4), 1.0)
+    q = np.zeros((1, 4))  # a zero diagonal: Q[S] is singular
+    with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), np.ones(2), 0.0, False)
+
+
+def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
+    rng = np.random.default_rng(23)
+    gram, _ = _random_gram(rng, 40)
+    solver = KgardSolver(gram, 0.5)
+    y = rng.normal(scale=1e-3, size=(6, 40))
+    for i in (1, 2, 4):  # rows 0, 3 and 5 stop before any selection
+        y[i, rng.choice(40, size=i + 1, replace=False)] += 30.0
+    kwargs = dict(epsilon=0.1, max_selections=8)
+    batch = solver.fit(y, **kwargs)
+    assert [sol.iterations == 0 for sol in batch] == [True, False, False, True, False, True]
+    for row, sol in zip(y, batch):
+        _assert_same_solution(sol, solver.fit(row, **kwargs))
+    for i in (0, 3, 5):  # no selection: the plain ridge fit
+        z = dense_solve(gram, y[i], 0.5)
+        assert batch[i].outliers == {}
+        assert np.allclose(batch[i].alpha, z[:40], atol=1e-9)

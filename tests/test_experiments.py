@@ -216,6 +216,30 @@ def test_sweep_validation():
         sweep_outlier_magnitude([100.0], trials=0)
 
 
+@pytest.mark.parametrize("fraction", [0.001, 0.0, -0.1, 0.995, math.nan, math.inf])
+def test_sweep_checks_fraction_before_any_work(monkeypatch, fraction):
+    calls = []
+    _count_calls(monkeypatch, experiments, "gram_matrix", calls)
+    _count_calls(monkeypatch, experiments, "make_support_dataset", calls)
+    with pytest.raises(ValueError, match=r"^fraction must be finite .* \[1, 99\]"):
+        sweep_outlier_magnitude([100.0], fraction=fraction, trials=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fraction, impulses", [(0.005, 1), (0.994, 99)])
+def test_sweep_accepts_the_extreme_impulse_counts(monkeypatch, fraction, impulses):
+    caps = []
+    real_fit = KgardSolver.fit
+
+    def fit(self, y, *args, **kwargs):
+        caps.append(kwargs["max_selections"])
+        return real_fit(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(KgardSolver, "fit", fit)
+    (point,) = sweep_outlier_magnitude([100.0], fraction=fraction, trials=1)
+    assert caps == [impulses] and point.trials == 1
+
+
 @pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0), "2"])
 def test_trials_must_be_an_integer(trials):
     noise, config = SINC[1], SINC[2]

@@ -109,19 +109,32 @@ def test_lattice_dataset_geometry_and_determinism():
     assert np.array_equal(again.train_truth, data.train_truth)
 
 
+def _close_to_dense(truth, dense):
+    # a product over the support and one over every center agree to
+    # within rounding of the largest entry
+    return np.max(np.abs(truth - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_lattice_truths_match_per_draw_cross_gram():
     centers, train_pts, val_pts = lattice_nodes()
     params = KernelParams(0.2)
     for seed in (0, 1, 2):
         data = make_lattice_dataset(rng_for(seed))
         alpha = data.true_alpha
+        idx = np.flatnonzero(alpha)
         assert np.array_equal(data.centers, centers)
         assert np.array_equal(data.train.inputs, train_pts)
         assert np.array_equal(data.validation.inputs, val_pts)
+        # bit for bit: the same product over freshly computed kernel
+        # rows of the support, center-major like the cached matrices
         assert np.array_equal(
-            data.train_truth, cross_gram(train_pts, centers, params) @ alpha
+            data.train_truth, alpha[idx] @ cross_gram(centers[idx], train_pts, params)
         )
         assert np.array_equal(
+            data.validation_truth, alpha[idx] @ cross_gram(centers[idx], val_pts, params)
+        )
+        assert _close_to_dense(data.train_truth, cross_gram(train_pts, centers, params) @ alpha)
+        assert _close_to_dense(
             data.validation_truth, cross_gram(val_pts, centers, params) @ alpha
         )
 
@@ -130,14 +143,14 @@ def test_lattice_cross_grams_built_once(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[0].shape[0])
+        calls.append((args[0].shape[0], args[1].shape[0]))
         return cross_gram(*args)
 
     monkeypatch.setattr(kgard.noise, "cross_gram", counting)
     kgard.noise._lattice_geometry.cache_clear()
     for seed in (0, 1, 2):
         make_lattice_dataset(rng_for(seed))
-    assert calls == [256, 225]
+    assert calls == [(961, 256), (961, 225)]  # center-major
     centers = make_lattice_dataset(rng_for(3)).centers
     with pytest.raises(ValueError):
         centers[0, 0] = 1.0  # shared by every draw, so read-only
@@ -157,6 +170,30 @@ def test_support_dataset_shapes():
     assert 2 <= np.count_nonzero(alpha) <= 23
 
 
+def test_support_truth_reads_only_the_support():
+    params = KernelParams(0.1)
+    for seed in (0, 1, 2, 3):
+        x, truth, alpha = make_support_dataset(rng_for(seed), 100)
+        idx = np.flatnonzero(alpha)
+        gram = cross_gram(x, x, params)
+        # bit for bit: the same row-major (100, nnz) product; the gathered
+        # view alone is laid out differently and takes another BLAS path
+        assert np.array_equal(truth, np.ascontiguousarray(gram[:, idx]) @ alpha[idx])
+        assert _close_to_dense(truth, gram @ alpha)
+
+
+def test_support_truth_is_one_cross_gram_of_the_support(monkeypatch):
+    shapes = []
+
+    def counting(query, train, params):
+        shapes.append((len(query), len(train)))
+        return cross_gram(query, train, params)
+
+    monkeypatch.setattr(kgard.noise, "cross_gram", counting)
+    _, _, alpha = make_support_dataset(rng_for(5), 100)
+    assert shapes == [(100, np.count_nonzero(alpha))]
+
+
 def test_corrupt_counts_and_signs():
     truth = np.zeros(199)
     spec = NoiseSpec(impulse_fraction=0.10, impulse_magnitude=15.0)
@@ -172,6 +209,19 @@ def test_corrupt_fraction_zero_is_identity():
     y, support, u = corrupt(truth, NoiseSpec(), rng_for(3))
     assert np.array_equal(y, truth)
     assert support.size == 0 and not np.any(u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_corrupt_rejects_non_finite_truth(bad):
+    with pytest.raises(ValueError, match="truth must be finite"):
+        corrupt(np.array([bad, 1.0, 2.0]), NoiseSpec(), rng_for(0))
+
+
+@pytest.mark.parametrize("truth", [np.full(10, 1e200), np.full(10, 1e150)])
+def test_corrupt_rejects_an_inlier_variance_that_overflows(truth):
+    # truth^2 overflows for 1e200; for 1e150 only the quotient does
+    with pytest.raises(ValueError, match="inlier variance .* overflows"):
+        corrupt(truth, NoiseSpec(inlier_snr_db=-3000.0), rng_for(0))
 
 
 def test_corrupt_rejects_full_support():
