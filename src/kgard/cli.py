@@ -123,9 +123,13 @@ def _read_dataset_csv(path) -> Dataset:
     if not x_cols:
         raise ValueError(f"CSV {path} has no x columns")
     inputs, targets = [], []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"CSV {path} line {line} has {len(row)} cells, the header has {len(header)}"
+            )
         inputs.append([float(row[i]) for i in x_cols])
         targets.append(float(row[y_col]))
     return Dataset(np.array(inputs), np.array(targets))

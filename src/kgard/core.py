@@ -243,10 +243,10 @@ class KgardSolver:
         its residual norm is at most the threshold, at
         ``max_selections`` (``truncated``), or on a degenerate pivot.
         ``epsilon_fn``, when given, replaces ``epsilon`` at every step:
-        it receives |r| shaped like ``y``, (N,) for a 1-D fit and (L, N)
-        for the L rows of a batch still running, and returns a scalar or
-        one threshold per row, each nonnegative like ``epsilon``; any
-        other result raises ``ValueError``.
+        it receives |r| of the L rows still running as an (L, N) stack,
+        with L = 1 for a 1-D fit, and returns a scalar or one threshold
+        per row, each nonnegative like ``epsilon``; any other result
+        raises ``ValueError``.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
@@ -297,7 +297,7 @@ class KgardSolver:
             if epsilon_fn is None:
                 eps = np.full(m, float(epsilon))
             else:
-                eps = np.asarray(epsilon_fn(abs_r[0] if single else abs_r), dtype=np.float64)
+                eps = np.asarray(epsilon_fn(abs_r), dtype=np.float64)
                 if eps.shape not in ((), (m,)):
                     raise ValueError(
                         f"epsilon_fn must return a scalar or {m} thresholds, "

@@ -7,7 +7,8 @@ treated as a regression surface over the unit square: a Gaussian-kernel
 ridge fit with sparse outlier estimation separates the smooth intensity
 surface from impulses.  The ridge parameter is picked per ROI from the
 local gradient statistics and the stopping threshold is re-derived at
-every iteration from a histogram of the current residuals.
+every iteration from a histogram of the current residuals, row-wise
+over the (L, N) stack of the ROIs still running in a batch.
 
 Outputs are the denoised image (the fitted smooth surfaces), the
 outlier map (estimated impulses at full resolution), and the original
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import KgardSolver, NumericalError
+from .core import KgardSolver, NumericalError, _check_count
 from .kernel import KernelParams, gram_matrix
 
 _DEGENERATE_SPAN = 1e-9
@@ -53,13 +54,10 @@ class RoiConfig:
     e0: float = 40.0
 
     def __post_init__(self) -> None:
-        for name in ("roi_size", "core_size"):
+        for name, minimum in (("roi_size", 0), ("core_size", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, value, minimum)
             object.__setattr__(self, name, int(value))  # origins stay Python ints
-        if not self.core_size >= 1:
-            raise ValueError(f"core_size must be >= 1, got {self.core_size}")
         if not self.roi_size > self.core_size:
             raise ValueError(
                 f"roi_size {self.roi_size} must exceed core_size {self.core_size}"
@@ -127,22 +125,17 @@ def roi_lattice(n: int) -> np.ndarray:
     return np.column_stack([rr.ravel(), cc.ravel()])
 
 
-@dataclass
-class LambdaMap:
-    lambdas: np.ndarray  # per-ROI ridge parameter, one of the 3 tiers
-    mean_gradients: np.ndarray
-    m: float
-    s: float
-
-
-def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
+def _mean_gradients(padded: np.ndarray, cfg: RoiConfig) -> np.ndarray:
+    """Each ROI's mean gradient magnitude, (R,) in raster order."""
     # central differences with replicated borders (one-sided at edges)
-    gy, gx = np.gradient(image)
-    return np.sqrt(gx**2 + gy**2)
+    gy, gx = np.gradient(padded)
+    # each ROI copied into one contiguous row sums in the order np.mean of
+    # the window does; mean(axis=(2, 3)) on the strided view does not
+    return _rois(np.sqrt(gx**2 + gy**2), cfg).reshape(-1, cfg.roi_size**2).mean(axis=1)
 
 
-def auto_lambda_map(padded, cfg: RoiConfig) -> LambdaMap:
-    """Three-tier ridge selection from local gradient statistics.
+def auto_lambda_map(padded, cfg: RoiConfig) -> np.ndarray:
+    """Per-ROI ridge parameters, (R,) in raster order, in three tiers.
 
     ``padded`` is the image as returned by :func:`pad_image`.  Detailed
     ROIs (mean gradient above m + s) get lambda0, smooth ones (below
@@ -151,39 +144,23 @@ def auto_lambda_map(padded, cfg: RoiConfig) -> LambdaMap:
     """
     padded = _as_image(padded)
     _rois(padded, cfg)  # rejects a shape that is not a padded image's
-    windows = _rois(_gradient_magnitude(padded), cfg)
-    means = np.array([float(np.mean(win)) for row in windows for win in row])
+    means = _mean_gradients(padded, cfg)
     m = float(np.mean(means))
     s = float(np.std(means))
     lambdas = np.full(means.shape, 5.0 * cfg.lambda0)
     lambdas[means > m + s] = cfg.lambda0
     lambdas[means < m - s / 10.0] = 15.0 * cfg.lambda0
-    return LambdaMap(lambdas=lambdas, mean_gradients=means, m=m, s=s)
-
-
-@dataclass
-class EpsilonHistogram:
-    """One histogram per residual row; for a 1-D input every field is
-    that row's (an array for ``edges``/``heights``, a scalar otherwise),
-    for an (L, N) input every field gains a leading axis of length L."""
-
-    edges: np.ndarray
-    heights: np.ndarray
-    h_min: object
-    e1: object
-    e2: object  # +inf when no bar satisfies the jump scan
-    dispersion: object
+    return lambdas
 
 
 def _magnitude_rows(residual_abs) -> tuple:
-    """Validated residual magnitudes as an (L, N) array, with each row's
-    minimum and maximum."""
+    """Validated (L, N) residual magnitudes, with each row's minimum and
+    maximum."""
     r = np.asarray(residual_abs, dtype=np.float64)
-    if r.ndim not in (1, 2):
-        raise ValueError(f"residual magnitudes must be 1-D or 2-D, got shape {r.shape}")
+    if r.ndim != 2:
+        raise ValueError(f"residual magnitudes must be an (L, N) stack, got {r.shape}")
     if r.size == 0:
         raise ValueError("residual vector is empty")
-    r = r.reshape(-1, r.shape[-1])
     first, last = r.min(axis=1), r.max(axis=1)
     # min and max propagate NaN, so these two bounds catch every bad value
     if not (first.min() >= 0 and last.max() < math.inf):
@@ -193,12 +170,12 @@ def _magnitude_rows(residual_abs) -> tuple:
     return r, first, last
 
 
-def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> EpsilonHistogram:
+def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
     """Row-wise ``np.histogram(row, bins, range=(row.min(), row.max()))``
     of an (L, N) array whose row minima and maxima are ``first`` and
     ``last``, bit for bit: the same linspace edges, the same index
     formula with its +-1 edge corrections, and a closed last bin; then
-    the two threshold candidates of every row."""
+    each row's E1, E2 (+inf when none) and dispersion, as in auto_epsilon."""
     rows_n, n = r.shape
     bins = n // 10 + 1
     half = 0.5 * (first == last)  # np.histogram widens an empty range by 0.5
@@ -243,34 +220,15 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> EpsilonHi
     dev = heights - mean
     dev *= dev
     dispersion = np.sqrt(dev.sum(axis=1) / bins) / mean
-    return EpsilonHistogram(edges, heights, h_min, e1, e2, dispersion)
+    return e1, e2, dispersion
 
 
-def epsilon_histogram(residual_abs: np.ndarray) -> EpsilonHistogram:
-    """Histogram of |r| over floor(N/10) + 1 equal bins with the two
-    threshold candidates read off it, for a row (N,) or row-wise for
-    (L, N).
-
-    E1 is the left edge of the first bar of minimum height.  E2 is the
-    left edge of the first bar (second or later) that rises by at least
-    1 from a predecessor of near-minimum height (h <= h_min + 5).
-    """
-    hist = _histograms(*_magnitude_rows(residual_abs))
-    if np.ndim(residual_abs) == 2:
-        return hist
-    return EpsilonHistogram(
-        edges=hist.edges[0],
-        heights=hist.heights[0],
-        h_min=int(hist.h_min[0]),
-        e1=float(hist.e1[0]),
-        e2=float(hist.e2[0]),
-        dispersion=float(hist.dispersion[0]),
-    )
-
-
-def auto_epsilon(residual_abs: np.ndarray, e0: float):
-    """Stopping threshold from the residual-magnitude histogram, for a
-    row (N,) as a float or row-wise for (L, N) as an (L,) array.
+def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
+    """Stopping thresholds of an (L, N) stack of residual magnitudes, as
+    an (L,) array, from each row's histogram over floor(N/10) + 1 equal
+    bins.  E1 is the left edge of the first bar of minimum height.  E2 is
+    the left edge of the first bar (second or later) that rises by at
+    least 1 from a predecessor of near-minimum height (h <= h_min + 5).
 
     Returns min(e0, E1, E2) when the bar heights are strongly dispersed
     (sqrt(var)/mean > 0.9, the signature of a separated outlier mode)
@@ -283,10 +241,10 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float):
     if not live.all():
         r, first, last = r[live], first[live], last[live]
     if r.shape[0]:
-        hist = _histograms(r, first, last)
-        e2 = np.where(hist.dispersion > _DISPERSION_GATE, hist.e2, np.inf)
-        eps[live] = np.minimum(np.minimum(eps[live], hist.e1), e2)
-    return eps if np.ndim(residual_abs) == 2 else float(eps[0])
+        e1, e2, dispersion = _histograms(r, first, last)
+        e2 = np.where(dispersion > _DISPERSION_GATE, e2, np.inf)
+        eps[live] = np.minimum(np.minimum(eps[live], e1), e2)
+    return eps
 
 
 @dataclass
@@ -326,7 +284,7 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         cfg = RoiConfig()
     img = _as_image(image)
     padded = pad_image(img, cfg)
-    lam_map = auto_lambda_map(padded, cfg)
+    lambdas = auto_lambda_map(padded, cfg)
     n, ell = cfg.roi_size, cfg.core_size
     rois = _rois(padded, cfg)
     rows, cols = rois.shape[:2]
@@ -334,7 +292,7 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     tiers: dict[float, list[int]] = {}
-    for idx, lam in enumerate(lam_map.lambdas.tolist()):
+    for idx, lam in enumerate(lambdas.tolist()):
         tiers.setdefault(lam, []).append(idx)
     solvers = {lam: KgardSolver(gram, lam) for lam in sorted(tiers)}
     max_sel = (n * n) // 3

@@ -269,14 +269,13 @@ def corrupt(
     outlier vector).  The impulse count is round(fraction * N) with
     halves away from zero; signs are independent equiprobable +/-.
     Gaussian inlier variance is mean(truth^2) / 10^(snr_db / 10).
-    ``truth`` must be finite, and so must that variance.
+    ``truth`` must be finite, and so must that variance and truth plus
+    the impulses.
 
     Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
     that drew the dataset from the same stream keeps consuming it here.
     """
     truth = np.asarray(truth, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(truth)):
-        raise ValueError("truth must be finite")
     n = truth.shape[0]
 
     count = round_half_away(spec.impulse_fraction * n)
@@ -287,7 +286,16 @@ def corrupt(
     signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
     u[support] = signs * spec.impulse_magnitude
 
-    y = truth + u
+    # the impulses are finite, so y is finite unless truth is not or a
+    # huge truth plus an impulse of the same sign overflows
+    with np.errstate(over="ignore"):
+        y = truth + u
+    if not np.isfinite(y).all():
+        if not np.isfinite(truth).all():
+            raise ValueError("truth must be finite")
+        raise ValueError(
+            f"truth plus an impulse overflows at impulse_magnitude={spec.impulse_magnitude}"
+        )
     if spec.inlier_snr_db is not None:
         # a huge truth at a low SNR can overflow truth^2 or the quotient
         with np.errstate(over="ignore"):

@@ -1,7 +1,8 @@
 """Dense reference solve for the greedy solver, dense references of
 its ridge coefficient and residual maps, a closed-form residual after
 k correct selections, a per-row ``np.histogram`` reference for the
-denoising threshold, and the denoising pipeline one ROI at a time.
+denoising threshold, which in ``kgard.denoise`` takes (L, N) stacks
+only, and the denoising pipeline one ROI at a time.
 
 The solve forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
@@ -71,8 +72,9 @@ def residual(gram, y, sol):
 
 def epsilon_histogram_reference(residual_abs):
     """(edges, heights, h_min, e1, e2, dispersion) of one residual row,
-    read off ``np.histogram`` directly; the row-wise
-    ``kgard.denoise.epsilon_histogram`` must match it bit for bit."""
+    read off ``np.histogram`` directly; the (e1, e2, dispersion) that
+    ``kgard.denoise._histograms`` returns for each row of a stack must
+    match it bit for bit."""
     r = np.asarray(residual_abs, dtype=np.float64).ravel()
     if r.size == 0:
         raise ValueError("residual vector is empty")
@@ -178,8 +180,8 @@ def denoise_reference(image, cfg):
     (N - L) / 2; ROI k, in raster order, is the N x N slice at (i L, j L)
     of the padded image.  Its ridge tier comes from the mean gradient
     magnitude over that slice; it is fitted alone with a 1-D
-    ``KgardSolver.fit``, and its central L x L core is written to
-    (i L, j L).  Returns (denoised, outlier_map, diagnostics), each
+    ``KgardSolver.fit``, whose ``epsilon_fn`` sees a (1, N^2) stack, and
+    its central L x L core is written to (i L, j L).  Returns (denoised, outlier_map, diagnostics), each
     diagnostic an (index, origin, lam, epsilon, outliers, iterations,
     failed) tuple.
     """

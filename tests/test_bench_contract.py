@@ -1,4 +1,4 @@
-"""The layer boundaries that the benchmark's span tracer patches.
+"""What the benchmark reads of kgard.
 
 ``bench/spans.py`` wraps every ``(owner, attr)`` of its ``BOUNDARIES``,
 among them ``kgard.core.KgardSolver.fit`` and the ``auto_epsilon`` name
@@ -6,7 +6,10 @@ in ``kgard.denoise``, and ``bench/selftest.py`` requires every workload
 to reach them.  These tests keep every boundary resolvable, and the
 batched entry points going through both, with one fit per batch: per
 lambda tier when denoising, per run for the Monte-Carlo protocols and
-per magnitude for the sweep.
+per magnitude for the sweep.  Every workload of ``bench/workloads.py``
+also runs here, reduced, through its call, output checks and quality
+metrics, so a result attribute the benchmark reads cannot go missing
+unnoticed.
 """
 
 import importlib.util
@@ -19,27 +22,71 @@ import kgard.denoise as denoise_mod
 import kgard.experiments as experiments_mod
 import kgard.noise as noise_mod
 from kgard.core import KgardConfig, KgardSolver
-from kgard.denoise import RoiConfig, auto_lambda_map, denoise_image, pad_image
+from kgard.denoise import (
+    RoiConfig,
+    _mean_gradients,
+    auto_lambda_map,
+    denoise_image,
+    pad_image,
+)
 from kgard.experiments import run_monte_carlo, sweep_outlier_magnitude
 from kgard.noise import NoiseSpec
 
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+def _load_bench(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_bench_boundary_resolves():
-    spans = _load_spans()
+    spans = _load_bench("spans")
     missing = [
         f"{owner}.{attr}"
         for owner, attr, _ in spans.BOUNDARIES
         if getattr(spans._resolve(owner), attr, None) is None
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["denoise-64", "sinc1d", "lattice2d", "sweep"])
+def test_every_bench_workload_runs_reduced(name):
+    workloads = _load_bench("workloads")
+    assert sorted(workloads.WORKLOADS) == ["denoise-64", "lattice2d", "sinc1d", "sweep"]
+    workload = workloads.WORKLOADS[name][1](1)
+    out = workload.call()
+    verdict = workload.check(out)
+    assert verdict.checks > 0 and verdict.failed_checks == []
+    assert verdict.items > 0 and verdict.failed_items == 0
+    assert workload.quality(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 31])
+@pytest.mark.parametrize("which", ["clean", "noisy"])
+def test_lambda_map_matches_per_window_mean_on_bench_image(seed, which):
+    cfg = RoiConfig()
+    n, ell = cfg.roi_size, cfg.core_size
+    workloads = _load_bench("workloads")
+    clean, noisy, _ = workloads.synthetic_image(workloads._rng(seed), 256)
+    padded = pad_image(clean if which == "clean" else noisy, cfg)
+    gy, gx = np.gradient(padded)
+    grad = np.sqrt(gx**2 + gy**2)
+    origins = [
+        (r, c)
+        for r in range(0, padded.shape[0] - n + 1, ell)
+        for c in range(0, padded.shape[1] - n + 1, ell)
+    ]
+    means = np.array([float(np.mean(grad[r : r + n, c : c + n])) for r, c in origins])
+    assert _mean_gradients(padded, cfg).tobytes() == means.tobytes()
+    m, s = float(np.mean(means)), float(np.std(means))
+    expected = np.full(means.shape, 5.0 * cfg.lambda0)
+    expected[means > m + s] = cfg.lambda0
+    expected[means < m - s / 10.0] = 15.0 * cfg.lambda0
+    lambdas = auto_lambda_map(padded, cfg)
+    assert lambdas.tobytes() == expected.tobytes()
+    assert np.unique(lambdas).size == 3
 
 
 @pytest.fixture
@@ -61,7 +108,7 @@ def test_denoise_fits_once_per_lambda_tier(monkeypatch, fit_batches):
     img = np.full((32, 32), 100.0)
     img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
     img[20:, 20:] += np.indices((12, 12))[0] * 3.0
-    lambdas = auto_lambda_map(pad_image(img, cfg), cfg).lambdas
+    lambdas = auto_lambda_map(pad_image(img, cfg), cfg)
     thresholds = []
     real_auto_epsilon = denoise_mod.auto_epsilon
 

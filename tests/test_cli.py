@@ -221,6 +221,22 @@ def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ragged", ["1.0", "1.0,3.0,9.0"], ids=["short", "long"])
+def test_regress_ragged_row_is_argument_error(tmp_path, capsys, ragged):
+    csv_in = tmp_path / "data.csv"
+    csv_in.write_text(f"x1,y\n0.0,1.0\n{ragged}\n2.0,3.0\n")
+    out = tmp_path / "fit.csv"
+    code = main(
+        ["regress", "--in", str(csv_in), "--out", str(out), "--sigma", "0.2",
+         "--lambda", "0.05", "--epsilon", "1.0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument: CSV ")
+    assert "line 3 has" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

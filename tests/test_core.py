@@ -225,7 +225,7 @@ def test_fit_epsilon_fn_overrides_epsilon():
         y, epsilon=0.0, stop_norm="linf", epsilon_fn=eps_fn
     )
     assert sol.iterations == 0
-    assert len(calls) == 1 and calls[0].shape == (30,)
+    assert len(calls) == 1 and calls[0].shape == (1, 30)
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
@@ -247,7 +247,7 @@ def test_fit_rejects_bad_epsilon_fn_result(thresholds, match, batched):
     def eps_fn(abs_r):
         calls.append(abs_r.shape)
         # good thresholds at the first step, bad ones from the second on
-        rows = 1 if abs_r.ndim == 1 else abs_r.shape[0]
+        rows = abs_r.shape[0]
         return np.zeros(rows) if len(calls) == 1 else thresholds(rows)
 
     with pytest.raises(ValueError, match=match) as exc:

@@ -10,11 +10,12 @@ from kgard.core import NumericalError
 from kgard.denoise import (
     RoiConfig,
     _cores,
+    _histograms,
+    _magnitude_rows,
     _rois,
     auto_epsilon,
     auto_lambda_map,
     denoise_image,
-    epsilon_histogram,
     pad_image,
     psnr,
     roi_lattice,
@@ -37,7 +38,7 @@ def test_roi_config_validation():
         RoiConfig(roi_size=11, core_size=8)  # odd margin
     with pytest.raises(ValueError):
         RoiConfig(sigma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="core_size must be >= 1"):
         RoiConfig(core_size=0)
     with pytest.raises(ValueError, match="sigma"):
         RoiConfig(sigma=math.inf)
@@ -141,9 +142,9 @@ def test_roi_lattice_coordinates():
 def test_auto_lambda_constant_image_middle_tier():
     cfg = RoiConfig()
     img = np.full((16, 16), 77.0)
-    lam = auto_lambda_map(pad_image(img, cfg), cfg)
-    assert np.all(lam.lambdas == 5.0 * cfg.lambda0)
-    assert lam.s == 0.0
+    lambdas = auto_lambda_map(pad_image(img, cfg), cfg)
+    assert lambdas.shape == (4,)  # one per ROI of the 2 x 2 tiling
+    assert np.all(lambdas == 5.0 * cfg.lambda0)
 
 
 def test_auto_lambda_tiers():
@@ -151,9 +152,9 @@ def test_auto_lambda_tiers():
     img = np.full((16, 16), 100.0)
     # one detailed quadrant: checkerboard with a strong gradient
     img[:8, :8] = np.indices((8, 8)).sum(axis=0) % 2 * 80
-    lam = auto_lambda_map(pad_image(img, cfg), cfg)
-    assert lam.lambdas[0] == cfg.lambda0  # detailed ROI
-    assert np.all(lam.lambdas[1:] == 15.0 * cfg.lambda0)  # smooth ROIs
+    lambdas = auto_lambda_map(pad_image(img, cfg), cfg)
+    assert lambdas[0] == cfg.lambda0  # detailed ROI
+    assert np.all(lambdas[1:] == 15.0 * cfg.lambda0)  # smooth ROIs
 
 
 def test_epsilon_histogram_bimodal_hand_oracle():
@@ -161,26 +162,26 @@ def test_epsilon_histogram_bimodal_hand_oracle():
     # 15 bins of width 2/3; bins 2..13 are empty, bin 14 holds the
     # outliers, so E1 = edges[2] = 4/3 and E2 = edges[14] = 28/3
     r = np.concatenate([np.linspace(0.0, 1.0, 130), np.linspace(9.5, 10.0, 14)])
-    hist = epsilon_histogram(r)
-    assert hist.heights.size == 15
-    assert hist.heights.sum() == 144
-    assert hist.h_min == 0
-    assert hist.e1 == pytest.approx(2.0 / 1.5)
-    assert hist.e2 == pytest.approx(2.0 * 14 / 3)
-    assert hist.dispersion > 0.9
-    eps = auto_epsilon(r, e0=40.0)
-    assert eps == pytest.approx(hist.e1)
-    assert 1.0 < eps < 9.5  # separates the two modes
+    heights, _ = np.histogram(r, bins=15)
+    assert heights[:2].sum() == 130 and heights[2:14].sum() == 0 and heights[14] == 14
+    e1, e2, dispersion = _histograms(*_magnitude_rows(r[None]))
+    assert e1[0] == pytest.approx(2.0 / 1.5)
+    assert e2[0] == pytest.approx(2.0 * 14 / 3)
+    assert dispersion[0] > 0.9
+    eps = auto_epsilon(r[None], e0=40.0)
+    assert eps.shape == (1,)
+    assert eps[0] == pytest.approx(e1[0])
+    assert 1.0 < eps[0] < 9.5  # separates the two modes
 
 
 def test_auto_epsilon_low_dispersion_ignores_e2():
     # near-flat histogram: dispersion stays under the gate, so only
     # E0 and E1 compete
-    r = np.linspace(0.0, 3.0, 144)
-    hist = epsilon_histogram(r)
-    assert hist.dispersion <= 0.9
-    assert auto_epsilon(r, e0=40.0) == pytest.approx(min(40.0, hist.e1))
-    assert auto_epsilon(r, e0=0.1) == 0.1  # the cap still applies
+    r = np.linspace(0.0, 3.0, 144)[None]
+    e1, _, dispersion = _histograms(*_magnitude_rows(r))
+    assert dispersion[0] <= 0.9
+    assert auto_epsilon(r, e0=40.0)[0] == pytest.approx(min(40.0, e1[0]))
+    assert auto_epsilon(r, e0=0.1)[0] == 0.1  # the cap still applies
 
 
 def test_auto_epsilon_independent_scan_oracle():
@@ -196,15 +197,15 @@ def test_auto_epsilon_independent_scan_oracle():
             break
     disp = np.sqrt(np.var(heights)) / np.mean(heights)
     expected = min(40.0, e1, e2) if disp > 0.9 else min(40.0, e1)
-    assert auto_epsilon(r, 40.0) == pytest.approx(expected)
+    assert auto_epsilon(r[None], 40.0)[0] == pytest.approx(expected)
 
 
 def test_auto_epsilon_degenerate_returns_cap():
-    assert auto_epsilon(np.full(144, 3.0), e0=40.0) == 40.0
+    assert auto_epsilon(np.full(144, 3.0)[None], e0=40.0).tolist() == [40.0]
     with pytest.raises(ValueError):
-        auto_epsilon(np.array([]), 40.0)
+        auto_epsilon(np.empty((1, 0)), 40.0)
     with pytest.raises(ValueError):
-        auto_epsilon(np.array([-1.0, 2.0]), 40.0)
+        auto_epsilon(np.array([[-1.0, 2.0]]), 40.0)
 
 
 def test_psnr_values():
@@ -365,19 +366,16 @@ def test_row_wise_threshold_matches_np_histogram(rows, n, seed):
     eps = auto_epsilon(r, 40.0)
     assert eps.shape == (rows,)
     assert eps.tolist() == expected
-    assert [auto_epsilon(row, 40.0) for row in r] == expected
+    assert [auto_epsilon(row[None], 40.0).item() for row in r] == expected
     try:
         reference = [epsilon_histogram_reference(row) for row in r]
     except ValueError:  # np.histogram: too many bins for a row's range
-        with pytest.raises(ValueError):
-            epsilon_histogram(r)
+        with pytest.raises(ValueError, match="Too many bins"):
+            _histograms(*_magnitude_rows(r))
         return
-    hist = epsilon_histogram(r)
-    for i, (edges, heights, h_min, e1, e2, dispersion) in enumerate(reference):
-        assert hist.edges[i].tobytes() == edges.tobytes()
-        assert np.array_equal(hist.heights[i], heights)
-        assert (hist.h_min[i], hist.e1[i], hist.e2[i]) == (h_min, e1, e2)
-        assert hist.dispersion[i] == dispersion
+    e1, e2, dispersion = _histograms(*_magnitude_rows(r))
+    for i, (_, _, _, ref_e1, ref_e2, ref_dispersion) in enumerate(reference):
+        assert (e1[i], e2[i], dispersion[i]) == (ref_e1, ref_e2, ref_dispersion)
 
 
 def test_row_wise_threshold_rejects_bad_rows():
@@ -385,8 +383,9 @@ def test_row_wise_threshold_rejects_bad_rows():
     for bad in (np.array([]), np.empty((2, 0)), np.vstack([good, -good])):
         with pytest.raises(ValueError):
             auto_epsilon(bad, 40.0)
-        with pytest.raises(ValueError):
-            epsilon_histogram(bad)
+    for row in (good, good[None, None]):  # a stack is (L, N), nothing else
+        with pytest.raises(ValueError, match=r"\(L, N\) stack"):
+            auto_epsilon(row, 40.0)
 
 
 def test_pipeline_thresholds_match_np_histogram(monkeypatch):

@@ -224,6 +224,15 @@ def test_corrupt_rejects_an_inlier_variance_that_overflows(truth):
         corrupt(truth, NoiseSpec(inlier_snr_db=-3000.0), rng_for(0))
 
 
+def test_corrupt_rejects_impulses_that_overflow():
+    spec = NoiseSpec(impulse_fraction=0.5, impulse_magnitude=1e308)
+    with pytest.raises(ValueError, match="impulse_magnitude"):
+        corrupt(np.full(10, 1.7e308), spec, rng_for(0))
+    # the same impulses on a zero truth come back as drawn
+    y, _, u = corrupt(np.zeros(10), spec, rng_for(0))
+    assert np.array_equal(y, u) and np.count_nonzero(u) == 5
+
+
 def test_corrupt_rejects_full_support():
     with pytest.raises(ValueError):
         corrupt(np.zeros(2), NoiseSpec(impulse_fraction=0.9), rng_for(0))
