@@ -122,6 +122,16 @@ def _read_dataset_csv(path) -> Dataset:
         raise ValueError(f"CSV {path} has no 'y' column") from None
     if not x_cols:
         raise ValueError(f"CSV {path} has no x columns")
+
+    def cell(row, line, col) -> float:
+        try:
+            return float(row[col])
+        except ValueError:
+            raise ValueError(
+                f"CSV {path} line {line} column {header[col]!r}: "
+                f"{row[col]!r} is not a number"
+            ) from None
+
     inputs, targets = [], []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
@@ -130,8 +140,8 @@ def _read_dataset_csv(path) -> Dataset:
             raise ValueError(
                 f"CSV {path} line {line} has {len(row)} cells, the header has {len(header)}"
             )
-        inputs.append([float(row[i]) for i in x_cols])
-        targets.append(float(row[y_col]))
+        inputs.append([cell(row, line, i) for i in x_cols])
+        targets.append(cell(row, line, y_col))
     return Dataset(np.array(inputs), np.array(targets))
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
@@ -150,6 +149,15 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return np.tril(c)
 
 
+def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """upper^-1 b (trans=0) or upper^-T b (trans=1), written over ``b``
+    when it is a contiguous vector or a Fortran-ordered matrix."""
+    x, info = dtrtrs(upper, b, lower=0, trans=trans, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    return x
+
+
 @dataclass
 class KgardSolution:
     """Fit result: kernel coefficients, bias, and the sparse outliers.
@@ -178,51 +186,79 @@ def _stop_norms(r: np.ndarray, abs_r: np.ndarray, kind: str) -> np.ndarray:
 
 
 class KgardSolver:
-    """Reusable solver bound to one (gram, lambda, weights).
+    """Reusable solver bound to one Gram matrix, one or more ridge
+    parameters (tiers) and the Tikhonov weights.
 
-    The constructor factors A0 = X0^T X0 + lam diag(w^2) of X0 = [K 1],
-    with w = 1 when no Tikhonov weights are given, and forms two maps
-    once, from H = L0^{-1} X0^T: the ridge residual map
+    For each tier's lam the constructor factors
+    A0 = X0^T X0 + lam diag(w^2) of X0 = [K 1], with w = 1 when no
+    Tikhonov weights are given, and forms two maps once, from
+    H = L0^{-1} X0^T: the ridge residual map
     R = I - X0 A0^{-1} X0^T = I - H^T H and the coefficient map
-    P = A0^{-1} X0^T = L0^{-T} H, an (N+1) x N matrix.  A fit starts from
-    r = R y and makes one rank-one Schur update per selection; the
-    columns of Q hold them, so Q[S] is the lower Cholesky factor of
-    R[S, S].  A pivot of R at or below ``_PIVOT_FLOOR`` stops the fit.
-    A finished row's outliers u_S come from one k x k triangular solve
-    with Q[S], and its coefficients (alpha; c) = P (y - I_S u_S) from one
-    matrix-vector product.
+    P = A0^{-1} X0^T = L0^{-T} H, an (N+1) x N matrix; they are stacked
+    as (T, N, N) and (T, N+1, N).  A fit starts from r = R y and makes
+    one rank-one Schur update per selection; the columns of Q hold them,
+    so Q[S] is the lower Cholesky factor of R[S, S].  A pivot of R at or
+    below ``_PIVOT_FLOOR`` stops the fit.  A finished row's outliers u_S
+    come from one k x k triangular solve with Q[S], and its coefficients
+    (alpha; c) = P (y - I_S u_S) from one matrix-vector product.
     """
 
     def __init__(
         self,
         gram: np.ndarray,
-        lam: float,
+        lam,
         tikhonov_weights: Optional[np.ndarray] = None,
     ):
-        _check_lambda(lam)
+        values = np.asarray(lam, dtype=np.float64)
+        if values.ndim > 1 or values.size == 0:
+            raise ValueError(
+                "lambda must be a scalar or a nonempty 1-D sequence, "
+                f"got shape {values.shape}"
+            )
+        lams = values.ravel().tolist()
+        for value in lams:
+            _check_lambda(value)
         design = _ridge_design(gram)
         n = design.shape[0]
-        penalty = float(lam)
+        w2 = 1.0
         if tikhonov_weights is not None:
             w = _check_weights(tikhonov_weights)
             if w.shape[0] != n + 1:
                 raise ValueError(f"expected {n + 1} tikhonov_weights, got {w.shape[0]}")
-            penalty = penalty * w**2
-        # numpy and scipy each bundle an OpenBLAS, and every switch between
-        # them waits for the other's spinning worker threads to give up a
-        # core, so setup makes all its BLAS calls through scipy, where
-        # dpotrf and solve_triangular run.  dsyrk of X0^T (Fortran-ordered,
-        # so not copied) fills the lower triangle of X0^T X0, the only one
-        # dpotrf reads.
-        a0 = dsyrk(1.0, design.T, lower=1)
-        a0[np.diag_indices(n + 1)] += penalty
-        lower0 = _cholesky(a0)
-        h = solve_triangular(lower0, design.T, lower=True)
-        hth = dsyrk(1.0, h, trans=1, lower=1)
-        # mirrored from the lower triangle, so R is exactly symmetric
-        self._residual_map = np.eye(n) - np.where(np.tri(n, dtype=bool), hth, hth.T)
-        # the coefficient map P = A0^-1 X0^T = L0^-T H
-        self._coef_map = solve_triangular(lower0, h, lower=True, trans="T")
+            w2 = w**2
+        tiers = len(lams)
+        self._residual_map = np.empty((tiers, n, n))
+        # each tier's P is Fortran-ordered, as LAPACK writes it in place
+        self._coef_map = np.empty((tiers, n, n + 1)).transpose(0, 2, 1)
+        lower_tri = np.tri(n, dtype=bool)
+        for t, penalty in enumerate(lams):
+            # numpy and scipy each bundle an OpenBLAS, and every switch
+            # between them waits for the other's spinning worker threads to
+            # give up a core, so setup makes all its BLAS calls through
+            # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
+            # the lower triangle of X0^T X0, the only one dpotrf reads.
+            a0 = dsyrk(1.0, design.T, lower=1)
+            with np.errstate(over="ignore"):
+                a0[np.diag_indices(n + 1)] += penalty * w2
+            if not np.isfinite(a0).all():
+                raise ValueError(
+                    "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
+                    f"at lambda {penalty}"
+                )
+            # L0 is C-ordered, so its transpose is the Fortran-ordered
+            # upper factor LAPACK solves with: H = L0^-1 X0^T, then
+            # P = L0^-T H, both in P's slot
+            upper0 = _cholesky(a0).T
+            h = self._coef_map[t]
+            h[...] = design.T
+            _solve_upper(upper0, h, trans=1)
+            hth = dsyrk(1.0, h, trans=1, lower=1)
+            # R = I - H^T H mirrored from the lower triangle, so R is
+            # exactly symmetric: 0 - H^T H, then 1 on the diagonal
+            r = self._residual_map[t]
+            np.subtract(0.0, np.where(lower_tri, hth, hth.T), out=r)
+            r[np.diag_indices(n)] += 1.0
+            _solve_upper(upper0, h, trans=0)
         self._n = n
 
     def fit(
@@ -232,6 +268,7 @@ class KgardSolver:
         stop_norm: str = "l2",
         max_selections: Optional[int] = None,
         epsilon_fn: Optional[Callable[[np.ndarray], object]] = None,
+        tier=None,
     ):
         """Fit one observation vector ``y`` of shape (N,), or a batch of
         B independent ones stacked as (B, N).
@@ -246,7 +283,10 @@ class KgardSolver:
         it receives |r| of the L rows still running as an (L, N) stack,
         with L = 1 for a 1-D fit, and returns a scalar or one threshold
         per row, each nonnegative like ``epsilon``; any other result
-        raises ``ValueError``.
+        raises ``ValueError``.  ``tier`` gives each row's ridge
+        parameter as an index into the solver's T of them, an integer
+        array of shape ``y.shape[:-1]`` (a scalar for a 1-D ``y``); it
+        may be left out only when T = 1.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
@@ -261,6 +301,7 @@ class KgardSolver:
         _check_count("max_selections", max_selections)
         if max_selections > n:
             raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
+        tier = self._check_tier(tier, y.shape[:-1])
         single = y.ndim == 1
         ys = y.reshape(-1, n)
         batch = ys.shape[0]
@@ -270,7 +311,7 @@ class KgardSolver:
         # one R y per row keeps every row's arithmetic independent of B
         r = np.empty((batch, n))
         for i in range(batch):
-            r[i] = self._residual_map @ ys[i]
+            r[i] = self._residual_map[tier[i]] @ ys[i]
         abs_r = np.abs(r)
         norms = _stop_norms(r, abs_r, stop_norm)
         if not np.all(np.isfinite(norms)):
@@ -311,7 +352,7 @@ class KgardSolver:
             if not capped:
                 rows = np.arange(m)
                 j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
-                col = self._residual_map[j]
+                col = self._residual_map[tier, j]
                 if k:
                     # col -= Q[j, :k] Q^T row by row, one stacked matmul
                     qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
@@ -330,13 +371,15 @@ class KgardSolver:
                         history[pos, : k + 1],
                         float(eps[pos]),
                         capped and not done[pos],
+                        tier[pos],
                     )
                 if capped or done.all():
                     break
                 # compact the running rows to the front of every array
                 keep = ~done
                 q[:k, : keep.sum()] = q[:k, :m][:, keep]
-                live, r, abs_r, active = live[keep], r[keep], abs_r[keep], active[keep]
+                live, tier = live[keep], tier[keep]
+                r, abs_r, active = r[keep], abs_r[keep], active[keep]
                 picks, coef, history = picks[keep], coef[keep], history[keep]
                 j, col, pivot = j[keep], col[keep], pivot[keep]
                 m = live.size
@@ -355,7 +398,32 @@ class KgardSolver:
             history[:, k] = norms
         return solutions[0] if single else solutions
 
-    def _solution(self, y, q, support, c, history, epsilon, truncated) -> KgardSolution:
+    def _check_tier(self, tier, shape: tuple) -> np.ndarray:
+        """Each row's tier as a flat intp array, checked against the
+        solver's ridge parameters."""
+        tiers = self._residual_map.shape[0]
+        if tier is None:
+            if tiers > 1:
+                raise ValueError(
+                    f"tier is required: the solver has {tiers} ridge parameters"
+                )
+            return np.zeros(math.prod(shape), dtype=np.intp)
+        tier = np.asarray(tier)
+        if tier.dtype.kind not in "iu":
+            raise ValueError(f"tier must be an integer array, got dtype {tier.dtype}")
+        if tier.shape != shape:
+            raise ValueError(
+                f"tier must have shape {shape}, one per row, got {tier.shape}"
+            )
+        if tier.size and not (tier.min() >= 0 and tier.max() < tiers):
+            raise ValueError(
+                f"tier must be in [0, {tiers}), got {tier.min()}..{tier.max()}"
+            )
+        return tier.astype(np.intp).ravel()
+
+    def _solution(
+        self, y, q, support, c, history, epsilon, truncated, tier=0
+    ) -> KgardSolution:
         """Coefficients of one finished row from its k Q slabs."""
         n, k = self._n, support.size
         # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK solve
@@ -363,12 +431,10 @@ class KgardSolver:
         # 0 x 0 system of a row with no selections.
         u = c
         if k:
-            u, info = dtrtrs(q[:, support], c, lower=0)
-            if info:
-                raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+            u = _solve_upper(q[:, support], c, trans=0)
         e = y.copy()
         e[support] -= u
-        theta = self._coef_map @ e
+        theta = self._coef_map[tier] @ e
         return KgardSolution(
             alpha=theta[:n],
             bias=float(theta[n]),

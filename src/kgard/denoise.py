@@ -8,7 +8,9 @@ ridge fit with sparse outlier estimation separates the smooth intensity
 surface from impulses.  The ridge parameter is picked per ROI from the
 local gradient statistics and the stopping threshold is re-derived at
 every iteration from a histogram of the current residuals, row-wise
-over the (L, N) stack of the ROIs still running in a batch.
+over the (L, N) stack of the ROIs still running.  All ROIs of an image
+are fitted as one lockstep batch by one solver that carries every
+ridge tier.
 
 Outputs are the denoised image (the fitted smooth surfaces), the
 outlier map (estimated impulses at full resolution), and the original
@@ -273,12 +275,13 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     raster order.  Each ROI is fitted with the robust kernel ridge model
     on the N^2 lattice and the ROI's automatic ridge parameter, using
     the max-norm stopping rule with the threshold recomputed from the
-    residual histogram at every iteration.  The ROIs of one lambda tier
-    share a solver and are fitted as one batch, on the calling thread; a
-    batch whose solve fails passes its ROIs through unchanged, flagged
-    in the diagnostics.  The fitted smooth surfaces' cores form the
-    denoised image and the estimated impulses' cores the outlier map.
-    Diagnostics are in raster order.
+    residual histogram at every iteration.  One solver carries the
+    lambda tiers over the shared Gram matrix, and all ROIs are fitted
+    as one lockstep batch, on the calling thread; if that solve fails,
+    all ROIs pass through unchanged, flagged in the diagnostics.  The
+    fitted smooth surfaces' cores form the denoised image and the
+    estimated impulses' cores the outlier map.  Diagnostics are in
+    raster order.
     """
     if cfg is None:
         cfg = RoiConfig()
@@ -291,39 +294,38 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ys = rois.reshape(rows * cols, n * n)
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
-    tiers: dict[float, list[int]] = {}
-    for idx, lam in enumerate(lambdas.tolist()):
-        tiers.setdefault(lam, []).append(idx)
-    solvers = {lam: KgardSolver(gram, lam) for lam in sorted(tiers)}
-    max_sel = (n * n) // 3
+    lams, tier = np.unique(lambdas, return_inverse=True)
+    solver = KgardSolver(gram, lams)
+    try:
+        solutions = solver.fit(
+            ys,
+            epsilon=cfg.e0,
+            stop_norm="linf",
+            max_selections=(n * n) // 3,
+            epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
+            tier=tier,
+        )
+    except NumericalError:
+        solutions = [None] * len(ys)
 
     surfaces = ys.copy()  # a failed ROI passes through unchanged
     outliers = np.zeros(ys.shape)
-    diagnostics: list = [None] * len(ys)
-    for lam, members in tiers.items():
-        try:
-            solutions = solvers[lam].fit(
-                ys[members],
-                epsilon=cfg.e0,
-                stop_norm="linf",
-                max_selections=max_sel,
-                epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
+    diagnostics = []
+    for idx, (lam, sol) in enumerate(zip(lambdas.tolist(), solutions)):
+        origin = (idx // cols * ell, idx % cols * ell)
+        if sol is None:
+            diagnostics.append(
+                RoiDiagnostics(idx, origin, lam, float(cfg.e0), 0, 0, failed=True)
             )
-        except NumericalError:
-            solutions = [None] * len(members)
-        for idx, sol in zip(members, solutions):
-            origin = (idx // cols * ell, idx % cols * ell)
-            if sol is None:
-                diagnostics[idx] = RoiDiagnostics(
-                    idx, origin, lam, float(cfg.e0), 0, 0, failed=True
-                )
-                continue
-            surfaces[idx] = gram @ sol.alpha + sol.bias
-            for j, val in sol.outliers.items():
-                outliers[idx, j] = val
-            diagnostics[idx] = RoiDiagnostics(
+            continue
+        surfaces[idx] = gram @ sol.alpha + sol.bias
+        for j, val in sol.outliers.items():
+            outliers[idx, j] = val
+        diagnostics.append(
+            RoiDiagnostics(
                 idx, origin, lam, sol.epsilon, len(sol.outliers), sol.iterations
             )
+        )
 
     h, w = img.shape
     denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]

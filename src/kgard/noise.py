@@ -258,6 +258,15 @@ def sample_alpha_stable(
     return params.gamma_scale * x
 
 
+def _noise_family(spec: NoiseSpec) -> str:
+    """The inlier-noise family of ``spec`` and its scale, for messages."""
+    if spec.inlier_snr_db is not None:
+        return f"Gaussian inlier noise at inlier_snr_db={spec.inlier_snr_db}"
+    if spec.inlier_sigma is not None:
+        return f"Gaussian inlier noise at inlier_sigma={spec.inlier_sigma}"
+    return f"alpha-stable noise at gamma_scale={spec.stable_params.gamma_scale}"
+
+
 def corrupt(
     truth: np.ndarray,
     spec: NoiseSpec,
@@ -269,8 +278,9 @@ def corrupt(
     outlier vector).  The impulse count is round(fraction * N) with
     halves away from zero; signs are independent equiprobable +/-.
     Gaussian inlier variance is mean(truth^2) / 10^(snr_db / 10).
-    ``truth`` must be finite, and so must that variance and truth plus
-    the impulses.
+    ``truth`` must be finite, and so must that variance and the
+    observations: a sum that overflows raises ``ValueError`` naming the
+    noise family.
 
     Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
     that drew the dataset from the same stream keeps consuming it here.
@@ -286,28 +296,34 @@ def corrupt(
     signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
     u[support] = signs * spec.impulse_magnitude
 
-    # the impulses are finite, so y is finite unless truth is not or a
-    # huge truth plus an impulse of the same sign overflows
-    with np.errstate(over="ignore"):
+    # one finiteness check of y covers every term, the noise draws
+    # included; only a failure looks for the first term that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
         y = truth + u
-    if not np.isfinite(y).all():
-        if not np.isfinite(truth).all():
-            raise ValueError("truth must be finite")
-        raise ValueError(
-            f"truth plus an impulse overflows at impulse_magnitude={spec.impulse_magnitude}"
-        )
-    if spec.inlier_snr_db is not None:
-        # a huge truth at a low SNR can overflow truth^2 or the quotient
-        with np.errstate(over="ignore"):
+        if spec.inlier_snr_db is not None:
+            # a huge truth at a low SNR can overflow truth^2 or the quotient
             var = float(np.mean(truth**2)) / 10.0 ** (spec.inlier_snr_db / 10.0)
-        if not math.isfinite(var):
+            if not math.isfinite(var):
+                if not np.isfinite(truth).all():
+                    raise ValueError("truth must be finite")
+                raise ValueError(
+                    f"the Gaussian inlier variance mean(truth^2) / 10^(snr_db / 10) "
+                    f"overflows at inlier_snr_db={spec.inlier_snr_db}"
+                )
+            y += rng.normal(0.0, np.sqrt(var), size=n)
+        elif spec.inlier_sigma is not None:
+            y += rng.normal(0.0, spec.inlier_sigma, size=n)
+        elif spec.stable_params is not None:
+            y += sample_alpha_stable(rng, spec.stable_params, n)
+        if not np.isfinite(y).all():
+            if not np.isfinite(truth).all():
+                raise ValueError("truth must be finite")
+            if not np.isfinite(truth + u).all():
+                raise ValueError(
+                    "truth plus an impulse overflows at "
+                    f"impulse_magnitude={spec.impulse_magnitude}"
+                )
             raise ValueError(
-                f"the Gaussian inlier variance mean(truth^2) / 10^(snr_db / 10) "
-                f"overflows at inlier_snr_db={spec.inlier_snr_db}"
+                f"truth plus the impulses and the {_noise_family(spec)} overflows"
             )
-        y = y + rng.normal(0.0, np.sqrt(var), size=n)
-    elif spec.inlier_sigma is not None:
-        y = y + rng.normal(0.0, spec.inlier_sigma, size=n)
-    elif spec.stable_params is not None:
-        y = y + sample_alpha_stable(rng, spec.stable_params, n)
     return y, support, u

@@ -238,6 +238,31 @@ def test_regress_ragged_row_is_argument_error(tmp_path, capsys, ragged):
 
 
 @pytest.mark.parametrize(
+    "data, line, column, cell",
+    [
+        ("x1,y\n0.0,1.0\n1.0,abc\n", 3, "y", "abc"),
+        ("x1,x2,y\n0.0,0.0,1.0\n1.0,1.0,2.0\n2.0,,3.0\n", 4, "x2", ""),
+    ],
+    ids=["target", "empty-input"],
+)
+def test_regress_non_numeric_cell_is_argument_error(
+    tmp_path, capsys, data, line, column, cell
+):
+    csv_in = tmp_path / "data.csv"
+    csv_in.write_text(data)
+    out = tmp_path / "fit.csv"
+    code = main(
+        ["regress", "--in", str(csv_in), "--out", str(out), "--sigma", "0.2",
+         "--lambda", "0.05", "--epsilon", "1.0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument: CSV ")
+    assert f"line {line} column {column!r}: {cell!r} is not a number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["experiment", "--protocol", "sinc1d", "--lambda", "0.2", "--epsilon", "10",

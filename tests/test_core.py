@@ -84,6 +84,20 @@ BAD_SETTINGS = [
                      id="nan-gram"),
         pytest.param(dict(gram=np.diag([1, np.inf, 1, 1])), "gram matrix must be finite",
                      id="inf-gram"),
+        pytest.param(dict(lam=[]), "scalar or a nonempty 1-D sequence", id="empty-lams"),
+        pytest.param(dict(lam=[[1.0, 5.0]]), "scalar or a nonempty 1-D sequence",
+                     id="2d-lams"),
+        pytest.param(dict(lam=[1.0, np.inf]), "lambda must be positive and finite",
+                     id="inf-tier"),
+        pytest.param(dict(lam=[np.nan, 1.0]), "lambda must be positive and finite",
+                     id="nan-tier"),
+        pytest.param(dict(lam=[1.0, -5.0]), "lambda must be positive and finite",
+                     id="negative-tier"),
+        pytest.param(dict(gram=np.full((4, 4), 1e200)), "normal matrix .* overflows",
+                     id="overflowing-gram"),
+        pytest.param(dict(lam=[1.0, 1e300], tikhonov_weights=np.full(5, 1e10)),
+                     "normal matrix .* overflows at lambda 1e\\+300",
+                     id="overflowing-penalty"),
     ],
 )
 def test_solver_rejects_bad_settings(kwargs, match):
@@ -316,6 +330,46 @@ def test_fit_rejects_bad_input(y, kwargs, match):
         solver.fit(np.array(y), **(dict(epsilon=0.0) | kwargs))
 
 
+@pytest.mark.parametrize(
+    "y_shape, tier, match",
+    [
+        ((2, 4), None, "tier is required: the solver has 2 ridge parameters"),
+        ((4,), None, "tier is required"),
+        ((2, 4), np.array([True, False]), "tier must be an integer array"),
+        ((2, 4), np.array([0.0, 1.0]), "tier must be an integer array"),
+        ((2, 4), [0, 1, 1], "tier must have shape \\(2,\\)"),
+        ((2, 4), [[0, 1]], "tier must have shape"),
+        ((4,), [0], "tier must have shape \\(\\)"),
+        ((2, 4), [0, 2], "tier must be in \\[0, 2\\)"),
+        ((2, 4), [-1, 0], "tier must be in"),
+    ],
+    ids=["missing", "missing-1d", "bool", "float", "too-long", "2d", "1d-row-as-array",
+         "above-range", "negative"],
+)
+def test_fit_rejects_bad_tier(y_shape, tier, match):
+    solver = KgardSolver(np.eye(4), lam=[1.0, 5.0])
+    with pytest.raises(ValueError, match=match):
+        solver.fit(np.ones(y_shape), epsilon=0.0, tier=tier)
+
+
+def test_fit_tier_selects_the_ridge_parameter():
+    rng = np.random.default_rng(29)
+    gram, _ = _random_gram(rng, 25)
+    y = rng.normal(size=25)
+    y[[2, 11]] += 30.0
+    kwargs = dict(epsilon=0.5, max_selections=4)
+    solver = KgardSolver(gram, [0.5, 2.0])
+    for t, lam in ((np.int32(1), 2.0), (0, 0.5)):  # a 1-D y takes a scalar tier
+        expected = KgardSolver(gram, lam).fit(y, **kwargs)
+        _assert_same_solution(solver.fit(y, tier=t, **kwargs), expected)
+    assert solver.fit(np.empty((0, 25)), tier=np.empty(0, dtype=int), **kwargs) == []
+    single = KgardSolver(gram, 0.5)
+    expected = single.fit(y, **kwargs)
+    _assert_same_solution(single.fit(y[None], tier=[0], **kwargs)[0], expected)
+    with pytest.raises(ValueError, match="tier must be in \\[0, 1\\)"):
+        single.fit(y[None], tier=[1], **kwargs)
+
+
 def test_fit_accepts_numpy_integer_cap():
     y = np.array([0.0, 9.0, 0.0, 0.0])
     sol = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=np.int64(1))
@@ -338,30 +392,40 @@ _WEIGHTED = pytest.mark.parametrize("weighted", [False, True], ids=["unweighted"
 
 
 def _benchmark_solver(points, sigma, lam, weighted):
+    """A three-tier solver over the case's Gram matrix: the case's lambda
+    between lambda / 3 and 3 lambda, so every slot of the stacked maps
+    meets the oracle."""
     gram = gram_matrix(points, KernelParams(sigma))
     n = gram.shape[0]
     weights = np.random.default_rng(n).uniform(0.5, 2.0, size=n + 1) if weighted else None
-    return gram, weights, KgardSolver(gram, lam, tikhonov_weights=weights)
+    lams = [lam / 3.0, lam, 3.0 * lam]
+    return gram, weights, lams, KgardSolver(gram, lams, tikhonov_weights=weights)
 
 
 @_BENCHMARK_GRAMS
 @_WEIGHTED
 def test_residual_map_matches_dense_oracle(points, sigma, lam, weighted):
     # R's entries lie in [-1, 1]
-    gram, weights, solver = _benchmark_solver(points, sigma, lam, weighted)
-    r = solver._residual_map
-    assert np.array_equal(r, r.T)
-    expected = residual_map_reference(gram, lam, weights)
-    assert np.max(np.abs(r - expected)) <= 1e-12
+    gram, weights, lams, solver = _benchmark_solver(points, sigma, lam, weighted)
+    n = gram.shape[0]
+    assert solver._residual_map.shape == (3, n, n)
+    for r, tier_lam in zip(solver._residual_map, lams):
+        assert np.array_equal(r, r.T)
+        expected = residual_map_reference(gram, tier_lam, weights)
+        assert np.max(np.abs(r - expected)) <= 1e-12
 
 
 @_BENCHMARK_GRAMS
 @_WEIGHTED
 def test_coefficient_map_matches_dense_oracle(points, sigma, lam, weighted):
-    gram, weights, solver = _benchmark_solver(points, sigma, lam, weighted)
-    expected = coefficient_map_reference(gram, lam, weights)
-    assert solver._coef_map.shape == expected.shape
-    assert np.max(np.abs(solver._coef_map - expected)) <= 1e-11 * np.max(np.abs(expected))
+    gram, weights, lams, solver = _benchmark_solver(points, sigma, lam, weighted)
+    n = gram.shape[0]
+    assert solver._coef_map.shape == (3, n + 1, n)
+    for p, tier_lam in zip(solver._coef_map, lams):
+        # Fortran-ordered, as LAPACK wrote it
+        assert p.flags.f_contiguous
+        expected = coefficient_map_reference(gram, tier_lam, weights)
+        assert np.max(np.abs(p - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def test_tikhonov_weights_scale_effective_penalty():
@@ -398,8 +462,8 @@ def test_b_matrix_zero_padding_for_selected_columns():
     for weights, head in ((None, np.eye(9)), (w, np.diag(w**2))):
         coef_map = KgardSolver(gram, 0.3, tikhonov_weights=weights)._coef_map
         expected = np.linalg.solve(x0.T @ x0 + 0.3 * head, x0.T)
-        assert coef_map.shape == (9, 8)
-        assert np.max(np.abs(coef_map - expected)) <= 1e-11 * np.max(np.abs(expected))
+        assert coef_map.shape == (1, 9, 8)
+        assert np.max(np.abs(coef_map[0] - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def _degenerate_case():
@@ -451,7 +515,7 @@ def test_predict_rejects_mismatched_coefficients():
         predict(sol, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
 
 
-def _duplicate_pair_case():
+def _duplicate_pairs():
     # the degenerate case plus copies of points 3 and 17: the ridge fit
     # interpolates every coordinate except the difference across each
     # duplicate pair, so one selection per differing pair clears the
@@ -462,6 +526,11 @@ def _duplicate_pair_case():
     base = np.sin(2 * np.pi * pts)
     pair = np.zeros((2, 32))
     pair[0, 3], pair[1, 17] = 20.0, -15.0
+    return gram, base, pair
+
+
+def _duplicate_pair_case():
+    gram, base, pair = _duplicate_pairs()
     return KgardSolver(gram, 1e-12), base, pair
 
 
@@ -514,30 +583,45 @@ def test_batched_fit_rows_stop_independently(stop_norm):
 @given(
     design=st.sampled_from(["kernel", "duplicate-pairs"]),
     rows=st.integers(1, 8),
+    tiers=st.integers(1, 3),
+    weighted=st.booleans(),
     stop_norm=st.sampled_from(["l2", "linf"]),
     threshold=st.sampled_from(["fixed", "scalar-fn", "auto-epsilon", "never"]),
     cap_frac=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_fit_matches_single_fits(design, rows, stop_norm, threshold, cap_frac, seed):
+def test_batched_fit_matches_single_fits(
+    design, rows, tiers, weighted, stop_norm, threshold, cap_frac, seed
+):
+    # a solver carrying T ridge parameters fits each row as the
+    # single-parameter solver of its tier does (weights: kernel design)
     rng = np.random.default_rng(seed)
     if design == "kernel":
         n = int(rng.integers(6, 50))
         gram, _ = _random_gram(rng, n, sigma=rng.uniform(0.05, 0.6))
-        weights = rng.uniform(0.5, 2.0, size=n + 1) if rng.random() < 0.5 else None
-        solver = KgardSolver(gram, rng.uniform(1e-3, 30.0), tikhonov_weights=weights)
+        weights = rng.uniform(0.5, 2.0, size=n + 1) if weighted else None
+        lams = rng.uniform(1e-3, 30.0, size=tiers).tolist()
+        solver = KgardSolver(gram, lams, tikhonov_weights=weights)
+        singles = [KgardSolver(gram, lam, tikhonov_weights=weights) for lam in lams]
         y = rng.normal(size=(rows, n))
         for i in range(rows):  # a different outlier count per row
             spikes = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
             y[i, spikes] += rng.normal(0, 20, size=spikes.size)
         y[rng.random(rows) < 0.2] = 0.0
     else:
-        solver, base, pair = _duplicate_pair_case()
+        gram, base, pair = _duplicate_pairs()
+        lams = [1e-12, 1e-10, 1e-8][:tiers]
+        solver = KgardSolver(gram, lams)
+        singles = [KgardSolver(gram, lam) for lam in lams]
         n = base.size
         scale = rng.choice([0.0, 1.0, 1e9], size=(rows, 1))
         y = scale * (base + rng.integers(0, 2, size=(rows, 2)) @ pair)
+    tier = rng.integers(0, tiers, size=rows)
+    # a one-tier solver also runs without a tier
+    batch_tier = None if tiers == 1 and rng.random() < 0.5 else tier
     cap = int(cap_frac * n)
-    start = np.array([s.residual_history[0] for s in solver.fit(y, 0.0, stop_norm, 0)])
+    first = solver.fit(y, 0.0, stop_norm, 0, tier=batch_tier)
+    start = np.array([s.residual_history[0] for s in first])
     eps = float(rng.uniform(0.0, start.max()))
     epsilon_fn = {
         "fixed": None,
@@ -548,10 +632,10 @@ def test_batched_fit_matches_single_fits(design, rows, stop_norm, threshold, cap
     kwargs = dict(
         epsilon=eps, stop_norm=stop_norm, max_selections=cap, epsilon_fn=epsilon_fn
     )
-    batch = solver.fit(y, **kwargs)
+    batch = solver.fit(y, **kwargs, tier=batch_tier)
     assert len(batch) == rows
-    for row, sol in zip(y, batch):
-        _assert_same_solution(sol, solver.fit(row, **kwargs))
+    for row, t, sol in zip(y, tier, batch):
+        _assert_same_solution(sol, singles[t].fit(row, **kwargs))
 
 
 def test_dtrtrs_matches_solve_triangular_bit_for_bit():

@@ -390,7 +390,7 @@ def test_row_wise_threshold_rejects_bad_rows():
 
 def test_pipeline_thresholds_match_np_histogram(monkeypatch):
     # the stacks a 64^2 impulse image really feeds the threshold: 144-pixel
-    # rows in batches of up to one ridge tier's ROIs
+    # rows of the ROIs still running in the image's one batch
     img = _bump(64)
     rng = rng_for(5)
     idx = rng.choice(img.size, size=round(0.10 * img.size), replace=False)

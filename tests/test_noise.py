@@ -233,6 +233,41 @@ def test_corrupt_rejects_impulses_that_overflow():
     assert np.array_equal(y, u) and np.count_nonzero(u) == 5
 
 
+@pytest.mark.parametrize(
+    "truth, spec, match",
+    [
+        (1.7e308, NoiseSpec(inlier_sigma=1e307),
+         "the impulses and the Gaussian inlier noise at inlier_sigma=1e\\+307 overflows"),
+        (1.7e308, NoiseSpec(inlier_snr_db=-3.0),
+         "Gaussian inlier variance .* inlier_snr_db=-3.0"),
+        (1.7e308, NoiseSpec(stable_params=StableParams(1.5, 1e307)),
+         "the impulses and the alpha-stable noise at gamma_scale=1e\\+307 overflows"),
+        # the draws themselves overflow
+        (0.0, NoiseSpec(stable_params=StableParams(0.5, 1e307)),
+         "alpha-stable noise at gamma_scale=1e\\+307 overflows"),
+        (1.7e308, NoiseSpec(impulse_fraction=0.5, impulse_magnitude=1e308, inlier_sigma=1.0),
+         "truth plus an impulse overflows at impulse_magnitude=1e\\+308"),
+    ],
+    ids=["sigma", "snr", "alpha-stable", "alpha-stable-draws", "impulses-before-noise"],
+)
+def test_corrupt_rejects_noise_that_overflows(truth, spec, match):
+    # an overflow is an error naming its term, never a warning or inf
+    with pytest.raises(ValueError, match=match):
+        corrupt(np.full(1000, truth), spec, rng_for(0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [NoiseSpec(inlier_sigma=1.0), NoiseSpec(inlier_snr_db=20.0),
+     NoiseSpec(stable_params=StableParams(1.5, 1.0))],
+    ids=["sigma", "snr", "alpha-stable"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_corrupt_names_a_non_finite_truth_under_every_family(spec, bad):
+    with pytest.raises(ValueError, match="truth must be finite"):
+        corrupt(np.array([bad, 1.0, 2.0]), spec, rng_for(0))
+
+
 def test_corrupt_rejects_full_support():
     with pytest.raises(ValueError):
         corrupt(np.zeros(2), NoiseSpec(impulse_fraction=0.9), rng_for(0))
