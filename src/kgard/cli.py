@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -109,6 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stop_counts(reasons) -> str:
+    """How many fits stopped for each ``stop_reason``, in precedence order."""
+    counts = Counter(reasons)
+    return " ".join(f"{reason}={counts[reason]}" for reason in ("threshold", "pivot", "cap"))
+
+
 def _read_dataset_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -165,6 +172,7 @@ def _cmd_regress(args) -> int:
             )
     print(
         f"fit: {solution.iterations} outliers selected, "
+        f"stop_reason={solution.stop_reason}, "
         f"final residual {solution.residual_history[-1]:.6g}"
     )
     return 0
@@ -184,7 +192,7 @@ def _cmd_experiment(args) -> int:
         stable_params=stable,
     )
     config = KgardConfig(lam=args.lam, epsilon=args.epsilon)
-    stats, _ = run_monte_carlo(
+    stats, results = run_monte_carlo(
         args.protocol,
         noise,
         config,
@@ -193,7 +201,7 @@ def _cmd_experiment(args) -> int:
         csv_path=args.out,
     )
     print(
-        f"trials={stats.trials} failures={stats.failures} "
+        f"trials={stats.trials} {_stop_counts(r.stop_reason for r in results)} "
         f"mean_mse={stats.mean_mse:.6g} std_mse={stats.std_mse:.6g} "
         f"mean_correct={stats.mean_correct:.4f} mean_wrong={stats.mean_wrong:.4f} "
         f"mean_time={stats.mean_time:.4g}s"
@@ -273,18 +281,17 @@ def _cmd_denoise(args) -> int:
                 "lambda": d.lam,
                 "epsilon": d.epsilon,
                 "outliers": d.outliers,
-                "iterations": d.iterations,
-                "failed": d.failed,
+                "stop_reason": d.stop_reason,
             }
             for d in result.diagnostics
         ]
         with open(args.diagnostics, "w") as fh:
             json.dump(payload, fh, indent=2)
-    failed = sum(1 for d in result.diagnostics if d.failed)
     total_outliers = sum(d.outliers for d in result.diagnostics)
     print(
         f"denoised {len(result.diagnostics)} ROIs "
-        f"({failed} failed), {total_outliers} outliers flagged"
+        f"({_stop_counts(d.stop_reason for d in result.diagnostics)}), "
+        f"{total_outliers} outliers flagged"
     )
     return 0
 

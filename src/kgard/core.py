@@ -164,6 +164,10 @@ class KgardSolution:
 
     ``epsilon`` is the threshold of the fit's last stop test: the fixed
     epsilon, or what ``epsilon_fn`` returned for this fit's row.
+    ``stop_reason`` says why the selections ended: ``"threshold"`` (the
+    residual norm reached epsilon), ``"pivot"`` (the next pivot fell to
+    the degenerate floor) or ``"cap"`` (``max_selections`` reached), in
+    that precedence when several hold at once.
     """
 
     alpha: np.ndarray
@@ -172,7 +176,7 @@ class KgardSolution:
     iterations: int
     residual_history: list
     epsilon: float
-    truncated: bool = False
+    stop_reason: str
 
     @property
     def support(self) -> list:
@@ -277,8 +281,8 @@ class KgardSolver:
         of B, in row order.  The rows advance in lockstep, one selection
         per step, and a row leaves the batch when it stops; every row's
         result is bit-identical to fitting it alone.  A row stops when
-        its residual norm is at most the threshold, at
-        ``max_selections`` (``truncated``), or on a degenerate pivot.
+        its residual norm is at most the threshold, on a degenerate
+        pivot, or at ``max_selections``; ``stop_reason`` names which.
         ``epsilon_fn``, when given, replaces ``epsilon`` at every step:
         it receives |r| of the L rows still running as an (L, N) stack,
         with L = 1 for a 1-D fit, and returns a scalar or one threshold
@@ -349,6 +353,7 @@ class KgardSolver:
                 eps = np.broadcast_to(eps, (m,))
             done = norms <= eps
             capped = k == max_selections
+            stop = done
             if not capped:
                 rows = np.arange(m)
                 j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
@@ -360,9 +365,10 @@ class KgardSolver:
                 pivot = col[rows, j]
                 # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
                 # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
-                done |= pivot <= _PIVOT_FLOOR
-            if capped or done.any():
-                for pos in np.flatnonzero(done | capped):
+                stop = pivot <= _PIVOT_FLOOR
+                stop |= done
+            if capped or stop.any():
+                for pos in np.flatnonzero(stop | capped):
                     solutions[live[pos]] = self._solution(
                         ys[live[pos]],
                         q[:k, pos],
@@ -370,13 +376,13 @@ class KgardSolver:
                         coef[pos, :k],
                         history[pos, : k + 1],
                         float(eps[pos]),
-                        capped and not done[pos],
+                        "threshold" if done[pos] else "cap" if capped else "pivot",
                         tier[pos],
                     )
-                if capped or done.all():
+                if capped or stop.all():
                     break
                 # compact the running rows to the front of every array
-                keep = ~done
+                keep = ~stop
                 q[:k, : keep.sum()] = q[:k, :m][:, keep]
                 live, tier = live[keep], tier[keep]
                 r, abs_r, active = r[keep], abs_r[keep], active[keep]
@@ -422,7 +428,7 @@ class KgardSolver:
         return tier.astype(np.intp).ravel()
 
     def _solution(
-        self, y, q, support, c, history, epsilon, truncated, tier=0
+        self, y, q, support, c, history, epsilon, stop_reason, tier=0
     ) -> KgardSolution:
         """Coefficients of one finished row from its k Q slabs."""
         n, k = self._n, support.size
@@ -442,7 +448,7 @@ class KgardSolver:
             iterations=k,
             residual_history=history.tolist(),
             epsilon=epsilon,
-            truncated=truncated,
+            stop_reason=stop_reason,
         )
 
 

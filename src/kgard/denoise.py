@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import KgardSolver, NumericalError, _check_count
+from .core import KgardSolver, _check_count
 from .kernel import KernelParams, gram_matrix
 
 _DEGENERATE_SPAN = 1e-9
@@ -235,8 +235,10 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
     Returns min(e0, E1, E2) when the bar heights are strongly dispersed
     (sqrt(var)/mean > 0.9, the signature of a separated outlier mode)
     and min(e0, E1) otherwise.  A degenerate row (residual span below
-    1e-9) returns e0.
+    1e-9) returns e0.  ``e0`` must be positive.
     """
+    if not e0 > 0:
+        raise ValueError(f"e0 must be positive, got {e0}")
     r, first, last = _magnitude_rows(residual_abs)
     eps = np.full(r.shape[0], float(e0))
     live = last - first >= _DEGENERATE_SPAN
@@ -251,12 +253,15 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
 
 @dataclass
 class RoiDiagnostics:
+    """One ROI's fit.  Nothing sets ``failed``, kept for
+    ``bench/workloads.py``: a fit that cannot run fails the whole call."""
+
     index: int
     origin: tuple
     lam: float
     epsilon: float
     outliers: int
-    iterations: int
+    stop_reason: str
     failed: bool = False
 
 
@@ -277,11 +282,9 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     the max-norm stopping rule with the threshold recomputed from the
     residual histogram at every iteration.  One solver carries the
     lambda tiers over the shared Gram matrix, and all ROIs are fitted
-    as one lockstep batch, on the calling thread; if that solve fails,
-    all ROIs pass through unchanged, flagged in the diagnostics.  The
-    fitted smooth surfaces' cores form the denoised image and the
-    estimated impulses' cores the outlier map.  Diagnostics are in
-    raster order.
+    as one lockstep batch, on the calling thread.  The fitted smooth
+    surfaces' cores form the denoised image and the estimated impulses'
+    cores the outlier map.  Diagnostics are in raster order.
     """
     if cfg is None:
         cfg = RoiConfig()
@@ -295,35 +298,26 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     lams, tier = np.unique(lambdas, return_inverse=True)
-    solver = KgardSolver(gram, lams)
-    try:
-        solutions = solver.fit(
-            ys,
-            epsilon=cfg.e0,
-            stop_norm="linf",
-            max_selections=(n * n) // 3,
-            epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
-            tier=tier,
-        )
-    except NumericalError:
-        solutions = [None] * len(ys)
+    solutions = KgardSolver(gram, lams).fit(
+        ys,
+        epsilon=cfg.e0,
+        stop_norm="linf",
+        max_selections=(n * n) // 3,
+        epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
+        tier=tier,
+    )
 
-    surfaces = ys.copy()  # a failed ROI passes through unchanged
+    surfaces = np.empty(ys.shape)
     outliers = np.zeros(ys.shape)
     diagnostics = []
     for idx, (lam, sol) in enumerate(zip(lambdas.tolist(), solutions)):
         origin = (idx // cols * ell, idx % cols * ell)
-        if sol is None:
-            diagnostics.append(
-                RoiDiagnostics(idx, origin, lam, float(cfg.e0), 0, 0, failed=True)
-            )
-            continue
         surfaces[idx] = gram @ sol.alpha + sol.bias
         for j, val in sol.outliers.items():
             outliers[idx, j] = val
         diagnostics.append(
             RoiDiagnostics(
-                idx, origin, lam, sol.epsilon, len(sol.outliers), sol.iterations
+                idx, origin, lam, sol.epsilon, len(sol.outliers), sol.stop_reason
             )
         )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KgardConfig, KgardSolver, NumericalError, _check_count
+from .core import KgardConfig, KgardSolver, _check_count
 from .kernel import KernelParams, cross_gram, gram_matrix
 from .noise import (
     LATTICE_KERNEL_SIGMA,
@@ -60,19 +60,23 @@ class TrialResult:
     """One Monte-Carlo trial.  correct/wrong fractions are NaN when the
     trial had no true outliers (metrics not applicable).
     ``wall_time_seconds`` is the run's batched fit time divided by its
-    number of trials."""
+    number of trials.  ``stop_reason`` is the fit's
+    ``KgardSolution.stop_reason``.  Nothing sets ``failed``, kept for
+    ``bench/workloads.py``: a fit that cannot run fails the whole run."""
 
     mse_validation: float
     correct_fraction: float
     wrong_fraction: float
     wall_time_seconds: float
     seed: int
+    stop_reason: str
     failed: bool = False
 
 
 @dataclass
 class AggregateStats:
-    """Means over the successful trials; failures counted separately."""
+    """Means over a run's trials.  ``failures`` stays 0, kept for
+    ``bench/workloads.py``: a fit that cannot run fails the whole run."""
 
     mean_mse: float
     std_mse: float
@@ -111,28 +115,21 @@ def _nan_mean(values) -> float:
 
 
 def _aggregate(results: list[TrialResult]) -> AggregateStats:
-    ok = [r for r in results if not r.failed]
-    failures = len(results) - len(ok)
-    if not ok:
-        return AggregateStats(
-            math.nan, math.nan, math.nan, math.nan, math.nan, 0, failures
-        )
-    mses = np.array([r.mse_validation for r in ok])
+    mses = np.array([r.mse_validation for r in results])
     return AggregateStats(
         mean_mse=float(np.mean(mses)),
         std_mse=float(np.std(mses)),
-        mean_correct=_nan_mean(r.correct_fraction for r in ok),
-        mean_wrong=_nan_mean(r.wrong_fraction for r in ok),
-        mean_time=float(np.mean([r.wall_time_seconds for r in ok])),
-        trials=len(ok),
-        failures=failures,
+        mean_correct=_nan_mean(r.correct_fraction for r in results),
+        mean_wrong=_nan_mean(r.wrong_fraction for r in results),
+        mean_time=float(np.mean([r.wall_time_seconds for r in results])),
+        trials=len(results),
     )
 
 
 def _write_trial_csv(path, results: list[TrialResult]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "mse", "correct", "wrong", "seconds", "failed"])
+        writer.writerow(["seed", "mse", "correct", "wrong", "seconds", "stop_reason"])
         for r in results:
             writer.writerow(
                 [
@@ -141,7 +138,7 @@ def _write_trial_csv(path, results: list[TrialResult]) -> None:
                     repr(r.correct_fraction),
                     repr(r.wrong_fraction),
                     repr(r.wall_time_seconds),
-                    int(r.failed),
+                    r.stop_reason,
                 ]
             )
 
@@ -160,12 +157,11 @@ def run_monte_carlo(
     validation cross-Gram depend only on the protocol's fixed inputs,
     so they are built once, before the first trial; a
     ``NumericalError`` there fails the whole run.  The trials are then
-    drawn and fitted as one batch.  A ``NumericalError`` from that fit
-    records every trial with ``failed=True``, excluded from the
-    aggregates.  Each trial's ``wall_time_seconds`` (the CSV ``seconds``
-    column) is the batch's fit time divided by the number of trials;
-    drawing, setup and scoring are not counted.  The trial list (and
-    the CSV, when requested) is ordered by trial index.
+    drawn and fitted as one batch.  Each trial's ``wall_time_seconds``
+    (the CSV ``seconds`` column) is the batch's fit time divided by the
+    number of trials; drawing, setup and scoring are not counted.  The
+    trial list (and the CSV, when requested) is ordered by trial index;
+    the CSV's last column is each trial's ``stop_reason``.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -196,29 +192,23 @@ def run_monte_carlo(
         draws.append((seed, data.validation_truth, y, support))
 
     t0 = time.perf_counter()
-    try:
-        solutions = solver.fit(
-            np.stack([y for _, _, y, _ in draws]),
-            epsilon=config.epsilon,
-            stop_norm=config.stop_norm,
-            max_selections=config.max_selections,
-        )
-    except NumericalError:
-        solutions = [None] * trials
+    solutions = solver.fit(
+        np.stack([y for _, _, y, _ in draws]),
+        epsilon=config.epsilon,
+        stop_norm=config.stop_norm,
+        max_selections=config.max_selections,
+    )
     wall = (time.perf_counter() - t0) / trials
 
     results = []
     for (seed, validation_truth, _, support), solution in zip(draws, solutions):
-        if solution is None:
-            results.append(TrialResult(math.nan, math.nan, math.nan, math.nan, seed, True))
-            continue
         fitted_val = cross @ solution.alpha + solution.bias
         mse = float(np.mean((fitted_val - validation_truth) ** 2))
         if support.size:
             correct, wrong = support_metrics(solution.support, support)
         else:
             correct = wrong = math.nan
-        results.append(TrialResult(mse, correct, wrong, wall, seed))
+        results.append(TrialResult(mse, correct, wrong, wall, seed, solution.stop_reason))
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
     return _aggregate(results), results

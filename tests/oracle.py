@@ -181,9 +181,9 @@ def denoise_reference(image, cfg):
     of the padded image.  Its ridge tier comes from the mean gradient
     magnitude over that slice; it is fitted alone with a 1-D
     ``KgardSolver.fit``, whose ``epsilon_fn`` sees a (1, N^2) stack, and
-    its central L x L core is written to (i L, j L).  Returns (denoised, outlier_map, diagnostics), each
-    diagnostic an (index, origin, lam, epsilon, outliers, iterations,
-    failed) tuple.
+    its central L x L core is written to (i L, j L).  Returns (denoised,
+    outlier_map, diagnostics), each diagnostic an (index, origin, lam,
+    epsilon, outliers, stop_reason) tuple.
     """
     img = np.asarray(image, dtype=np.float64)
     n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
@@ -220,7 +220,7 @@ def denoise_reference(image, cfg):
         denoised[r : r + ell, c : c + ell] = surface[inner]
         outlier_map[r : r + ell, c : c + ell] = u.reshape(n, n)[inner]
         diagnostics.append(
-            (idx, (r, c), lam, sol.epsilon, len(sol.outliers), sol.iterations, False)
+            (idx, (r, c), lam, sol.epsilon, len(sol.outliers), sol.stop_reason)
         )
     quantum = 2.0**-30
     outlier_map = np.round(outlier_map[:h, :w] / quantum) * quantum

@@ -1,3 +1,7 @@
+import json
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -103,9 +107,34 @@ def test_experiment_writes_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "seed,mse,correct,wrong,seconds,failed"
+    assert lines[0] == "seed,mse,correct,wrong,seconds,stop_reason"
     assert len(lines) == 4
-    assert "mean_mse" in capsys.readouterr().out
+    assert all(line.split(",")[5] in ("threshold", "pivot", "cap") for line in lines[1:])
+    out = capsys.readouterr().out
+    assert "mean_mse" in out
+    counts = re.search(r"threshold=(\d+) pivot=(\d+) cap=(\d+)", out)
+    assert sum(map(int, counts.groups())) == 3
+
+
+def test_denoise_diagnostics_report_stop_reasons(tmp_path, capsys):
+    src = tmp_path / "src.pgm"
+    _bump_pgm(src, n=16)
+    diag = tmp_path / "diag.json"
+    assert main(
+        ["denoise", "--in", str(src), "--out", str(tmp_path / "out.pgm"),
+         "--diagnostics", str(diag)]
+    ) == 0
+    rois = json.loads(diag.read_text())
+    assert len(rois) == 4
+    for roi in rois:
+        assert roi["stop_reason"] in ("threshold", "pivot", "cap")
+        assert "failed" not in roi and "iterations" not in roi
+    out = capsys.readouterr().out
+    summary = re.search(r"\(threshold=(\d+) pivot=(\d+) cap=(\d+)\)", out)
+    counts = dict(zip(("threshold", "pivot", "cap"), map(int, summary.groups())))
+    assert sum(counts.values()) == len(rois)
+    reasons = Counter(roi["stop_reason"] for roi in rois)
+    assert counts == {reason: reasons[reason] for reason in counts}
 
 
 def test_experiment_stable_args_must_pair(tmp_path, capsys):
@@ -204,6 +233,7 @@ def test_regress_round_trip(tmp_path, capsys):
     outlier_col = [float(r.split(",")[3]) for r in rows[1:]]
     assert abs(outlier_col[13]) > 10.0
     assert sum(1 for v in outlier_col if v != 0.0) <= 3
+    assert "stop_reason=threshold," in capsys.readouterr().out
 
 
 def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):

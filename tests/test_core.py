@@ -207,10 +207,15 @@ def test_fit_truncation_flag_and_epsilon_stop():
     rng = np.random.default_rng(6)
     gram, _ = _random_gram(rng, 30)
     y = rng.normal(size=30)
-    capped = KgardSolver(gram, lam=1.0).fit(y, epsilon=0.0, max_selections=2)
-    assert capped.truncated and capped.iterations == 2
-    loose = KgardSolver(gram, lam=1.0).fit(y, epsilon=1e6)
-    assert not loose.truncated and loose.iterations == 0
+    solver = KgardSolver(gram, lam=1.0)
+    capped = solver.fit(y, epsilon=0.0, max_selections=2)
+    assert capped.stop_reason == "cap" and capped.iterations == 2
+    loose = solver.fit(y, epsilon=1e6)
+    assert loose.stop_reason == "threshold" and loose.iterations == 0
+    # plain KRR: no selection allowed, and the norm still exceeds epsilon
+    krr = solver.fit(y, epsilon=1e-3, max_selections=0)
+    assert krr.residual_history[0] > 1e-3
+    assert krr.stop_reason == "cap" and krr.iterations == 0
 
 
 def test_fit_linf_stop_norm():
@@ -480,7 +485,7 @@ def test_fit_stops_on_degenerate_pivot():
     gram, y = _degenerate_case()
     sol = KgardSolver(gram, 1e-12).fit(y, epsilon=0.0, max_selections=10)
     # the ridge fit already interpolates y, so no pivot clears the floor
-    assert sol.iterations == 0 and not sol.truncated
+    assert sol.iterations == 0 and sol.stop_reason == "pivot"
     assert sol.residual_history[0] > 0.0
     r = residual(gram, y, sol)
     assert np.max(np.abs(r)) <= 1e-6 * np.linalg.norm(y)
@@ -540,7 +545,7 @@ def _assert_same_solution(a, b):
     assert list(a.outliers.items()) == list(b.outliers.items())
     assert a.iterations == b.iterations
     assert a.residual_history == b.residual_history
-    assert a.truncated == b.truncated
+    assert a.stop_reason == b.stop_reason
     assert a.epsilon == b.epsilon
 
 
@@ -560,15 +565,7 @@ def test_batched_fit_rows_stop_independently(stop_norm):
     kwargs = dict(epsilon=1e-4, stop_norm=stop_norm, max_selections=2)
     batch = solver.fit(rows, **kwargs)
     assert isinstance(batch, list) and len(batch) == len(rows)
-    stops = [
-        (
-            sol.iterations,
-            "cap" if sol.truncated
-            else "threshold" if sol.residual_history[-1] <= 1e-4
-            else "pivot",
-        )
-        for sol in batch
-    ]
+    stops = [(sol.iterations, sol.stop_reason) for sol in batch]
     assert stops == [
         (0, "threshold"), (0, "pivot"), (1, "threshold"),
         (1, "pivot"), (2, "threshold"), (2, "cap"),
@@ -659,7 +656,7 @@ def test_finished_row_solve_raises_on_a_singular_system():
     solver = KgardSolver(np.eye(4), 1.0)
     q = np.zeros((1, 4))  # a zero diagonal: Q[S] is singular
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), np.ones(2), 0.0, False)
+        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), np.ones(2), 0.0, "cap")
 
 
 def test_batch_mixes_rows_without_selections_and_rows_that_run_on():

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kgard.denoise as denoise_mod
-from kgard.core import NumericalError
 from kgard.denoise import (
     RoiConfig,
     _cores,
@@ -208,6 +207,14 @@ def test_auto_epsilon_degenerate_returns_cap():
         auto_epsilon(np.array([[-1.0, 2.0]]), 40.0)
 
 
+@pytest.mark.parametrize("e0", [math.nan, -1.0, 0.0, -math.inf])
+def test_auto_epsilon_rejects_e0_that_is_not_positive(e0):
+    # RoiConfig's rule: without it a NaN or negative e0 came back as the
+    # threshold of every degenerate row
+    with pytest.raises(ValueError, match="e0 must be positive"):
+        auto_epsilon(np.ones((1, 5)), e0)
+
+
 def test_psnr_values():
     a = np.zeros((4, 4))
     assert psnr(a, a) == math.inf
@@ -239,18 +246,6 @@ def test_denoise_flags_injected_impulses():
     assert psnr(result.denoised, img) > psnr(noisy, img) + 10.0
 
 
-def test_denoise_failed_roi_passes_through(monkeypatch):
-    def boom(self, *args, **kwargs):
-        raise NumericalError("forced", pivot=0)
-
-    monkeypatch.setattr(denoise_mod.KgardSolver, "fit", boom)
-    img = _bump(16)
-    result = denoise_image(img)
-    assert np.array_equal(result.denoised, img)
-    assert not np.any(result.outlier_map)
-    assert all(d.failed for d in result.diagnostics)
-
-
 def test_denoise_diagnostics_contents():
     img = _bump(16)
     result = denoise_image(img)
@@ -260,7 +255,10 @@ def test_denoise_diagnostics_contents():
     for d in result.diagnostics:
         assert d.lam in (1.0, 5.0, 15.0)
         assert d.epsilon <= 40.0
-        assert d.iterations >= d.outliers == 0 or d.outliers <= d.iterations
+        assert d.stop_reason in ("threshold", "pivot", "cap")
+        assert d.outliers <= 144 // 3 and not d.failed
+        if d.stop_reason == "cap":
+            assert d.outliers == 144 // 3
 
 
 def _impulse_image(h, w, seed):
@@ -285,7 +283,7 @@ def test_pipeline_matches_per_roi_reference(shape, cfg):
     assert result.outlier_map.tobytes() == outlier_map.tobytes()
     assert result.impulse_removed.tobytes() == (img - outlier_map).tobytes()
     assert [
-        (d.index, d.origin, d.lam, d.epsilon, d.outliers, d.iterations, d.failed)
+        (d.index, d.origin, d.lam, d.epsilon, d.outliers, d.stop_reason)
         for d in result.diagnostics
     ] == diagnostics
     assert {d.lam for d in result.diagnostics} == {1.0, 5.0, 15.0}

@@ -97,7 +97,7 @@ def test_trials_deterministic_and_csv(tmp_path, protocol, noise, config):
         assert a.correct_fraction == b.correct_fraction
     assert stats1.mean_mse == stats2.mean_mse
     header = p1.read_text().splitlines()[0]
-    assert header == "seed,mse,correct,wrong,seconds,failed"
+    assert header == "seed,mse,correct,wrong,seconds,stop_reason"
     assert len(p1.read_text().splitlines()) == 7
 
 
@@ -174,18 +174,6 @@ def test_no_outliers_records_nan_metrics():
     assert all(math.isnan(r.correct_fraction) for r in rows)
     assert math.isnan(stats.mean_correct)
     assert not math.isnan(stats.mean_mse)
-
-
-def test_failed_trials_counted_separately(monkeypatch):
-    def boom(*args, **kwargs):
-        raise NumericalError("forced failure", pivot=0)
-
-    monkeypatch.setattr(experiments.KgardSolver, "fit", boom)
-    _, noise, config = LATTICE
-    stats, rows = run_monte_carlo("lattice2d", noise, config, 3, 0)
-    assert stats.failures == 3 and stats.trials == 0
-    assert all(r.failed for r in rows)
-    assert math.isnan(stats.mean_mse)
 
 
 @PROTOCOL_CASES
