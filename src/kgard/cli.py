@@ -173,7 +173,7 @@ def _cmd_regress(args) -> int:
     print(
         f"fit: {solution.iterations} outliers selected, "
         f"stop_reason={solution.stop_reason}, "
-        f"final residual {solution.residual_history[-1]:.6g}"
+        f"final residual {solution.residual_norm:.6g}"
     )
     return 0
 
@@ -287,11 +287,10 @@ def _cmd_denoise(args) -> int:
         ]
         with open(args.diagnostics, "w") as fh:
             json.dump(payload, fh, indent=2)
-    total_outliers = sum(d.outliers for d in result.diagnostics)
     print(
         f"denoised {len(result.diagnostics)} ROIs "
         f"({_stop_counts(d.stop_reason for d in result.diagnostics)}), "
-        f"{total_outliers} outliers flagged"
+        f"{np.count_nonzero(result.outlier_map)} outliers flagged"
     )
     return 0
 

@@ -114,28 +114,17 @@ class Dataset:
 
 @dataclass
 class KgardConfig:
-    """Solver parameters.
-
-    ``tikhonov_weights`` holds N+1 positive multipliers (kernel
-    coefficients plus bias); the effective penalty on coefficient i is
-    lam * w_i**2.  ``max_selections`` defaults to N // 2, which keeps
-    termination guaranteed even with epsilon = 0.
-    """
+    """Solver parameters: the ridge parameter, the stop threshold and
+    the norm it is compared with."""
 
     lam: float
     epsilon: float
     stop_norm: str = "l2"
-    tikhonov_weights: Optional[np.ndarray] = None
-    max_selections: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_lambda(self.lam)
         _check_epsilon(self.epsilon)
         _check_stop_norm(self.stop_norm)
-        if self.tikhonov_weights is not None:
-            self.tikhonov_weights = _check_weights(self.tikhonov_weights)
-        if self.max_selections is not None:
-            _check_count("max_selections", self.max_selections)
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -162,8 +151,9 @@ def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 class KgardSolution:
     """Fit result: kernel coefficients, bias, and the sparse outliers.
 
-    ``epsilon`` is the threshold of the fit's last stop test: the fixed
-    epsilon, or what ``epsilon_fn`` returned for this fit's row.
+    ``residual_norm`` and ``epsilon`` are the two sides of the fit's
+    last stop test: the stop norm of the final residual, and the fixed
+    epsilon or what the epsilon callable returned for this fit's row.
     ``stop_reason`` says why the selections ended: ``"threshold"`` (the
     residual norm reached epsilon), ``"pivot"`` (the next pivot fell to
     the degenerate floor) or ``"cap"`` (``max_selections`` reached), in
@@ -173,14 +163,17 @@ class KgardSolution:
     alpha: np.ndarray
     bias: float
     outliers: dict  # index -> estimated outlier value, selection order
-    iterations: int
-    residual_history: list
+    residual_norm: float
     epsilon: float
     stop_reason: str
 
     @property
     def support(self) -> list:
         return list(self.outliers.keys())
+
+    @property
+    def iterations(self) -> int:
+        return len(self.outliers)
 
 
 def _stop_norms(r: np.ndarray, abs_r: np.ndarray, kind: str) -> np.ndarray:
@@ -268,10 +261,9 @@ class KgardSolver:
     def fit(
         self,
         y: np.ndarray,
-        epsilon: float,
+        epsilon: float | Callable[[np.ndarray], object],
         stop_norm: str = "l2",
         max_selections: Optional[int] = None,
-        epsilon_fn: Optional[Callable[[np.ndarray], object]] = None,
         tier=None,
     ):
         """Fit one observation vector ``y`` of shape (N,), or a batch of
@@ -282,15 +274,16 @@ class KgardSolver:
         per step, and a row leaves the batch when it stops; every row's
         result is bit-identical to fitting it alone.  A row stops when
         its residual norm is at most the threshold, on a degenerate
-        pivot, or at ``max_selections``; ``stop_reason`` names which.
-        ``epsilon_fn``, when given, replaces ``epsilon`` at every step:
-        it receives |r| of the L rows still running as an (L, N) stack,
-        with L = 1 for a 1-D fit, and returns a scalar or one threshold
-        per row, each nonnegative like ``epsilon``; any other result
-        raises ``ValueError``.  ``tier`` gives each row's ridge
-        parameter as an index into the solver's T of them, an integer
-        array of shape ``y.shape[:-1]`` (a scalar for a 1-D ``y``); it
-        may be left out only when T = 1.
+        pivot, or at ``max_selections`` (N // 2 by default, so a fit
+        ends even at epsilon = 0); ``stop_reason`` names which.
+        ``epsilon`` is a nonnegative number or a callable that gives the
+        threshold at every step: it receives |r| of the L rows still
+        running as an (L, N) stack, with L = 1 for a 1-D fit, and
+        returns a scalar or one threshold per row, each nonnegative; any
+        other result raises ``ValueError``.  ``tier`` gives each row's
+        ridge parameter as an index into the solver's T of them, an
+        integer array of shape ``y.shape[:-1]`` (a scalar for a 1-D
+        ``y``); it may be left out only when T = 1.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
@@ -298,7 +291,10 @@ class KgardSolver:
             raise ValueError(f"expected {n} observations per row, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
-        _check_epsilon(epsilon)
+        threshold = epsilon
+        if not callable(epsilon):
+            _check_epsilon(epsilon)
+            threshold = lambda abs_r: epsilon
         _check_stop_norm(stop_norm)
         if max_selections is None:
             max_selections = n // 2
@@ -334,23 +330,18 @@ class KgardSolver:
         q = q.reshape(max_selections, batch, n)
         picks = np.empty((batch, max_selections), dtype=np.intp)
         coef = np.empty((batch, max_selections))
-        history = np.empty((batch, max_selections + 1))
-        history[:, 0] = norms
         k = 0
         while True:
             m = live.size
-            if epsilon_fn is None:
-                eps = np.full(m, float(epsilon))
-            else:
-                eps = np.asarray(epsilon_fn(abs_r), dtype=np.float64)
-                if eps.shape not in ((), (m,)):
-                    raise ValueError(
-                        f"epsilon_fn must return a scalar or {m} thresholds, "
-                        f"one per running row, got shape {eps.shape}"
-                    )
-                if not (eps >= 0).all():
-                    raise ValueError("epsilon_fn returned a negative or NaN threshold")
-                eps = np.broadcast_to(eps, (m,))
+            eps = np.asarray(threshold(abs_r), dtype=np.float64)
+            if eps.shape not in ((), (m,)):
+                raise ValueError(
+                    f"epsilon must return a scalar or {m} thresholds, "
+                    f"one per running row, got shape {eps.shape}"
+                )
+            if not (eps >= 0).all():
+                raise ValueError("epsilon returned a negative or NaN threshold")
+            eps = np.broadcast_to(eps, (m,))
             done = norms <= eps
             capped = k == max_selections
             stop = done
@@ -374,7 +365,7 @@ class KgardSolver:
                         q[:k, pos],
                         picks[pos, :k],
                         coef[pos, :k],
-                        history[pos, : k + 1],
+                        float(norms[pos]),
                         float(eps[pos]),
                         "threshold" if done[pos] else "cap" if capped else "pivot",
                         tier[pos],
@@ -386,7 +377,7 @@ class KgardSolver:
                 q[:k, : keep.sum()] = q[:k, :m][:, keep]
                 live, tier = live[keep], tier[keep]
                 r, abs_r, active = r[keep], abs_r[keep], active[keep]
-                picks, coef, history = picks[keep], coef[keep], history[keep]
+                picks, coef = picks[keep], coef[keep]
                 j, col, pivot = j[keep], col[keep], pivot[keep]
                 m = live.size
                 rows = rows[:m]
@@ -401,7 +392,6 @@ class KgardSolver:
             k += 1
             abs_r = np.abs(r)
             norms = _stop_norms(r, abs_r, stop_norm)
-            history[:, k] = norms
         return solutions[0] if single else solutions
 
     def _check_tier(self, tier, shape: tuple) -> np.ndarray:
@@ -428,7 +418,7 @@ class KgardSolver:
         return tier.astype(np.intp).ravel()
 
     def _solution(
-        self, y, q, support, c, history, epsilon, stop_reason, tier=0
+        self, y, q, support, c, residual_norm, epsilon, stop_reason, tier=0
     ) -> KgardSolution:
         """Coefficients of one finished row from its k Q slabs."""
         n, k = self._n, support.size
@@ -445,8 +435,7 @@ class KgardSolver:
             alpha=theta[:n],
             bias=float(theta[n]),
             outliers=dict(zip(support.tolist(), u.tolist())),
-            iterations=k,
-            residual_history=history.tolist(),
+            residual_norm=residual_norm,
             epsilon=epsilon,
             stop_reason=stop_reason,
         )
@@ -457,16 +446,13 @@ def kgard_fit(
     params: KernelParams,
     config: KgardConfig,
 ) -> KgardSolution:
-    """Run the full greedy fit on a dataset."""
+    """Run the full greedy fit on a dataset, with unit Tikhonov weights
+    and the default cap of N // 2 selections."""
     if data.size == 0:
         raise ValueError("dataset is empty")
     gram = gram_matrix(data.inputs, params)
-    solver = KgardSolver(gram, config.lam, tikhonov_weights=config.tikhonov_weights)
-    return solver.fit(
-        data.targets,
-        epsilon=config.epsilon,
-        stop_norm=config.stop_norm,
-        max_selections=config.max_selections,
+    return KgardSolver(gram, config.lam).fit(
+        data.targets, epsilon=config.epsilon, stop_norm=config.stop_norm
     )
 
 

@@ -300,10 +300,9 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     lams, tier = np.unique(lambdas, return_inverse=True)
     solutions = KgardSolver(gram, lams).fit(
         ys,
-        epsilon=cfg.e0,
+        epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
         stop_norm="linf",
         max_selections=(n * n) // 3,
-        epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
         tier=tier,
     )
 

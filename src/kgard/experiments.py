@@ -156,8 +156,10 @@ def run_monte_carlo(
     The Gram matrix, the solver's initial factorization and the
     validation cross-Gram depend only on the protocol's fixed inputs,
     so they are built once, before the first trial; a
-    ``NumericalError`` there fails the whole run.  The trials are then
-    drawn and fitted as one batch.  Each trial's ``wall_time_seconds``
+    ``NumericalError`` there fails the whole run.  ``sinc1d`` fits with
+    :func:`border_weights`, ``lattice2d`` with unit weights, both at the
+    solver's default cap.  The trials are then drawn and fitted as one
+    batch.  Each trial's ``wall_time_seconds``
     (the CSV ``seconds`` column) is the batch's fit time divided by the
     number of trials; drawing, setup and scoring are not counted.  The
     trial list (and the CSV, when requested) is ordered by trial index;
@@ -167,17 +169,16 @@ def run_monte_carlo(
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     _check_count("trials", trials, 1)
 
-    weights = config.tikhonov_weights
     if protocol == "lattice2d":
         fixed = None  # each trial draws its own target on the fixed lattice
         _, train, validation = lattice_nodes()
         params = KernelParams(LATTICE_KERNEL_SIGMA)
+        weights = None
     else:
         fixed = make_sinc_dataset()
         train, validation = fixed.train.inputs, fixed.validation.inputs
         params = KernelParams(SINC_KERNEL_SIGMA)
-        if weights is None:
-            weights = border_weights(fixed.train.size)
+        weights = border_weights(fixed.train.size)
     solver = KgardSolver(gram_matrix(train, params), config.lam, tikhonov_weights=weights)
     cross = cross_gram(validation, train, params)
 
@@ -196,7 +197,6 @@ def run_monte_carlo(
         np.stack([y for _, _, y, _ in draws]),
         epsilon=config.epsilon,
         stop_norm=config.stop_norm,
-        max_selections=config.max_selections,
     )
     wall = (time.perf_counter() - t0) / trials
 

@@ -180,7 +180,7 @@ def denoise_reference(image, cfg):
     (N - L) / 2; ROI k, in raster order, is the N x N slice at (i L, j L)
     of the padded image.  Its ridge tier comes from the mean gradient
     magnitude over that slice; it is fitted alone with a 1-D
-    ``KgardSolver.fit``, whose ``epsilon_fn`` sees a (1, N^2) stack, and
+    ``KgardSolver.fit``, whose epsilon callable sees a (1, N^2) stack, and
     its central L x L core is written to (i L, j L).  Returns (denoised,
     outlier_map, diagnostics), each diagnostic an (index, origin, lam,
     epsilon, outliers, stop_reason) tuple.
@@ -209,10 +209,9 @@ def denoise_reference(image, cfg):
     for idx, ((r, c), lam) in enumerate(zip(origins, lambdas.tolist())):
         sol = KgardSolver(gram, lam).fit(
             padded[r : r + n, c : c + n].ravel(),
-            epsilon=cfg.e0,
+            epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
             stop_norm="linf",
             max_selections=n * n // 3,
-            epsilon_fn=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
         )
         surface = (gram @ sol.alpha + sol.bias).reshape(n, n)
         u = np.zeros(n * n)

@@ -7,7 +7,9 @@ import pytest
 
 import kgard.core
 from kgard.cli import main
-from kgard.core import NumericalError
+from kgard.core import Dataset, KgardConfig, NumericalError, kgard_fit
+from kgard.denoise import denoise_image
+from kgard.kernel import KernelParams
 from kgard.pgm import read_pgm_file, write_pgm_file
 
 
@@ -137,6 +139,19 @@ def test_denoise_diagnostics_report_stop_reasons(tmp_path, capsys):
     assert counts == {reason: reasons[reason] for reason in counts}
 
 
+def test_denoise_summary_counts_the_outlier_map(tmp_path, capsys):
+    # overlapping ROI halos select the same impulse more than once; the
+    # summary counts the pixels the outlier map flags
+    img = _bump_pgm(tmp_path / "clean.pgm", n=32)
+    rng = np.random.default_rng(3)
+    img.ravel()[rng.choice(img.size, size=100, replace=False)] += 100.0
+    noisy = tmp_path / "noisy.pgm"
+    write_pgm_file(noisy, img)
+    assert main(["denoise", "--in", str(noisy), "--out", str(tmp_path / "out.pgm")]) == 0
+    flagged = int(re.search(r"(\d+) outliers flagged", capsys.readouterr().out).group(1))
+    assert flagged == np.count_nonzero(denoise_image(read_pgm_file(noisy)).outlier_map)
+
+
 def test_experiment_stable_args_must_pair(tmp_path, capsys):
     code = main(
         ["experiment", "--protocol", "sinc1d", "--stable-alpha", "1.5",
@@ -233,7 +248,10 @@ def test_regress_round_trip(tmp_path, capsys):
     outlier_col = [float(r.split(",")[3]) for r in rows[1:]]
     assert abs(outlier_col[13]) > 10.0
     assert sum(1 for v in outlier_col if v != 0.0) <= 3
-    assert "stop_reason=threshold," in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "stop_reason=threshold," in out
+    solution = kgard_fit(Dataset(x, y), KernelParams(0.2), KgardConfig(lam=0.05, epsilon=1.0))
+    assert f"final residual {solution.residual_norm:.6g}" in out
 
 
 def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):

@@ -48,30 +48,12 @@ def test_config_validation():
         KgardConfig(lam=1.0, epsilon=-1.0)
     with pytest.raises(ValueError):
         KgardConfig(lam=1.0, epsilon=1.0, stop_norm="l1")
-    with pytest.raises(ValueError):
-        KgardConfig(lam=1.0, epsilon=1.0, tikhonov_weights=[1.0, 0.0])
 
 
 BAD_SETTINGS = [
     pytest.param(dict(lam=0.0), "lambda must be positive and finite", id="zero-lam"),
     pytest.param(dict(lam=np.inf), "lambda must be positive and finite", id="inf-lam"),
     pytest.param(dict(lam=np.nan), "lambda must be positive and finite", id="nan-lam"),
-    pytest.param(
-        dict(tikhonov_weights=-np.ones(5)), "weights must be positive and finite",
-        id="negative-weights",
-    ),
-    pytest.param(
-        dict(tikhonov_weights=np.zeros(5)), "weights must be positive and finite",
-        id="zero-weights",
-    ),
-    pytest.param(
-        dict(tikhonov_weights=[1, 1, np.nan, 1, 1]), "weights must be positive and finite",
-        id="nan-weight",
-    ),
-    pytest.param(
-        dict(tikhonov_weights=[1, 1, np.inf, 1, 1]), "weights must be positive and finite",
-        id="inf-weight",
-    ),
 ]
 
 
@@ -79,6 +61,22 @@ BAD_SETTINGS = [
     "kwargs, match",
     BAD_SETTINGS
     + [
+        pytest.param(
+            dict(tikhonov_weights=-np.ones(5)), "weights must be positive and finite",
+            id="negative-weights",
+        ),
+        pytest.param(
+            dict(tikhonov_weights=np.zeros(5)), "weights must be positive and finite",
+            id="zero-weights",
+        ),
+        pytest.param(
+            dict(tikhonov_weights=[1, 1, np.nan, 1, 1]), "weights must be positive and finite",
+            id="nan-weight",
+        ),
+        pytest.param(
+            dict(tikhonov_weights=[1, 1, np.inf, 1, 1]), "weights must be positive and finite",
+            id="inf-weight",
+        ),
         pytest.param(dict(gram=np.ones((3, 4))), "must be square", id="non-square-gram"),
         pytest.param(dict(gram=np.diag([1, np.nan, 1, 1])), "gram matrix must be finite",
                      id="nan-gram"),
@@ -111,12 +109,6 @@ def test_solver_rejects_bad_settings(kwargs, match):
     + [
         pytest.param(dict(epsilon=np.nan), "epsilon must be nonnegative", id="nan-epsilon"),
         pytest.param(dict(epsilon=-1.0), "epsilon must be nonnegative", id="negative-epsilon"),
-        pytest.param(dict(max_selections=2.5), "max_selections must be an integer",
-                     id="float-cap"),
-        pytest.param(dict(max_selections=True), "max_selections must be an integer",
-                     id="bool-cap"),
-        pytest.param(dict(max_selections=-3), "max_selections must be nonnegative",
-                     id="negative-cap"),
     ],
 )
 def test_config_rejects_bad_settings(kwargs, match):
@@ -192,15 +184,17 @@ def test_fit_recovers_planted_outliers():
         assert sol.outliers[j] == pytest.approx(y[j] - truth[j], abs=2.0)
 
 
-def test_fit_residual_history_decreases():
+def test_fit_residual_norm_decreases_with_each_selection():
     rng = np.random.default_rng(5)
     gram, _ = _random_gram(rng, 40)
     y = rng.normal(size=40)
     y[[3, 17]] += 20.0
-    sol = KgardSolver(gram, lam=0.5).fit(y, epsilon=0.0, max_selections=5)
-    hist = sol.residual_history
-    assert all(b < a for a, b in zip(hist, hist[1:]))
-    assert len(hist) == sol.iterations + 1
+    solver = KgardSolver(gram, lam=0.5)
+    sols = [solver.fit(y, epsilon=0.0, max_selections=k) for k in range(6)]
+    assert [sol.iterations for sol in sols] == list(range(6))
+    for a, b in zip(sols, sols[1:]):
+        assert b.residual_norm < a.residual_norm
+        assert b.support[:-1] == a.support
 
 
 def test_fit_truncation_flag_and_epsilon_stop():
@@ -214,7 +208,7 @@ def test_fit_truncation_flag_and_epsilon_stop():
     assert loose.stop_reason == "threshold" and loose.iterations == 0
     # plain KRR: no selection allowed, and the norm still exceeds epsilon
     krr = solver.fit(y, epsilon=1e-3, max_selections=0)
-    assert krr.residual_history[0] > 1e-3
+    assert krr.residual_norm > 1e-3
     assert krr.stop_reason == "cap" and krr.iterations == 0
 
 
@@ -230,7 +224,7 @@ def test_fit_linf_stop_norm():
     assert np.max(np.abs(y - fitted)) <= 3.0
 
 
-def test_fit_epsilon_fn_overrides_epsilon():
+def test_fit_epsilon_callable_gives_the_threshold():
     rng = np.random.default_rng(8)
     gram, _ = _random_gram(rng, 30)
     y = rng.normal(size=30)
@@ -240,10 +234,9 @@ def test_fit_epsilon_fn_overrides_epsilon():
         calls.append(abs_r.copy())
         return float(np.max(abs_r)) + 1.0  # always satisfied
 
-    sol = KgardSolver(gram, lam=1.0).fit(
-        y, epsilon=0.0, stop_norm="linf", epsilon_fn=eps_fn
-    )
-    assert sol.iterations == 0
+    sol = KgardSolver(gram, lam=1.0).fit(y, epsilon=eps_fn, stop_norm="linf")
+    assert sol.iterations == 0 and sol.stop_reason == "threshold"
+    assert sol.epsilon == float(np.max(calls[0])) + 1.0
     assert len(calls) == 1 and calls[0].shape == (1, 30)
 
 
@@ -257,7 +250,7 @@ def test_fit_epsilon_fn_overrides_epsilon():
         pytest.param(lambda rows: np.zeros((rows, 1)), "one per running row", id="2-d"),
     ],
 )
-def test_fit_rejects_bad_epsilon_fn_result(thresholds, match, batched):
+def test_fit_rejects_bad_epsilon_callable_result(thresholds, match, batched):
     solver = KgardSolver(np.eye(4), lam=1.0)
     y = np.array([0.0, 9.0, 0.0, 3.0])
     y = np.stack([y, -y, 2 * y]) if batched else y
@@ -270,8 +263,8 @@ def test_fit_rejects_bad_epsilon_fn_result(thresholds, match, batched):
         return np.zeros(rows) if len(calls) == 1 else thresholds(rows)
 
     with pytest.raises(ValueError, match=match) as exc:
-        solver.fit(y, epsilon=0.0, epsilon_fn=eps_fn)
-    assert "epsilon_fn" in str(exc.value)
+        solver.fit(y, epsilon=eps_fn)
+    assert str(exc.value).startswith("epsilon ")
     assert len(calls) == 2
 
 
@@ -486,7 +479,7 @@ def test_fit_stops_on_degenerate_pivot():
     sol = KgardSolver(gram, 1e-12).fit(y, epsilon=0.0, max_selections=10)
     # the ridge fit already interpolates y, so no pivot clears the floor
     assert sol.iterations == 0 and sol.stop_reason == "pivot"
-    assert sol.residual_history[0] > 0.0
+    assert sol.residual_norm > 0.0
     r = residual(gram, y, sol)
     assert np.max(np.abs(r)) <= 1e-6 * np.linalg.norm(y)
 
@@ -507,7 +500,7 @@ def test_kgard_fit_and_predict_end_to_end():
     truth = gram @ rng.normal(0, 0.5, size=50) + 1.0
     y = truth.copy()
     y[10] += 40.0
-    config = KgardConfig(lam=0.1, epsilon=0.0, max_selections=1)
+    config = KgardConfig(lam=0.1, epsilon=1.0)
     sol = kgard_fit(Dataset(x, y), params, config)
     assert sol.support == [10]
     pred = predict(sol, x, x, params)
@@ -543,8 +536,7 @@ def _assert_same_solution(a, b):
     assert a.alpha.tobytes() == b.alpha.tobytes()
     assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
     assert list(a.outliers.items()) == list(b.outliers.items())
-    assert a.iterations == b.iterations
-    assert a.residual_history == b.residual_history
+    assert np.float64(a.residual_norm).tobytes() == np.float64(b.residual_norm).tobytes()
     assert a.stop_reason == b.stop_reason
     assert a.epsilon == b.epsilon
 
@@ -618,20 +610,20 @@ def test_batched_fit_matches_single_fits(
     batch_tier = None if tiers == 1 and rng.random() < 0.5 else tier
     cap = int(cap_frac * n)
     first = solver.fit(y, 0.0, stop_norm, 0, tier=batch_tier)
-    start = np.array([s.residual_history[0] for s in first])
+    start = np.array([s.residual_norm for s in first])
     eps = float(rng.uniform(0.0, start.max()))
-    epsilon_fn = {
-        "fixed": None,
+    epsilon = {
+        "fixed": eps,
         "scalar-fn": lambda abs_r: eps,
         "auto-epsilon": lambda abs_r: auto_epsilon(abs_r, 40.0),
         "never": lambda abs_r: np.zeros(abs_r.shape[:-1]),
     }[threshold]
-    kwargs = dict(
-        epsilon=eps, stop_norm=stop_norm, max_selections=cap, epsilon_fn=epsilon_fn
-    )
+    kwargs = dict(epsilon=epsilon, stop_norm=stop_norm, max_selections=cap)
     batch = solver.fit(y, **kwargs, tier=batch_tier)
     assert len(batch) == rows
     for row, t, sol in zip(y, tier, batch):
+        # the solution carries both sides of its last stop test
+        assert (sol.stop_reason == "threshold") == (sol.residual_norm <= sol.epsilon)
         _assert_same_solution(sol, singles[t].fit(row, **kwargs))
 
 
@@ -656,7 +648,7 @@ def test_finished_row_solve_raises_on_a_singular_system():
     solver = KgardSolver(np.eye(4), 1.0)
     q = np.zeros((1, 4))  # a zero diagonal: Q[S] is singular
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), np.ones(2), 0.0, "cap")
+        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), 1.0, 0.0, "cap")
 
 
 def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
