@@ -21,12 +21,15 @@ test.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import _fblas
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
@@ -34,6 +37,49 @@ from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
+
+
+def _scipy_openblas():
+    """The thread-count getter and setter of scipy's bundled OpenBLAS,
+    found through the extension module that ``dsyrk`` comes from, or
+    None when scipy is linked against another BLAS."""
+    try:
+        lib = ctypes.CDLL(_fblas.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        set_ = lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_SCIPY_OPENBLAS = _scipy_openblas()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one scipy OpenBLAS thread, then restore the
+    previous count, also when the block raises.
+
+    OpenBLAS splits a product differently over its threads, so setup
+    under a fixed count gives the same bits at every thread setting,
+    and no worker is woken to busy-wait through the fit that follows.
+    The count is process-global: scipy running on another thread
+    meanwhile also sees one thread.  With another BLAS this does
+    nothing.
+    """
+    blas = _SCIPY_OPENBLAS
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 class NumericalError(Exception):
@@ -198,6 +244,13 @@ class KgardSolver:
     below ``_PIVOT_FLOOR`` stops the fit.  A finished row's outliers u_S
     come from one k x k triangular solve with Q[S], and its coefficients
     (alpha; c) = P (y - I_S u_S) from one matrix-vector product.
+
+    Setup runs on one thread of scipy's OpenBLAS and restores the
+    previous count afterwards, so R and P carry the same bits at every
+    BLAS thread setting.  The count is process-global: scipy called from
+    another thread during setup sees one thread too.  With a scipy built
+    on another BLAS the count is left alone, and R and P are
+    bit-identical only at a fixed thread setting.
     """
 
     def __init__(
@@ -228,34 +281,35 @@ class KgardSolver:
         # each tier's P is Fortran-ordered, as LAPACK writes it in place
         self._coef_map = np.empty((tiers, n, n + 1)).transpose(0, 2, 1)
         lower_tri = np.tri(n, dtype=bool)
-        for t, penalty in enumerate(lams):
-            # numpy and scipy each bundle an OpenBLAS, and every switch
-            # between them waits for the other's spinning worker threads to
-            # give up a core, so setup makes all its BLAS calls through
-            # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
-            # the lower triangle of X0^T X0, the only one dpotrf reads.
-            a0 = dsyrk(1.0, design.T, lower=1)
-            with np.errstate(over="ignore"):
-                a0[np.diag_indices(n + 1)] += penalty * w2
-            if not np.isfinite(a0).all():
-                raise ValueError(
-                    "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
-                    f"at lambda {penalty}"
-                )
-            # L0 is C-ordered, so its transpose is the Fortran-ordered
-            # upper factor LAPACK solves with: H = L0^-1 X0^T, then
-            # P = L0^-T H, both in P's slot
-            upper0 = _cholesky(a0).T
-            h = self._coef_map[t]
-            h[...] = design.T
-            _solve_upper(upper0, h, trans=1)
-            hth = dsyrk(1.0, h, trans=1, lower=1)
-            # R = I - H^T H mirrored from the lower triangle, so R is
-            # exactly symmetric: 0 - H^T H, then 1 on the diagonal
-            r = self._residual_map[t]
-            np.subtract(0.0, np.where(lower_tri, hth, hth.T), out=r)
-            r[np.diag_indices(n)] += 1.0
-            _solve_upper(upper0, h, trans=0)
+        with _one_blas_thread():
+            for t, penalty in enumerate(lams):
+                # numpy and scipy each bundle an OpenBLAS, and every switch
+                # between them waits for the other's spinning worker threads to
+                # give up a core, so setup makes all its BLAS calls through
+                # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
+                # the lower triangle of X0^T X0, the only one dpotrf reads.
+                a0 = dsyrk(1.0, design.T, lower=1)
+                with np.errstate(over="ignore"):
+                    a0[np.diag_indices(n + 1)] += penalty * w2
+                if not np.isfinite(a0).all():
+                    raise ValueError(
+                        "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
+                        f"at lambda {penalty}"
+                    )
+                # L0 is C-ordered, so its transpose is the Fortran-ordered
+                # upper factor LAPACK solves with: H = L0^-1 X0^T, then
+                # P = L0^-T H, both in P's slot
+                upper0 = _cholesky(a0).T
+                h = self._coef_map[t]
+                h[...] = design.T
+                _solve_upper(upper0, h, trans=1)
+                hth = dsyrk(1.0, h, trans=1, lower=1)
+                # R = I - H^T H mirrored from the lower triangle, so R is
+                # exactly symmetric: 0 - H^T H, then 1 on the diagonal
+                r = self._residual_map[t]
+                np.subtract(0.0, np.where(lower_tri, hth, hth.T), out=r)
+                r[np.diag_indices(n)] += 1.0
+                _solve_upper(upper0, h, trans=0)
         self._n = n
 
     def fit(
@@ -463,7 +517,11 @@ def predict(
     params: KernelParams,
 ) -> np.ndarray:
     """Evaluate the fitted expansion at query points."""
-    k = cross_gram(query_points, train_points, params)
+    query, train = as_point_matrix(query_points), as_point_matrix(train_points)
+    for name, points in (("query", query), ("train", train)):
+        if not np.all(np.isfinite(points)):
+            raise ValueError(f"{name} points must be finite")
+    k = cross_gram(query, train, params)
     if k.shape[1] != solution.alpha.shape[0]:
         raise ValueError(
             f"{k.shape[1]} train points but {solution.alpha.shape[0]} coefficients"

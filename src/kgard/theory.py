@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import svdvals
 
-from .core import _check_count, _check_lambda, _ridge_design
+from .core import _check_count, _check_lambda, _one_blas_thread, _ridge_design
 
 _RANK_TOL = 1e-10
 
@@ -89,8 +89,13 @@ class BoundReport:
 
 def design_sigma_max(gram: np.ndarray) -> float:
     """sigma_max of the ridge design X0 = [K 1].  scipy's SVD shares the
-    solver setup's OpenBLAS; numpy's would wait for the other's threads."""
-    return float(svdvals(_ridge_design(gram), check_finite=False)[0])
+    solver setup's OpenBLAS; numpy's would wait for the other's threads.
+    Like solver setup, it runs on one scipy OpenBLAS thread and restores
+    the count afterwards, so its bits do not depend on the thread
+    setting (with another BLAS, only at a fixed setting)."""
+    x0 = _ridge_design(gram)
+    with _one_blas_thread():
+        return float(svdvals(x0, check_finite=False)[0])
 
 
 def theorem_check(

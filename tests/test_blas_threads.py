@@ -1,0 +1,148 @@
+"""Solver setup runs on one scipy OpenBLAS thread.
+
+Outputs must not depend on ``OPENBLAS_NUM_THREADS``, the pin must hand
+the caller's thread count back, also when setup raises, and without
+scipy's OpenBLAS setup must run unpinned with the same arithmetic.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kgard.core as core
+import kgard.theory as theory
+from kgard.core import KgardSolver, NumericalError
+from kgard.kernel import KernelParams, gram_matrix
+from kgard.theory import design_sigma_max
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# prints one SHA-256 per float output: a 32^2 noisy image, three
+# lattice2d trials, a two-trial sweep and the sweep's sigma_max
+OUTPUTS = """
+import hashlib
+import numpy as np
+from kgard import (KernelParams, KgardConfig, NoiseSpec, denoise_image, design_sigma_max,
+                   gram_matrix, rng_for, run_monte_carlo, sweep_outlier_magnitude)
+
+rng = rng_for(3)
+xx, yy = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32))
+image = np.round(100 + 50 * np.exp(-(xx**2 + yy**2) / 0.4) + rng.normal(0, 2, (32, 32)))
+image.ravel()[rng.choice(image.size, 60, replace=False)] += 100.0
+result = denoise_image(image)
+_, trials = run_monte_carlo(
+    "lattice2d",
+    NoiseSpec(inlier_sigma=3.0, impulse_fraction=0.05, impulse_magnitude=40.0),
+    KgardConfig(lam=0.15, epsilon=46.0),
+    trials=3,
+)
+points = sweep_outlier_magnitude([300.0, 600.0], trials=2)
+outputs = {
+    "denoised": result.denoised,
+    "outlier_map": result.outlier_map,
+    "impulse_removed": result.impulse_removed,
+    "lattice_mse": [t.mse_validation for t in trials],
+    "sweep": [(p.mean_correct, p.mean_wrong, p.bound_hold_rate) for p in points],
+    "sigma_max": design_sigma_max(gram_matrix(np.linspace(0, 1, 100), KernelParams(0.1))),
+}
+for name, value in outputs.items():
+    data = np.asarray(value, dtype=np.float64).tobytes()
+    print(name, hashlib.sha256(data).hexdigest())
+"""
+
+
+def _hashes(blas_threads: str) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OUTPUTS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    one, two = _hashes("1"), _hashes("2")
+    assert len(one) == 6
+    assert one == two
+
+
+@pytest.fixture
+def scipy_openblas():
+    """scipy's OpenBLAS getter and setter, with the caller's count set to
+    2 for the test and the original count restored afterwards."""
+    if core._SCIPY_OPENBLAS is None:
+        pytest.skip("scipy is not linked against its bundled OpenBLAS")
+    get, set_ = core._SCIPY_OPENBLAS
+    original = get()
+    set_(2)
+    yield get, set_
+    set_(original)
+
+
+def _gram(n=60):
+    return gram_matrix(np.linspace(0, 1, n), KernelParams(0.1))
+
+
+def test_setup_calls_scipy_on_one_thread(scipy_openblas, monkeypatch):
+    get, _ = scipy_openblas
+    seen = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, get()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("dsyrk", "dpotrf", "dtrtrs"):
+        counting(core, name)
+    counting(theory, "svdvals")
+    KgardSolver(_gram(), [0.1, 1.0])
+    design_sigma_max(_gram())
+    assert {name for name, _ in seen} == {"dsyrk", "dpotrf", "dtrtrs", "svdvals"}
+    assert {threads for _, threads in seen} == {1}
+
+
+def test_setup_restores_the_callers_thread_count(scipy_openblas):
+    get, _ = scipy_openblas
+    KgardSolver(_gram(), [0.1, 1.0])
+    assert get() == 2
+    design_sigma_max(_gram())
+    assert get() == 2
+
+
+@pytest.mark.parametrize(
+    "gram, lam, error",
+    [
+        pytest.param(np.full((4, 4), 1e200), 1.0, ValueError, id="overflowing-gram"),
+        pytest.param(np.ones((4, 4)), 1e-16, NumericalError, id="not-positive-definite"),
+    ],
+)
+def test_failed_setup_restores_the_callers_thread_count(scipy_openblas, gram, lam, error):
+    get, _ = scipy_openblas
+    with pytest.raises(error):
+        KgardSolver(gram, lam)
+    assert get() == 2
+
+
+def test_setup_without_scipy_openblas_gives_the_same_arrays(scipy_openblas, monkeypatch):
+    get, set_ = scipy_openblas
+    gram = _gram(145)
+    pinned = KgardSolver(gram, [0.1, 1.0])
+    pinned_sigma = design_sigma_max(gram)
+    # unpinned, the arithmetic matches at the thread count setup pins
+    set_(1)
+    monkeypatch.setattr(core, "_SCIPY_OPENBLAS", None)
+    plain = KgardSolver(gram, [0.1, 1.0])
+    assert design_sigma_max(gram) == pinned_sigma
+    assert get() == 1
+    assert plain._residual_map.tobytes() == pinned._residual_map.tobytes()
+    assert plain._coef_map.tobytes() == pinned._coef_map.tobytes()

@@ -513,6 +513,22 @@ def test_predict_rejects_mismatched_coefficients():
         predict(sol, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
 
 
+@pytest.mark.parametrize(
+    "train, query, match",
+    [
+        ([0.0, 0.5, 1.0], [0.5, np.nan, 0.2], "query points must be finite"),
+        ([0.0, 0.5, 1.0], [0.5, 0.1, np.inf], "query points must be finite"),
+        ([0.0, np.nan, 1.0], [0.5], "train points must be finite"),
+        ([0.0, 0.5, -np.inf], [0.5], "train points must be finite"),
+    ],
+    ids=["nan-query", "inf-query", "nan-train", "inf-train"],
+)
+def test_predict_rejects_non_finite_points(train, query, match):
+    sol = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.arange(3.0), epsilon=1.0)
+    with pytest.raises(ValueError, match=match):
+        predict(sol, train, query, KernelParams(1.0))
+
+
 def _duplicate_pairs():
     # the degenerate case plus copies of points 3 and 17: the ridge fit
     # interpolates every coordinate except the difference across each
