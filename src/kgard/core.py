@@ -395,7 +395,6 @@ class KgardSolver:
                 )
             if not (eps >= 0).all():
                 raise ValueError("epsilon returned a negative or NaN threshold")
-            eps = np.broadcast_to(eps, (m,))
             done = norms <= eps
             capped = k == max_selections
             stop = done
@@ -420,7 +419,7 @@ class KgardSolver:
                         picks[pos, :k],
                         coef[pos, :k],
                         float(norms[pos]),
-                        float(eps[pos]),
+                        float(eps[pos] if eps.ndim else eps),
                         "threshold" if done[pos] else "cap" if capped else "pivot",
                         tier[pos],
                     )
@@ -436,8 +435,7 @@ class KgardSolver:
                 m = live.size
                 rows = rows[:m]
 
-            qk = col / np.sqrt(pivot)[:, None]
-            q[k, :m] = qk
+            qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
             ck = r[rows, j] / qk[rows, j]
             r -= ck[:, None] * qk
             picks[:, k] = j

@@ -194,8 +194,11 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
     # indices into the raveled edges, row i's bins starting at i (bins + 1)
     flat_edges = edges.ravel()
     offset = np.arange(0, rows_n * (bins + 1), bins + 1)
-    idx = (((r - first[:, None]) / delta[:, None]) * bins).astype(np.intp)
-    idx = np.minimum(idx, bins - 1)
+    scaled = r - first[:, None]
+    scaled /= delta[:, None]
+    scaled *= bins
+    idx = scaled.astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
     idx += offset[:, None]
     idx -= r < flat_edges.take(idx)
     # a value on the last edge moves to the spare bin `bins`, folded back

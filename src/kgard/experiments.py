@@ -234,14 +234,16 @@ def sweep_outlier_magnitude(
     Protocol: 100 equidistant points on [0, 1], kernel width 0.1, a
     sparse random kernel target, impulses of the given magnitude at
     the given fraction, no inlier noise.  ``fraction`` must give between
-    1 and 99 impulses, checked before any work.  Each trial fits with the
+    1 and 99 impulses, and every magnitude must be nonnegative and
+    finite, both checked before any work.  Each trial fits with the
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
     Every trial shares one Gram matrix and solver: the trials of one
     magnitude are fitted as one batch, and sigma_max([K 1]) is computed
-    once per call.  Each trial's truth is drawn once per call; every
-    magnitude corrupts it from the generator state that followed the
-    draw, as if the trial were drawn afresh.
+    once per call.  Each trial's truth and its impulse positions and
+    signs are drawn once per call, as unit impulses; every magnitude
+    scales them.  With no inlier noise this gives the observations a
+    fresh draw at that magnitude would, bit for bit.
     """
     magnitudes = list(magnitudes)
     if not magnitudes:
@@ -253,34 +255,35 @@ def sweep_outlier_magnitude(
             f"fraction must be finite and give round(fraction * {SWEEP_N}) impulses "
             f"in [1, {SWEEP_N - 1}], got {fraction}"
         )
+    for magnitude in magnitudes:
+        NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
     solver = KgardSolver(gram, SWEEP_LAMBDA)
     sigma_max = design_sigma_max(gram)
-    truths = []
+    # corrupt writes sign * magnitude at each impulse and 0.0 elsewhere,
+    # so magnitude * (unit impulses) is the same float, -0.0 included
+    unit = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=1.0)
+    truths = np.empty((trials, SWEEP_N))
+    units = np.empty((trials, SWEEP_N))
+    thetas, supports = [], []
     for t in range(trials):
         rng = rng_for(base_seed + t)
-        _, truth, alpha = make_support_dataset(rng, SWEEP_N)
-        truths.append((rng, rng.bit_generator.state, truth, alpha))
+        _, truths[t], alpha = make_support_dataset(rng, SWEEP_N)
+        _, support, units[t] = corrupt(truths[t], unit, rng=rng)
+        thetas.append(np.append(alpha, 0.0))  # the protocol target has no bias
+        supports.append(support)
 
     points = []
     for magnitude in magnitudes:
-        spec = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
-        draws = []
-        for rng, state, truth, alpha in truths:
-            rng.bit_generator.state = state
-            y, support, u = corrupt(truth, spec, rng=rng)
-            draws.append((alpha, y, support, u))
-        solutions = solver.fit(
-            np.stack([y for _, y, _, _ in draws]), epsilon=0.0, max_selections=n_impulses
-        )
+        u = magnitude * units
+        solutions = solver.fit(truths + u, epsilon=0.0, max_selections=n_impulses)
         rows = []
-        for (alpha, _, support, u), solution in zip(draws, solutions):
+        for theta, support, u_t, solution in zip(thetas, supports, u, solutions):
             correct, wrong = support_metrics(solution.support, support)
-            if np.any(u):
-                theta = np.append(alpha, 0.0)  # the protocol target has no bias
-                holds = theorem_check(sigma_max, theta, u, SWEEP_LAMBDA).holds
+            if magnitude > 0:
+                holds = theorem_check(sigma_max, theta, u_t, SWEEP_LAMBDA).holds
             else:
                 holds = False  # zero-magnitude impulses carry no certificate
             rows.append((correct, wrong, holds))

@@ -118,33 +118,29 @@ def theorem_check(
     theta = np.asarray(true_theta, dtype=np.float64).ravel()
     if theta.shape[0] != u.shape[0] + 1:
         raise ValueError(f"expected theta of length {u.shape[0] + 1}, got {theta.shape[0]}")
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(theta).all() and np.isfinite(u).all()):
         raise ValueError("true theta and outliers must be finite")
-    support = np.flatnonzero(u)
+    support = u.nonzero()[0]
     if support.size == 0:
         raise ValueError("true outlier vector has empty support")
-    min_outlier = float(np.min(np.abs(u[support])))
-    theta_norm = float(np.linalg.norm(theta))
-    outlier_norm = float(np.linalg.norm(u))
-    lambda_cap = (
-        np.inf if theta_norm == 0 else (min_outlier / theta_norm) ** 2 / 2.0
-    )
+    # scalar arithmetic on Python floats; sqrt(x.dot(x)) is exactly what
+    # np.linalg.norm computes for a 1-D array
+    min_outlier = float(np.abs(u[support]).min())
+    theta_norm = math.sqrt(theta.dot(theta))
+    outlier_norm = math.sqrt(u.dot(u))
+    lambda_cap = math.inf if theta_norm == 0 else (min_outlier / theta_norm) ** 2 / 2.0
 
-    numerator = min_outlier - np.sqrt(2.0 * lam) * theta_norm
+    penalty = math.sqrt(2.0 * lam) * theta_norm
+    numerator = min_outlier - penalty
     gamma: Optional[float] = None
     holds = False
     if numerator > 0:
-        gamma = float(
-            np.sqrt(
-                numerator
-                / (2.0 * outlier_norm - min_outlier + np.sqrt(2.0 * lam) * theta_norm)
-            )
-        )
-        holds = bool(sigma_max < gamma * np.sqrt(lam))
+        gamma = math.sqrt(numerator / (2.0 * outlier_norm - min_outlier + penalty))
+        holds = bool(sigma_max < gamma * math.sqrt(lam))
     return BoundReport(
         sigma_max=float(sigma_max),
         gamma=gamma,
-        lambda_cap=float(lambda_cap),
+        lambda_cap=lambda_cap,
         holds=holds,
         min_outlier=min_outlier,
         theta_norm=theta_norm,

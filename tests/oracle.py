@@ -2,7 +2,8 @@
 its ridge coefficient and residual maps, a closed-form residual after
 k correct selections, a per-row ``np.histogram`` reference for the
 denoising threshold, which in ``kgard.denoise`` takes (L, N) stacks
-only, and the denoising pipeline one ROI at a time.
+only, the denoising pipeline one ROI at a time, and the identification
+certificate's fields in numpy scalar arithmetic.
 
 The solve forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
@@ -19,6 +20,7 @@ from scipy.linalg import block_diag
 from kgard.core import KgardSolver, NumericalError
 from kgard.denoise import auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
+from kgard.theory import BoundReport
 
 
 def design_matrix(gram, support=()):
@@ -224,3 +226,35 @@ def denoise_reference(image, cfg):
     quantum = 2.0**-30
     outlier_map = np.round(outlier_map[:h, :w] / quantum) * quantum
     return denoised[:h, :w], outlier_map, diagnostics
+
+
+def theorem_check_reference(sigma_max, true_theta, true_outliers, lam):
+    """``kgard.theory.theorem_check`` for valid inputs, with the norms
+    from ``np.linalg.norm`` and the square roots from ``np.sqrt``."""
+    u = np.asarray(true_outliers, dtype=np.float64).ravel()
+    theta = np.asarray(true_theta, dtype=np.float64).ravel()
+    min_outlier = float(np.min(np.abs(u[np.flatnonzero(u)])))
+    theta_norm = float(np.linalg.norm(theta))
+    outlier_norm = float(np.linalg.norm(u))
+    lambda_cap = np.inf if theta_norm == 0 else (min_outlier / theta_norm) ** 2 / 2.0
+    numerator = min_outlier - np.sqrt(2.0 * lam) * theta_norm
+    gamma = None
+    holds = False
+    if numerator > 0:
+        gamma = float(
+            np.sqrt(
+                numerator
+                / (2.0 * outlier_norm - min_outlier + np.sqrt(2.0 * lam) * theta_norm)
+            )
+        )
+        holds = bool(sigma_max < gamma * np.sqrt(lam))
+    return BoundReport(
+        sigma_max=float(sigma_max),
+        gamma=gamma,
+        lambda_cap=float(lambda_cap),
+        holds=holds,
+        min_outlier=min_outlier,
+        theta_norm=theta_norm,
+        outlier_norm=outlier_norm,
+        lam=float(lam),
+    )

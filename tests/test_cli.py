@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kgard.core
+import kgard.experiments
 from kgard.cli import main
 from kgard.core import Dataset, KgardConfig, NumericalError, kgard_fit
 from kgard.denoise import denoise_image
@@ -225,6 +226,20 @@ def test_sweep_fraction_without_impulses_to_place_exits_2(tmp_path, capsys, frac
     err = capsys.readouterr().err
     assert err.startswith("error: argument: fraction must be finite")
     assert f"got {float(fraction)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("magnitudes", ["100,nan", "100,-1", "100,inf"])
+def test_sweep_bad_magnitude_exits_2_before_any_work(tmp_path, capsys, monkeypatch, magnitudes):
+    def boom(*args, **kwargs):
+        raise AssertionError("the sweep built its Gram matrix")
+
+    monkeypatch.setattr(kgard.experiments, "gram_matrix", boom)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--magnitudes", magnitudes, "--trials", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument: impulse_magnitude must be nonnegative and finite")
     assert not out.exists()
 
 

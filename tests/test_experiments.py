@@ -214,6 +214,16 @@ def test_sweep_checks_fraction_before_any_work(monkeypatch, fraction):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan, math.inf])
+def test_sweep_checks_every_magnitude_before_any_work(monkeypatch, bad):
+    calls = []
+    _count_calls(monkeypatch, experiments, "gram_matrix", calls)
+    _count_calls(monkeypatch, experiments, "make_support_dataset", calls)
+    with pytest.raises(ValueError, match=r"^impulse_magnitude must be nonnegative and finite"):
+        sweep_outlier_magnitude([100.0, bad], trials=2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("fraction, impulses", [(0.005, 1), (0.994, 99)])
 def test_sweep_accepts_the_extreme_impulse_counts(monkeypatch, fraction, impulses):
     caps = []
@@ -265,27 +275,66 @@ def test_sweep_builds_one_solver(monkeypatch):
 def test_sweep_draws_each_truth_once(monkeypatch):
     calls = []
     _count_calls(monkeypatch, experiments, "make_support_dataset", calls)
+    _count_calls(monkeypatch, experiments, "corrupt", calls)
     sweep_outlier_magnitude([100.0, 300.0, 600.0, 900.0], trials=3, base_seed=0)
-    assert len(calls) == 3
+    assert calls == ["make_support_dataset", "corrupt"] * 3
 
 
-def test_sweep_point_matches_per_trial_reference():
+def test_sweep_point_matches_per_trial_reference(monkeypatch):
+    """Every magnitude, in any order and 0.0 included, gives what fresh
+    draws at that magnitude would: the same observation and impulse
+    bytes, and the same points, field for field."""
     trials, base_seed = 4, 2
-    (point,) = sweep_outlier_magnitude([300.0], trials=trials, base_seed=base_seed)
+    magnitudes = [600.0, 0.0, 300.0, 37.5, 100.0]
+    fitted, certified = [], []
+    real_fit, real_check = KgardSolver.fit, experiments.theorem_check
+
+    def fit(self, y, *args, **kwargs):
+        fitted.append(np.array(y))
+        return real_fit(self, y, *args, **kwargs)
+
+    def check(sigma_max, theta, u, lam):
+        certified.append(np.array(u))
+        return real_check(sigma_max, theta, u, lam)
+
+    monkeypatch.setattr(KgardSolver, "fit", fit)
+    monkeypatch.setattr(experiments, "theorem_check", check)
+    points = sweep_outlier_magnitude(magnitudes, trials=trials, base_seed=base_seed)
+    monkeypatch.undo()
+
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
-    spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=300.0)
-    rows = []
-    for t in range(trials):
-        rng = rng_for(base_seed + t)
-        x, truth, alpha = make_support_dataset(rng, SWEEP_N)
-        y, support, u = corrupt(truth, spec, rng=rng)
-        gram = gram_matrix(x, params)
-        solution = KgardSolver(gram, SWEEP_LAMBDA).fit(
-            y, epsilon=0.0, max_selections=support.size
+    expected, ys, us = [], [], []
+    for magnitude in magnitudes:
+        spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=magnitude)
+        rows = []
+        for t in range(trials):
+            rng = rng_for(base_seed + t)
+            x, truth, alpha = make_support_dataset(rng, SWEEP_N)
+            y, support, u = corrupt(truth, spec, rng=rng)
+            ys.append(y)
+            gram = gram_matrix(x, params)
+            solution = KgardSolver(gram, SWEEP_LAMBDA).fit(
+                y, epsilon=0.0, max_selections=support.size
+            )
+            holds = False
+            if np.any(u):
+                us.append(u)
+                sigma_max = design_sigma_max(gram)
+                theta = np.append(alpha, 0.0)
+                holds = theorem_check(sigma_max, theta, u, SWEEP_LAMBDA).holds
+            rows.append(support_metrics(solution.support, support) + (float(holds),))
+        expected.append(
+            experiments.SweepPoint(
+                magnitude=magnitude,
+                mean_correct=float(np.mean([r[0] for r in rows])),
+                mean_wrong=float(np.mean([r[1] for r in rows])),
+                bound_hold_rate=float(np.mean([r[2] for r in rows])),
+                trials=trials,
+            )
         )
-        sigma_max = design_sigma_max(gram)
-        holds = theorem_check(sigma_max, np.append(alpha, 0.0), u, SWEEP_LAMBDA).holds
-        rows.append(support_metrics(solution.support, support) + (float(holds),))
-    assert point.mean_correct == float(np.mean([r[0] for r in rows]))
-    assert point.mean_wrong == float(np.mean([r[1] for r in rows]))
-    assert point.bound_hold_rate == float(np.mean([r[2] for r in rows]))
+    assert np.concatenate(fitted).tobytes() == np.stack(ys).tobytes()
+    assert np.stack(certified).tobytes() == np.stack(us).tobytes()
+    assert points == expected
+    # the reference is not degenerate: recovery and certificates vary
+    assert len({p.mean_correct for p in points}) > 1
+    assert len({p.bound_hold_rate for p in points}) > 1

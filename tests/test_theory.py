@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,13 @@ from kgard.denoise import roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import lattice_nodes
 from kgard.theory import (
+    BoundReport,
     best_certificate,
     design_sigma_max,
     spectral_diagnostics,
     theorem_check,
 )
-from oracle import residual, residual_oracle
+from oracle import residual, residual_oracle, theorem_check_reference
 
 
 def _instance(seed, n=20, sigma=0.15):
@@ -151,6 +154,48 @@ def test_theorem_check_rejects_non_finite_truth():
     ):
         with pytest.raises(ValueError, match="must be finite"):
             theorem_check(sigma_max, bad_theta, bad_u, 1.0)
+
+
+def _bound_cases():
+    """Seeded (sigma_max, theta, u, lam) cases: certified and not, gamma
+    None above the cap, theta = 0 (an infinite cap) and -0.0 entries in u."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for i in range(60):
+        n = int(rng.integers(1, 120))
+        theta = rng.normal(0.0, 0.5, size=n + 1) * 10.0 ** rng.integers(-3, 3)
+        if i % 6 == 0:
+            theta[:] = 0.0
+        u = np.zeros(n)
+        k = int(rng.integers(1, n + 1))
+        u[rng.choice(n, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k) * (
+            10.0 ** rng.uniform(-1.0, 3.5, size=k)
+        )
+        if i % 4 == 0:
+            u[u == 0] = -0.0
+        lam = float(10.0 ** rng.uniform(-6.0, 4.0))
+        cases.append((float(10.0 ** rng.uniform(-1.0, 2.0)), theta, u, lam))
+    gram, theta, u, _ = _certified_setup(4)
+    sigma_max = design_sigma_max(gram)
+    cases.append((sigma_max, theta, u, 4000.0))
+    cases.append((sigma_max, -theta, np.where(u == 0, -0.0, u), 4000.0))
+    return cases
+
+
+def test_theorem_check_matches_numpy_reference_bit_for_bit():
+    cases = _bound_cases()
+    reports = [theorem_check(*case) for case in cases]
+    assert any(r.lambda_cap == np.inf for r in reports)
+    assert any(r.gamma is None for r in reports)
+    assert any(r.holds for r in reports)
+    assert any(r.gamma is not None and not r.holds for r in reports)
+    for case, report in zip(cases, reports):
+        expected = theorem_check_reference(*case)
+        for field in dataclasses.fields(BoundReport):
+            got, want = getattr(report, field.name), getattr(expected, field.name)
+            assert type(got) is type(want), field.name
+            if want is not None:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
 
 
 def _solver_residual(gram, y, lam, k):
