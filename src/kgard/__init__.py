@@ -9,6 +9,7 @@ impulse-noise image denoising pipeline.
 
 from .core import (
     Dataset,
+    KgardBatch,
     KgardConfig,
     KgardSolution,
     KgardSolver,
@@ -21,7 +22,6 @@ from .experiments import (
     AggregateStats,
     TrialResult,
     run_monte_carlo,
-    support_metrics,
     sweep_outlier_magnitude,
 )
 from .kernel import KernelParams, cross_gram, gram_matrix, rbf_eval
@@ -37,7 +37,6 @@ from .pgm import PgmFormatError, read_pgm, write_pgm
 from .theory import (
     BoundReport,
     SpectralDiagnostics,
-    best_certificate,
     design_sigma_max,
     spectral_diagnostics,
     theorem_check,
@@ -51,6 +50,7 @@ __all__ = [
     "Dataset",
     "DenoiseResult",
     "KernelParams",
+    "KgardBatch",
     "KgardConfig",
     "KgardSolution",
     "KgardSolver",
@@ -61,7 +61,6 @@ __all__ = [
     "SpectralDiagnostics",
     "StableParams",
     "TrialResult",
-    "best_certificate",
     "corrupt",
     "cross_gram",
     "denoise_image",
@@ -77,7 +76,6 @@ __all__ = [
     "rng_for",
     "run_monte_carlo",
     "spectral_diagnostics",
-    "support_metrics",
     "sweep_outlier_magnitude",
     "theorem_check",
     "write_pgm",

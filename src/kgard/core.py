@@ -16,7 +16,7 @@ of that map; the coefficients are read once, after the last
 selection, through the ridge fit's coefficient map.  Fits that share
 one residual map run as a batch: a (B, N) stack of residuals advances
 one selection per step, every row with its own argmax, update and stop
-test.
+test, and the batch finishes as arrays, one :class:`KgardBatch`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
+# finishing rows whose Q[S] one gather copies: 128 k x k blocks are at
+# most 2.4 MB at the denoising cap k = 48, where gathering all 1024 ROIs
+# of a 256^2 image at once raised peak RSS by 18 MB
+_GATHER_ROWS = 128
 
 
 def _scipy_openblas():
@@ -222,6 +226,57 @@ class KgardSolution:
         return len(self.outliers)
 
 
+@dataclass
+class KgardBatch:
+    """Fit result of a (B, N) batch as arrays, one row per fit.
+
+    ``alpha`` is (B, N); ``bias``, ``selections``, ``residual_norm``,
+    ``epsilon`` and ``stop_reason`` are (B,), the last three as in
+    :class:`KgardSolution`.  ``support`` and ``outliers`` are
+    (B, max_selections): row i's outlier indices in selection order and
+    their values fill its first ``selections[i]`` columns, and the
+    padding after them is 0 and belongs to no selection.
+    """
+
+    alpha: np.ndarray
+    bias: np.ndarray
+    support: np.ndarray
+    outliers: np.ndarray
+    selections: np.ndarray
+    residual_norm: np.ndarray
+    epsilon: np.ndarray
+    stop_reason: np.ndarray
+
+    def selected(self) -> tuple:
+        """(rows, indices, values) of every selection of the batch as
+        flat arrays, row by row and each row in selection order."""
+        taken = np.arange(self.support.shape[1]) < self.selections[:, None]
+        return taken.nonzero()[0], self.support[taken], self.outliers[taken]
+
+    def solution(self, i: int) -> KgardSolution:
+        """Row ``i`` as a :class:`KgardSolution`."""
+        k = self.selections[i]
+        return KgardSolution(
+            alpha=self.alpha[i],
+            bias=float(self.bias[i]),
+            outliers=dict(zip(self.support[i, :k].tolist(), self.outliers[i, :k].tolist())),
+            residual_norm=float(self.residual_norm[i]),
+            epsilon=float(self.epsilon[i]),
+            stop_reason=str(self.stop_reason[i]),
+        )
+
+
+def _per_tier(maps: np.ndarray, tier: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """maps[tier[i]] @ x[i] for every row i, one stacked product per
+    tier.  Each row is the same BLAS call a single product makes, so
+    its bits do not depend on the batch."""
+    out = np.empty((x.shape[0], maps.shape[1]))
+    for t in np.unique(tier):
+        at = np.flatnonzero(tier == t)
+        out[at] = np.matmul(maps[t], x[at, :, None])[..., 0]
+    return out
+
+
 def _stop_norms(r: np.ndarray, abs_r: np.ndarray, kind: str) -> np.ndarray:
     if kind == "l2":
         return np.linalg.norm(r, axis=1)
@@ -242,8 +297,9 @@ class KgardSolver:
     one rank-one Schur update per selection; the columns of Q hold them,
     so Q[S] is the lower Cholesky factor of R[S, S].  A pivot of R at or
     below ``_PIVOT_FLOOR`` stops the fit.  A finished row's outliers u_S
-    come from one k x k triangular solve with Q[S], and its coefficients
-    (alpha; c) = P (y - I_S u_S) from one matrix-vector product.
+    come from one k x k triangular solve with Q[S].  The coefficients
+    (alpha; c) = P (y - I_S u_S) of every row come after the last
+    selection, from one stacked product per tier.
 
     Setup runs on one thread of scipy's OpenBLAS and restores the
     previous count afterwards, so R and P carry the same bits at every
@@ -323,10 +379,11 @@ class KgardSolver:
         """Fit one observation vector ``y`` of shape (N,), or a batch of
         B independent ones stacked as (B, N).
 
-        A 1-D ``y`` returns one :class:`KgardSolution`, a 2-D one a list
-        of B, in row order.  The rows advance in lockstep, one selection
-        per step, and a row leaves the batch when it stops; every row's
-        result is bit-identical to fitting it alone.  A row stops when
+        A 2-D ``y`` returns one :class:`KgardBatch` of B rows, in row
+        order, and a 1-D one the :class:`KgardSolution` of that batch's
+        one row.  The rows advance in lockstep, one selection per step,
+        and a row leaves the batch when it stops; every row's result is
+        bit-identical to fitting it alone.  A row stops when
         its residual norm is at most the threshold, on a degenerate
         pivot, or at ``max_selections`` (N // 2 by default, so a fit
         ends even at epsilon = 0); ``stop_reason`` names which.
@@ -359,19 +416,26 @@ class KgardSolver:
         single = y.ndim == 1
         ys = y.reshape(-1, n)
         batch = ys.shape[0]
-        if batch == 0:
-            return []
-
         # one R y per row keeps every row's arithmetic independent of B
-        r = np.empty((batch, n))
-        for i in range(batch):
-            r[i] = self._residual_map[tier[i]] @ ys[i]
+        r = _per_tier(self._residual_map, tier, ys)
         abs_r = np.abs(r)
         norms = _stop_norms(r, abs_r, stop_norm)
         if not np.all(np.isfinite(norms)):
             raise ValueError(f"the initial residual's {stop_norm} norm overflows")
 
-        solutions: list = [None] * batch
+        # rows by original index; each row's Schur coefficients are
+        # overwritten with its outliers u_S when it finishes
+        out = KgardBatch(
+            alpha=None,
+            bias=None,
+            support=np.zeros((batch, max_selections), dtype=np.intp),
+            outliers=np.zeros((batch, max_selections)),
+            selections=np.zeros(batch, dtype=np.intp),
+            residual_norm=np.empty(batch),
+            epsilon=np.empty(batch),
+            stop_reason=np.empty(batch, dtype="<U9"),
+        )
+        picks, coef, row_tier = out.support, out.outliers, tier
         live = np.arange(batch)  # original row of each running row
         active = np.zeros((batch, n), dtype=bool)
         # one (rows, N) slab of Q columns per selection, in an anonymous
@@ -382,10 +446,8 @@ class KgardSolver:
         size = max_selections * batch * n
         q = np.frombuffer(mmap.mmap(-1, 8 * size or 1), count=size)
         q = q.reshape(max_selections, batch, n)
-        picks = np.empty((batch, max_selections), dtype=np.intp)
-        coef = np.empty((batch, max_selections))
         k = 0
-        while True:
+        while batch:  # an empty batch makes no step
             m = live.size
             eps = np.asarray(threshold(abs_r), dtype=np.float64)
             if eps.shape not in ((), (m,)):
@@ -412,17 +474,23 @@ class KgardSolver:
                 stop = pivot <= _PIVOT_FLOOR
                 stop |= done
             if capped or stop.any():
-                for pos in np.flatnonzero(stop | capped):
-                    solutions[live[pos]] = self._solution(
-                        ys[live[pos]],
-                        q[:k, pos],
-                        picks[pos, :k],
-                        coef[pos, :k],
-                        float(norms[pos]),
-                        float(eps[pos] if eps.ndim else eps),
-                        "threshold" if done[pos] else "cap" if capped else "pivot",
-                        tier[pos],
-                    )
+                fin = np.flatnonzero(stop | capped)
+                rows_fin = live[fin]
+                out.selections[rows_fin] = k
+                out.residual_norm[rows_fin] = norms[fin]
+                out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
+                out.stop_reason[rows_fin] = np.where(
+                    done[fin], "threshold", "cap" if capped else "pivot"
+                )
+                # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK
+                # solve per row with the upper triangular q[:, S] = Q[S]^T,
+                # gathered for up to _GATHER_ROWS finishing rows at once.
+                # LAPACK rejects the 0 x 0 system of a row with no selections.
+                for lo in range(0, fin.size if k else 0, _GATHER_ROWS):
+                    block = slice(lo, lo + _GATHER_ROWS)
+                    upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
+                    for f, row in enumerate(rows_fin[block]):
+                        coef[row, :k] = _solve_upper(upper[:, f], coef[row, :k], trans=0)
                 if capped or stop.all():
                     break
                 # compact the running rows to the front of every array
@@ -430,7 +498,6 @@ class KgardSolver:
                 q[:k, : keep.sum()] = q[:k, :m][:, keep]
                 live, tier = live[keep], tier[keep]
                 r, abs_r, active = r[keep], abs_r[keep], active[keep]
-                picks, coef = picks[keep], coef[keep]
                 j, col, pivot = j[keep], col[keep], pivot[keep]
                 m = live.size
                 rows = rows[:m]
@@ -438,13 +505,20 @@ class KgardSolver:
             qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
             ck = r[rows, j] / qk[rows, j]
             r -= ck[:, None] * qk
-            picks[:, k] = j
-            coef[:, k] = ck
+            picks[live, k] = j
+            coef[live, k] = ck
             active[rows, j] = True
             k += 1
             abs_r = np.abs(r)
             norms = _stop_norms(r, abs_r, stop_norm)
-        return solutions[0] if single else solutions
+
+        # (alpha; c) = P (y - I_S u_S), one stacked product per tier
+        rows, index, value = out.selected()
+        e = ys.copy()
+        e[rows, index] -= value
+        theta = _per_tier(self._coef_map, row_tier, e)
+        out.alpha, out.bias = theta[:, :n], theta[:, n]
+        return out.solution(0) if single else out
 
     def _check_tier(self, tier, shape: tuple) -> np.ndarray:
         """Each row's tier as a flat intp array, checked against the
@@ -468,29 +542,6 @@ class KgardSolver:
                 f"tier must be in [0, {tiers}), got {tier.min()}..{tier.max()}"
             )
         return tier.astype(np.intp).ravel()
-
-    def _solution(
-        self, y, q, support, c, residual_norm, epsilon, stop_reason, tier=0
-    ) -> KgardSolution:
-        """Coefficients of one finished row from its k Q slabs."""
-        n, k = self._n, support.size
-        # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK solve
-        # with the upper triangular q[:, S] = Q[S]^T.  LAPACK rejects the
-        # 0 x 0 system of a row with no selections.
-        u = c
-        if k:
-            u = _solve_upper(q[:, support], c, trans=0)
-        e = y.copy()
-        e[support] -= u
-        theta = self._coef_map[tier] @ e
-        return KgardSolution(
-            alpha=theta[:n],
-            bias=float(theta[n]),
-            outliers=dict(zip(support.tolist(), u.tolist())),
-            residual_norm=residual_norm,
-            epsilon=epsilon,
-            stop_reason=stop_reason,
-        )
 
 
 def kgard_fit(

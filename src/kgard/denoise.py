@@ -301,7 +301,7 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     lams, tier = np.unique(lambdas, return_inverse=True)
-    solutions = KgardSolver(gram, lams).fit(
+    batch = KgardSolver(gram, lams).fit(
         ys,
         epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
         stop_norm="linf",
@@ -309,19 +309,18 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         tier=tier,
     )
 
-    surfaces = np.empty(ys.shape)
+    surfaces = np.matmul(gram, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]
     outliers = np.zeros(ys.shape)
-    diagnostics = []
-    for idx, (lam, sol) in enumerate(zip(lambdas.tolist(), solutions)):
-        origin = (idx // cols * ell, idx % cols * ell)
-        surfaces[idx] = gram @ sol.alpha + sol.bias
-        for j, val in sol.outliers.items():
-            outliers[idx, j] = val
-        diagnostics.append(
-            RoiDiagnostics(
-                idx, origin, lam, sol.epsilon, len(sol.outliers), sol.stop_reason
-            )
-        )
+    roi, index, value = batch.selected()
+    outliers[roi, index] = value
+    per_roi = zip(
+        lambdas.tolist(), batch.epsilon.tolist(), batch.selections.tolist(),
+        batch.stop_reason.tolist(),
+    )
+    diagnostics = [
+        RoiDiagnostics(idx, (idx // cols * ell, idx % cols * ell), lam, eps, count, reason)
+        for idx, (lam, eps, count, reason) in enumerate(per_roi)
+    ]
 
     h, w = img.shape
     denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]

@@ -34,6 +34,7 @@ from .noise import (
     SINC_KERNEL_SIGMA,
     SUPPORT_KERNEL_SIGMA,
     NoiseSpec,
+    _as_float,
     corrupt,
     lattice_nodes,
     make_lattice_dataset,
@@ -60,8 +61,8 @@ class TrialResult:
     """One Monte-Carlo trial.  correct/wrong fractions are NaN when the
     trial had no true outliers (metrics not applicable).
     ``wall_time_seconds`` is the run's batched fit time divided by its
-    number of trials.  ``stop_reason`` is the fit's
-    ``KgardSolution.stop_reason``.  Nothing sets ``failed``, kept for
+    number of trials.  ``stop_reason`` is the trial's row of the
+    batch's ``stop_reason``.  Nothing sets ``failed``, kept for
     ``bench/workloads.py``: a fit that cannot run fails the whole run."""
 
     mse_validation: float
@@ -87,13 +88,16 @@ class AggregateStats:
     failures: int = 0
 
 
-def support_metrics(estimated, truth) -> tuple[float, float]:
-    """(|S_hat & T| / |T|, |S_hat - T| / |T|) for index sets."""
-    t = set(int(i) for i in truth)
-    if not t:
-        raise ValueError("true support set is empty")
-    s = set(int(i) for i in estimated)
-    return len(s & t) / len(t), len(s - t) / len(t)
+def _support_fractions(batch, truth: np.ndarray) -> tuple:
+    """(|S & T| / |T|, |S - T| / |T|) of every row of a fit batch, S its
+    selections and T the true outliers of a (B, N) boolean mask, as two
+    (B,) arrays; NaN where a row has no true outlier.  A row's picks
+    are distinct, so k - hits of its k picks are wrong."""
+    rows, index, _ = batch.selected()
+    hits = np.bincount(rows, weights=truth[rows, index], minlength=truth.shape[0])
+    size = truth.sum(axis=1, dtype=np.float64)
+    size[size == 0] = math.nan
+    return hits / size, (batch.selections - hits) / size
 
 
 def border_weights(n: int) -> np.ndarray:
@@ -182,33 +186,28 @@ def run_monte_carlo(
     solver = KgardSolver(gram_matrix(train, params), config.lam, tikhonov_weights=weights)
     cross = cross_gram(validation, train, params)
 
-    draws = []
+    ys = np.empty((trials, train.shape[0]))
+    truth = np.zeros(ys.shape, dtype=bool)
+    validation_truths = np.empty((trials, validation.shape[0]))
     for t in range(trials):
-        seed = base_seed + t
-        rng = rng_for(seed)
+        rng = rng_for(base_seed + t)
         data = make_lattice_dataset(rng) if fixed is None else fixed
-        y, support, _ = corrupt(data.train_truth, noise, rng=rng)
-        # only what scoring reads: whole datasets would all stay alive
-        # until the batch is scored
-        draws.append((seed, data.validation_truth, y, support))
+        ys[t], support, _ = corrupt(data.train_truth, noise, rng=rng)
+        truth[t, support] = True
+        validation_truths[t] = data.validation_truth
 
     t0 = time.perf_counter()
-    solutions = solver.fit(
-        np.stack([y for _, _, y, _ in draws]),
-        epsilon=config.epsilon,
-        stop_norm=config.stop_norm,
-    )
+    batch = solver.fit(ys, epsilon=config.epsilon, stop_norm=config.stop_norm)
     wall = (time.perf_counter() - t0) / trials
 
-    results = []
-    for (seed, validation_truth, _, support), solution in zip(draws, solutions):
-        fitted_val = cross @ solution.alpha + solution.bias
-        mse = float(np.mean((fitted_val - validation_truth) ** 2))
-        if support.size:
-            correct, wrong = support_metrics(solution.support, support)
-        else:
-            correct = wrong = math.nan
-        results.append(TrialResult(mse, correct, wrong, wall, seed, solution.stop_reason))
+    fitted = np.matmul(cross, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]
+    mses = np.mean((fitted - validation_truths) ** 2, axis=1)
+    correct, wrong = _support_fractions(batch, truth)
+    per_trial = zip(mses.tolist(), correct.tolist(), wrong.tolist(), batch.stop_reason.tolist())
+    results = [
+        TrialResult(mse, c, w, wall, base_seed + t, reason)
+        for t, (mse, c, w, reason) in enumerate(per_trial)
+    ]
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
     return _aggregate(results), results
@@ -249,14 +248,17 @@ def sweep_outlier_magnitude(
     if not magnitudes:
         raise ValueError("magnitudes list is empty")
     _check_count("trials", trials, 1)
+    fraction = _as_float("fraction", fraction)
     n_impulses = round_half_away(fraction * SWEEP_N) if math.isfinite(fraction) else 0
     if not 1 <= n_impulses < SWEEP_N:
         raise ValueError(
             f"fraction must be finite and give round(fraction * {SWEEP_N}) impulses "
             f"in [1, {SWEEP_N - 1}], got {fraction}"
         )
-    for magnitude in magnitudes:
-        NoiseSpec(impulse_fraction=fraction, impulse_magnitude=magnitude)
+    magnitudes = [
+        NoiseSpec(impulse_fraction=fraction, impulse_magnitude=m).impulse_magnitude
+        for m in magnitudes
+    ]
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
     gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
@@ -267,32 +269,31 @@ def sweep_outlier_magnitude(
     unit = NoiseSpec(impulse_fraction=fraction, impulse_magnitude=1.0)
     truths = np.empty((trials, SWEEP_N))
     units = np.empty((trials, SWEEP_N))
-    thetas, supports = [], []
+    truth = np.zeros((trials, SWEEP_N), dtype=bool)
+    thetas = []
     for t in range(trials):
         rng = rng_for(base_seed + t)
         _, truths[t], alpha = make_support_dataset(rng, SWEEP_N)
         _, support, units[t] = corrupt(truths[t], unit, rng=rng)
         thetas.append(np.append(alpha, 0.0))  # the protocol target has no bias
-        supports.append(support)
+        truth[t, support] = True
 
     points = []
     for magnitude in magnitudes:
         u = magnitude * units
-        solutions = solver.fit(truths + u, epsilon=0.0, max_selections=n_impulses)
-        rows = []
-        for theta, support, u_t, solution in zip(thetas, supports, u, solutions):
-            correct, wrong = support_metrics(solution.support, support)
-            if magnitude > 0:
-                holds = theorem_check(sigma_max, theta, u_t, SWEEP_LAMBDA).holds
-            else:
-                holds = False  # zero-magnitude impulses carry no certificate
-            rows.append((correct, wrong, holds))
+        batch = solver.fit(truths + u, epsilon=0.0, max_selections=n_impulses)
+        correct, wrong = _support_fractions(batch, truth)
+        # zero-magnitude impulses carry no certificate
+        holds = [
+            magnitude > 0 and theorem_check(sigma_max, theta, u_t, SWEEP_LAMBDA).holds
+            for theta, u_t in zip(thetas, u)
+        ]
         points.append(
             SweepPoint(
-                magnitude=float(magnitude),
-                mean_correct=float(np.mean([r[0] for r in rows])),
-                mean_wrong=float(np.mean([r[1] for r in rows])),
-                bound_hold_rate=float(np.mean([1.0 if r[2] else 0.0 for r in rows])),
+                magnitude=magnitude,
+                mean_correct=float(np.mean(correct)),
+                mean_wrong=float(np.mean(wrong)),
+                bound_hold_rate=float(np.mean(holds)),
                 trials=trials,
             )
         )

@@ -32,14 +32,26 @@ LATTICE_KERNEL_SIGMA = 0.2
 SUPPORT_KERNEL_SIGMA = 0.1
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float, or ValueError when it has none (an
+    int too large for a float included)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{name} must convert to a float: {err}") from None
+
+
 @dataclass(frozen=True)
 class StableParams:
-    """Symmetric alpha-stable parameters (skewness 0, location 0)."""
+    """Symmetric alpha-stable parameters (skewness 0, location 0), held
+    as Python floats."""
 
     alpha: float
     gamma_scale: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gamma_scale"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if not 0 < self.gamma_scale < math.inf:
@@ -52,9 +64,9 @@ class StableParams:
 class NoiseSpec:
     """Corruption model: impulses plus at most one inlier-noise family.
 
-    Every value must be finite.  ``inlier_snr_db`` also needs
-    10^(snr_db / 10) to be a finite, normal float, since the inlier
-    variance is divided by it.
+    Every numeric value is held as a Python float and must be finite.
+    ``inlier_snr_db`` also needs 10^(snr_db / 10) to be a finite, normal
+    float, since the inlier variance is divided by it.
     """
 
     inlier_snr_db: Optional[float] = None
@@ -64,6 +76,11 @@ class NoiseSpec:
     stable_params: Optional[StableParams] = None
 
     def __post_init__(self) -> None:
+        self.impulse_fraction = _as_float("impulse_fraction", self.impulse_fraction)
+        self.impulse_magnitude = _as_float("impulse_magnitude", self.impulse_magnitude)
+        for name in ("inlier_snr_db", "inlier_sigma"):  # None: the family is off
+            if getattr(self, name) is not None:
+                setattr(self, name, _as_float(name, getattr(self, name)))
         if not 0 <= self.impulse_fraction < 1:
             raise ValueError(
                 f"impulse_fraction must be in [0, 1), got {self.impulse_fraction}"
@@ -89,7 +106,7 @@ class NoiseSpec:
         if self.inlier_snr_db is not None:
             # numpy's power gives inf where Python's ** raises OverflowError
             with np.errstate(over="ignore", under="ignore"):
-                scale = np.power(10.0, float(self.inlier_snr_db) / 10.0)
+                scale = np.power(10.0, self.inlier_snr_db / 10.0)
             if not sys.float_info.min <= scale < math.inf:
                 raise ValueError(
                     f"inlier_snr_db must be finite with 10^(snr_db / 10) a finite, "

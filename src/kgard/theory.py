@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import svdvals
 
-from .core import _check_count, _check_lambda, _one_blas_thread, _ridge_design
+from .core import _check_lambda, _one_blas_thread, _ridge_design
 
 _RANK_TOL = 1e-10
 
@@ -148,30 +148,3 @@ def theorem_check(
         lam=float(lam),
     )
 
-
-def best_certificate(
-    gram: np.ndarray,
-    true_theta: np.ndarray,
-    true_outliers: np.ndarray,
-    grid_size: int = 60,
-) -> Optional[BoundReport]:
-    """Scan lambda below lambda_cap and return the report with the
-    largest margin gamma*sqrt(lambda) - sigma_max, or None if gamma is
-    undefined everywhere.  sigma_max(X0) is computed once; each grid
-    point is a ``theorem_check``."""
-    _check_count("grid_size", grid_size, 1)
-    sigma_max = design_sigma_max(gram)
-    # min|u|, ||theta|| and lambda_cap do not depend on lambda
-    truth = theorem_check(sigma_max, true_theta, true_outliers, 1.0)
-    # with theta = 0 any lambda is admissible; pick a wide absolute grid
-    cap = truth.lambda_cap if truth.theta_norm else truth.min_outlier**2
-    best: Optional[BoundReport] = None
-    best_margin = -np.inf
-    for lam in np.geomspace(1e-6, 0.999, grid_size) * cap:
-        report = theorem_check(sigma_max, true_theta, true_outliers, lam)
-        if report.gamma is None:
-            continue
-        margin = report.gamma * np.sqrt(lam) - report.sigma_max
-        if margin > best_margin:
-            best, best_margin = report, margin
-    return best

@@ -2,8 +2,9 @@
 its ridge coefficient and residual maps, a closed-form residual after
 k correct selections, a per-row ``np.histogram`` reference for the
 denoising threshold, which in ``kgard.denoise`` takes (L, N) stacks
-only, the denoising pipeline one ROI at a time, and the identification
-certificate's fields in numpy scalar arithmetic.
+only, the denoising pipeline one ROI at a time, the identification
+certificate's fields in numpy scalar arithmetic, and the support
+fractions of one fit as set arithmetic.
 
 The solve forms the active design X = [K 1 I_S] and the regularizer B
 explicitly and solves the normal equations (X^T X + lam B) z = X^T y
@@ -258,3 +259,12 @@ def theorem_check_reference(sigma_max, true_theta, true_outliers, lam):
         outlier_norm=outlier_norm,
         lam=float(lam),
     )
+
+
+def support_metrics(estimated, truth) -> tuple[float, float]:
+    """(|S_hat & T| / |T|, |S_hat - T| / |T|) for index sets."""
+    t = set(int(i) for i in truth)
+    if not t:
+        raise ValueError("true support set is empty")
+    s = set(int(i) for i in estimated)
+    return len(s & t) / len(t), len(s - t) / len(t)

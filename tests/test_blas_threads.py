@@ -22,12 +22,14 @@ from kgard.theory import design_sigma_max
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints one SHA-256 per float output: a 32^2 noisy image, three
-# lattice2d trials, a two-trial sweep and the sweep's sigma_max
+# lattice2d and three sinc1d trials, a two-trial sweep, the sweep's
+# sigma_max and the arrays of a tiered batch fit at N = 144
 OUTPUTS = """
 import hashlib
 import numpy as np
-from kgard import (KernelParams, KgardConfig, NoiseSpec, denoise_image, design_sigma_max,
-                   gram_matrix, rng_for, run_monte_carlo, sweep_outlier_magnitude)
+from kgard import (KernelParams, KgardConfig, KgardSolver, NoiseSpec, denoise_image,
+                   design_sigma_max, gram_matrix, rng_for, run_monte_carlo,
+                   sweep_outlier_magnitude)
 
 rng = rng_for(3)
 xx, yy = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32))
@@ -40,12 +42,29 @@ _, trials = run_monte_carlo(
     KgardConfig(lam=0.15, epsilon=46.0),
     trials=3,
 )
+_, sinc = run_monte_carlo(
+    "sinc1d",
+    NoiseSpec(inlier_snr_db=20.0, impulse_fraction=0.1),
+    KgardConfig(lam=0.2, epsilon=10.0),
+    trials=3,
+)
 points = sweep_outlier_magnitude([300.0, 600.0], trials=2)
+axis = np.linspace(0, 1, 12)
+lattice = np.column_stack([g.ravel() for g in np.meshgrid(axis, axis)])
+ys = rng.normal(0, 2, (6, 144))
+ys[::2, ::17] += 50.0  # the other rows stop sooner
+batch = KgardSolver(gram_matrix(lattice, KernelParams(0.3)), [1.0, 5.0, 15.0]).fit(
+    ys, epsilon=20.0, max_selections=12, tier=np.arange(6) % 3
+)
 outputs = {
     "denoised": result.denoised,
     "outlier_map": result.outlier_map,
     "impulse_removed": result.impulse_removed,
     "lattice_mse": [t.mse_validation for t in trials],
+    "sinc_mse": [t.mse_validation for t in sinc],
+    "fit_alpha": batch.alpha,
+    "fit_bias": batch.bias,
+    "fit_outliers": batch.outliers,
     "sweep": [(p.mean_correct, p.mean_wrong, p.bound_hold_rate) for p in points],
     "sigma_max": design_sigma_max(gram_matrix(np.linspace(0, 1, 100), KernelParams(0.1))),
 }
@@ -68,7 +87,7 @@ def _hashes(blas_threads: str) -> dict:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     one, two = _hashes("1"), _hashes("2")
-    assert len(one) == 6
+    assert len(one) == 10
     assert one == two
 
 

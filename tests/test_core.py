@@ -6,14 +6,17 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kgard.core
 from kgard.core import (
     Dataset,
+    KgardBatch,
     KgardConfig,
     KgardSolver,
     NumericalError,
     kgard_fit,
     predict,
     _cholesky,
+    _solve_upper,
 )
 from kgard.denoise import auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
@@ -360,10 +363,13 @@ def test_fit_tier_selects_the_ridge_parameter():
     for t, lam in ((np.int32(1), 2.0), (0, 0.5)):  # a 1-D y takes a scalar tier
         expected = KgardSolver(gram, lam).fit(y, **kwargs)
         _assert_same_solution(solver.fit(y, tier=t, **kwargs), expected)
-    assert solver.fit(np.empty((0, 25)), tier=np.empty(0, dtype=int), **kwargs) == []
+    empty = solver.fit(np.empty((0, 25)), tier=np.empty(0, dtype=int), **kwargs)
+    assert empty.alpha.shape == (0, 25) and empty.support.shape == (0, 4)
+    for field in (empty.bias, empty.selections, empty.residual_norm, empty.stop_reason):
+        assert field.shape == (0,)
     single = KgardSolver(gram, 0.5)
     expected = single.fit(y, **kwargs)
-    _assert_same_solution(single.fit(y[None], tier=[0], **kwargs)[0], expected)
+    _assert_row_matches(single.fit(y[None], tier=[0], **kwargs), 0, expected)
     with pytest.raises(ValueError, match="tier must be in \\[0, 1\\)"):
         single.fit(y[None], tier=[1], **kwargs)
 
@@ -557,6 +563,23 @@ def _assert_same_solution(a, b):
     assert a.epsilon == b.epsilon
 
 
+def _assert_row_matches(batch, i, sol):
+    """Row i of a batch holds the bits of the 1-D fit ``sol``, and 0
+    past its selections."""
+    k = batch.selections[i]
+    assert k == sol.iterations
+    assert batch.alpha[i].tobytes() == sol.alpha.tobytes()
+    assert batch.bias[i].tobytes() == np.float64(sol.bias).tobytes()
+    assert batch.support[i, :k].tolist() == sol.support
+    u = np.array(list(sol.outliers.values()), dtype=np.float64)
+    assert batch.outliers[i, :k].tobytes() == u.tobytes()
+    assert not batch.support[i, k:].any() and not batch.outliers[i, k:].any()
+    assert batch.residual_norm[i].tobytes() == np.float64(sol.residual_norm).tobytes()
+    assert batch.epsilon[i].tobytes() == np.float64(sol.epsilon).tobytes()
+    assert batch.stop_reason[i] == sol.stop_reason
+    _assert_same_solution(batch.solution(i), sol)
+
+
 @pytest.mark.parametrize("stop_norm", ["l2", "linf"])
 def test_batched_fit_rows_stop_independently(stop_norm):
     solver, base, pair = _duplicate_pair_case()
@@ -572,17 +595,39 @@ def test_batched_fit_rows_stop_independently(stop_norm):
     )
     kwargs = dict(epsilon=1e-4, stop_norm=stop_norm, max_selections=2)
     batch = solver.fit(rows, **kwargs)
-    assert isinstance(batch, list) and len(batch) == len(rows)
-    stops = [(sol.iterations, sol.stop_reason) for sol in batch]
+    assert isinstance(batch, KgardBatch) and batch.support.shape == (len(rows), 2)
+    stops = list(zip(batch.selections.tolist(), batch.stop_reason.tolist()))
     assert stops == [
         (0, "threshold"), (0, "pivot"), (1, "threshold"),
         (1, "pivot"), (2, "threshold"), (2, "cap"),
     ]
-    for y, sol in zip(rows, batch):
-        _assert_same_solution(sol, solver.fit(y, **kwargs))
+    for i, y in enumerate(rows):
+        _assert_row_matches(batch, i, solver.fit(y, **kwargs))
     # the batch's row order does not matter either
-    for y, sol in zip(rows[::-1], solver.fit(rows[::-1], **kwargs)):
-        _assert_same_solution(sol, solver.fit(y, **kwargs))
+    backwards = solver.fit(rows[::-1], **kwargs)
+    for i, y in enumerate(rows[::-1]):
+        _assert_row_matches(backwards, i, solver.fit(y, **kwargs))
+
+
+@pytest.mark.parametrize("gather_rows", [128, 1, 5])
+def test_tiered_batch_mixes_every_stop_and_matches_single_fits(monkeypatch, gather_rows):
+    # the duplicate-pair rows, each under both tiers, in one batch; the
+    # rows finishing at one step are gathered in blocks of gather_rows
+    monkeypatch.setattr(kgard.core, "_GATHER_ROWS", gather_rows)
+    gram, base, pair = _duplicate_pairs()
+    lams = [1e-12, 1e-11]
+    solver = KgardSolver(gram, lams)
+    rows = np.array(
+        [np.zeros(32), 1e9 * base, base + pair[0], 1e9 * (base + pair[0]),
+         base + pair.sum(axis=0), 1e9 * (base + pair.sum(axis=0))]
+    )
+    rows, tier = np.concatenate([rows, rows]), np.repeat([0, 1], len(rows))
+    kwargs = dict(epsilon=1e-4, max_selections=2)
+    batch = solver.fit(rows, tier=tier, **kwargs)
+    assert set(batch.stop_reason.tolist()) == {"threshold", "pivot", "cap"}
+    assert set(batch.selections.tolist()) == {0, 1, 2}
+    for i, (y, t) in enumerate(zip(rows, tier)):
+        _assert_row_matches(batch, i, KgardSolver(gram, lams[t]).fit(y, **kwargs))
 
 
 @given(
@@ -626,8 +671,7 @@ def test_batched_fit_matches_single_fits(
     batch_tier = None if tiers == 1 and rng.random() < 0.5 else tier
     cap = int(cap_frac * n)
     first = solver.fit(y, 0.0, stop_norm, 0, tier=batch_tier)
-    start = np.array([s.residual_norm for s in first])
-    eps = float(rng.uniform(0.0, start.max()))
+    eps = float(rng.uniform(0.0, first.residual_norm.max()))
     epsilon = {
         "fixed": eps,
         "scalar-fn": lambda abs_r: eps,
@@ -636,11 +680,12 @@ def test_batched_fit_matches_single_fits(
     }[threshold]
     kwargs = dict(epsilon=epsilon, stop_norm=stop_norm, max_selections=cap)
     batch = solver.fit(y, **kwargs, tier=batch_tier)
-    assert len(batch) == rows
-    for row, t, sol in zip(y, tier, batch):
-        # the solution carries both sides of its last stop test
-        assert (sol.stop_reason == "threshold") == (sol.residual_norm <= sol.epsilon)
-        _assert_same_solution(sol, singles[t].fit(row, **kwargs))
+    assert batch.alpha.shape == (rows, n) and batch.support.shape == (rows, cap)
+    # each row carries both sides of its last stop test
+    threshold_stop = batch.stop_reason == "threshold"
+    assert (threshold_stop == (batch.residual_norm <= batch.epsilon)).all()
+    for i, (row, t) in enumerate(zip(y, tier)):
+        _assert_row_matches(batch, i, singles[t].fit(row, **kwargs))
 
 
 def test_dtrtrs_matches_solve_triangular_bit_for_bit():
@@ -661,10 +706,9 @@ def test_dtrtrs_matches_solve_triangular_bit_for_bit():
 
 
 def test_finished_row_solve_raises_on_a_singular_system():
-    solver = KgardSolver(np.eye(4), 1.0)
-    q = np.zeros((1, 4))  # a zero diagonal: Q[S] is singular
+    upper = np.zeros((1, 1))  # a zero diagonal: Q[S] is singular
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        solver._solution(np.ones(4), q, np.array([2]), np.ones(1), 1.0, 0.0, "cap")
+        _solve_upper(upper, np.ones(1), trans=0)
 
 
 def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
@@ -676,10 +720,9 @@ def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
         y[i, rng.choice(40, size=i + 1, replace=False)] += 30.0
     kwargs = dict(epsilon=0.1, max_selections=8)
     batch = solver.fit(y, **kwargs)
-    assert [sol.iterations == 0 for sol in batch] == [True, False, False, True, False, True]
-    for row, sol in zip(y, batch):
-        _assert_same_solution(sol, solver.fit(row, **kwargs))
+    assert (batch.selections == 0).tolist() == [True, False, False, True, False, True]
+    for i, row in enumerate(y):
+        _assert_row_matches(batch, i, solver.fit(row, **kwargs))
     for i in (0, 3, 5):  # no selection: the plain ridge fit
         z = dense_solve(gram, y[i], 0.5)
-        assert batch[i].outliers == {}
-        assert np.allclose(batch[i].alpha, z[:40], atol=1e-9)
+        assert np.allclose(batch.alpha[i], z[:40], atol=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -20,9 +21,9 @@ from kgard.experiments import (
     SWEEP_N,
     border_weights,
     run_monte_carlo,
-    support_metrics,
     sweep_outlier_magnitude,
 )
+from kgard.denoise import denoise_image
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import (
     LATTICE_KERNEL_SIGMA,
@@ -34,6 +35,7 @@ from kgard.noise import (
     rng_for,
 )
 from kgard.theory import design_sigma_max, theorem_check
+from oracle import support_metrics
 
 SINC = (
     "sinc1d",
@@ -224,6 +226,23 @@ def test_sweep_checks_every_magnitude_before_any_work(monkeypatch, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(magnitudes=[100.0, 10**400]), "impulse_magnitude"),
+        (dict(magnitudes=[100.0], fraction=10**400), "fraction"),
+    ],
+    ids=["magnitude", "fraction"],
+)
+def test_sweep_rejects_a_value_no_float_holds_before_any_work(monkeypatch, kwargs, match):
+    calls = []
+    _count_calls(monkeypatch, experiments, "gram_matrix", calls)
+    _count_calls(monkeypatch, experiments, "make_support_dataset", calls)
+    with pytest.raises(ValueError, match=f"^{match} must convert to a float"):
+        sweep_outlier_magnitude(trials=1, **kwargs)
+    assert calls == []
+
+
 @pytest.mark.parametrize("fraction, impulses", [(0.005, 1), (0.994, 99)])
 def test_sweep_accepts_the_extreme_impulse_counts(monkeypatch, fraction, impulses):
     caps = []
@@ -338,3 +357,41 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
     # the reference is not degenerate: recovery and certificates vary
     assert len({p.mean_correct for p in points}) > 1
     assert len({p.bound_hold_rate for p in points}) > 1
+
+
+def _poisoned_padding(batch):
+    """The batch with 3 more padding columns and every padding entry
+    set to an index no row has and a NaN value."""
+    support = np.pad(batch.support, ((0, 0), (0, 3)))
+    outliers = np.pad(batch.outliers, ((0, 0), (0, 3)))
+    padding = np.arange(support.shape[1]) >= batch.selections[:, None]
+    support[padding] = 2**40
+    outliers[padding] = np.nan
+    return dataclasses.replace(batch, support=support, outliers=outliers)
+
+
+def test_pipelines_never_read_the_padding_past_selections(monkeypatch):
+    rng = rng_for(3)
+    image = np.full((32, 32), 120.0)
+    image[:, 16:] += np.round(rng.normal(0, 5, (32, 16)))  # the left half stops at once
+    image.ravel()[rng.choice(image.size, 60, replace=False)] += 100.0
+
+    def outputs():
+        result = denoise_image(image)
+        return (
+            [result.denoised.tobytes(), result.outlier_map.tobytes(), result.diagnostics],
+            [
+                dataclasses.replace(trial, wall_time_seconds=0.0)
+                for trial in run_monte_carlo(*LATTICE, trials=3)[1]
+            ],
+            sweep_outlier_magnitude([0.0, 300.0], trials=3),
+        )
+
+    expected = outputs()
+    real_fit = KgardSolver.fit
+    monkeypatch.setattr(
+        KgardSolver, "fit", lambda self, *a, **kw: _poisoned_padding(real_fit(self, *a, **kw))
+    )
+    poisoned = outputs()
+    # == on floats: no NaN occurs in these outputs
+    assert poisoned == expected

@@ -45,11 +45,34 @@ def test_spec_validation():
         (dict(inlier_snr_db=np.float64(4000.0)), "inlier_snr_db must be finite"),
         (dict(inlier_snr_db=-4000.0), "inlier_snr_db must be finite"),
         (dict(inlier_snr_db=-3080.0), "inlier_snr_db must be finite"),
+        # no float holds these
+        (dict(impulse_magnitude=10**400), "impulse_magnitude must convert to a float"),
+        (dict(impulse_fraction=-(10**400)), "impulse_fraction must convert to a float"),
+        (dict(inlier_sigma=10**400), "inlier_sigma must convert to a float"),
+        (dict(inlier_snr_db=10**400), "inlier_snr_db must convert to a float"),
+        (dict(inlier_snr_db="loud"), "inlier_snr_db must convert to a float"),
+        (dict(impulse_magnitude=None), "impulse_magnitude must convert to a float"),
     ],
 )
 def test_spec_rejects_values_that_cannot_be_drawn(kwargs, match):
     with pytest.raises(ValueError, match=match):
         NoiseSpec(**kwargs)
+
+
+def test_spec_holds_python_floats():
+    spec = NoiseSpec(inlier_sigma=np.float32(2.5), impulse_fraction=0, impulse_magnitude=40)
+    stable = StableParams(alpha=np.int64(1), gamma_scale=3)
+    for value in (spec.inlier_sigma, spec.impulse_fraction, spec.impulse_magnitude,
+                  stable.alpha, stable.gamma_scale):
+        assert type(value) is float
+    assert (spec.inlier_sigma, spec.impulse_magnitude, stable.gamma_scale) == (2.5, 40.0, 3.0)
+    assert NoiseSpec(inlier_snr_db=20).inlier_snr_db == 20.0
+
+
+def test_corrupt_with_an_unrepresentable_magnitude_raises_value_error():
+    with pytest.raises(ValueError, match="impulse_magnitude must convert to a float"):
+        corrupt(np.zeros(10), NoiseSpec(impulse_fraction=0.2, impulse_magnitude=10**400),
+                rng=rng_for(0))
 
 
 def test_stable_params_reject_non_finite_values():
@@ -59,6 +82,10 @@ def test_stable_params_reject_non_finite_values():
     for gamma in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError, match="gamma_scale must be positive and finite"):
             StableParams(alpha=1.5, gamma_scale=gamma)
+    with pytest.raises(ValueError, match="alpha must convert to a float"):
+        StableParams(alpha=10**400, gamma_scale=1.0)
+    with pytest.raises(ValueError, match="gamma_scale must convert to a float"):
+        StableParams(alpha=1.5, gamma_scale="wide")
 
 
 def test_extreme_admitted_snr_draws_finite_noise():

@@ -9,7 +9,6 @@ from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import lattice_nodes
 from kgard.theory import (
     BoundReport,
-    best_certificate,
     design_sigma_max,
     spectral_diagnostics,
     theorem_check,
@@ -248,23 +247,3 @@ def test_residual_oracle_input_validation():
     with pytest.raises(ValueError):
         residual_oracle(gram, theta, u, 1.0, [j, j])
 
-
-def test_best_certificate_finds_holding_lambda():
-    gram, theta, u, _ = _certified_setup(8, magnitude=900.0)
-    report = best_certificate(gram, theta, u)
-    assert report is not None
-    assert report.holds
-    assert report.lam < report.lambda_cap
-    # the hoisted sigma_max gives the same report as a full check at that lambda
-    assert report == _check(gram, theta, u, report.lam)
-
-
-def test_best_certificate_grid_size_is_a_count():
-    gram, theta, u, _ = _certified_setup(8, magnitude=900.0)
-    for bad in (2.5, True, np.float64(3.0)):
-        with pytest.raises(ValueError, match="grid_size must be an integer"):
-            best_certificate(gram, theta, u, grid_size=bad)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="grid_size must be >= 1"):
-            best_certificate(gram, theta, u, grid_size=bad)
-    assert best_certificate(gram, theta, u, grid_size=np.int64(1)) is not None
