@@ -204,7 +204,7 @@ def _cmd_experiment(args) -> int:
         f"trials={stats.trials} {_stop_counts(r.stop_reason for r in results)} "
         f"mean_mse={stats.mean_mse:.6g} std_mse={stats.std_mse:.6g} "
         f"mean_correct={stats.mean_correct:.4f} mean_wrong={stats.mean_wrong:.4f} "
-        f"mean_time={stats.mean_time:.4g}s"
+        f"mean_time={stats.mean_time:.4g}s setup_time={stats.setup_seconds:.4g}s"
     )
     return 0
 

@@ -33,7 +33,7 @@ from scipy.linalg import _fblas
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
+from .kernel import KernelParams, _as_float, as_point_matrix, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
@@ -97,14 +97,20 @@ class NumericalError(Exception):
         self.pivot = pivot
 
 
-def _check_lambda(lam: float) -> None:
+def _check_lambda(lam) -> float:
+    """``lam`` as a Python float, positive and finite."""
+    lam = _as_float("lambda", lam)
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
+    return lam
 
 
-def _check_epsilon(epsilon: float) -> None:
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` as a Python float, nonnegative."""
+    epsilon = _as_float("epsilon", epsilon)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    return epsilon
 
 
 def _check_count(name: str, value, minimum: int = 0) -> None:
@@ -152,9 +158,9 @@ class Dataset:
             raise ValueError(
                 f"{self.inputs.shape[0]} inputs but {self.targets.shape[0]} targets"
             )
-        if not np.all(np.isfinite(self.inputs)):
+        if not np.isfinite(self.inputs).all():
             raise ValueError("dataset inputs must be finite")
-        if not np.all(np.isfinite(self.targets)):
+        if not np.isfinite(self.targets).all():
             raise ValueError("dataset targets must be finite")
 
     @property
@@ -315,15 +321,13 @@ class KgardSolver:
         lam,
         tikhonov_weights: Optional[np.ndarray] = None,
     ):
-        values = np.asarray(lam, dtype=np.float64)
+        values = np.asarray(lam)
         if values.ndim > 1 or values.size == 0:
             raise ValueError(
                 "lambda must be a scalar or a nonempty 1-D sequence, "
                 f"got shape {values.shape}"
             )
-        lams = values.ravel().tolist()
-        for value in lams:
-            _check_lambda(value)
+        lams = [_check_lambda(value) for value in values.ravel().tolist()]
         design = _ridge_design(gram)
         n = design.shape[0]
         w2 = 1.0
@@ -338,13 +342,16 @@ class KgardSolver:
         self._coef_map = np.empty((tiers, n, n + 1)).transpose(0, 2, 1)
         lower_tri = np.tri(n, dtype=bool)
         with _one_blas_thread():
+            # numpy and scipy each bundle an OpenBLAS, and every switch
+            # between them waits for the other's spinning worker threads to
+            # give up a core, so setup makes all its BLAS calls through
+            # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
+            # the lower triangle of X0^T X0, the only one dpotrf reads.
+            # Each tier adds its penalty to a copy of it, the last tier
+            # to X0^T X0 itself.
+            xtx = dsyrk(1.0, design.T, lower=1)
             for t, penalty in enumerate(lams):
-                # numpy and scipy each bundle an OpenBLAS, and every switch
-                # between them waits for the other's spinning worker threads to
-                # give up a core, so setup makes all its BLAS calls through
-                # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
-                # the lower triangle of X0^T X0, the only one dpotrf reads.
-                a0 = dsyrk(1.0, design.T, lower=1)
+                a0 = xtx.copy(order="F") if t + 1 < tiers else xtx
                 with np.errstate(over="ignore"):
                     a0[np.diag_indices(n + 1)] += penalty * w2
                 if not np.isfinite(a0).all():
@@ -404,7 +411,7 @@ class KgardSolver:
             raise ValueError("observations must be finite")
         threshold = epsilon
         if not callable(epsilon):
-            _check_epsilon(epsilon)
+            epsilon = _check_epsilon(epsilon)
             threshold = lambda abs_r: epsilon
         _check_stop_norm(stop_norm)
         if max_selections is None:

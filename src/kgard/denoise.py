@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import KgardSolver, _check_count
-from .kernel import KernelParams, gram_matrix
+from .kernel import KernelParams, _as_float, gram_matrix
 
 _DEGENERATE_SPAN = 1e-9
 _DISPERSION_GATE = 0.9
@@ -68,11 +68,12 @@ class RoiConfig:
             raise ValueError("roi_size - core_size must be even")
         KernelParams(self.sigma)
         # the smooth tier, 15 lambda0, is the largest ridge parameter used
-        if not (self.lambda0 > 0 and 15.0 * self.lambda0 < math.inf):
+        lambda0 = _as_float("lambda0", self.lambda0)
+        if not (lambda0 > 0 and 15.0 * lambda0 < math.inf):
             raise ValueError(
                 f"lambda0 must be positive with 15 * lambda0 finite, got {self.lambda0}"
             )
-        if not self.e0 > 0:
+        if not _as_float("e0", self.e0) > 0:
             raise ValueError(f"e0 must be positive, got {self.e0}")
 
     @property
@@ -240,10 +241,11 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
     and min(e0, E1) otherwise.  A degenerate row (residual span below
     1e-9) returns e0.  ``e0`` must be positive.
     """
+    e0 = _as_float("e0", e0)
     if not e0 > 0:
         raise ValueError(f"e0 must be positive, got {e0}")
     r, first, last = _magnitude_rows(residual_abs)
-    eps = np.full(r.shape[0], float(e0))
+    eps = np.full(r.shape[0], e0)
     live = last - first >= _DEGENERATE_SPAN
     if not live.all():
         r, first, last = r[live], first[live], last[live]

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KgardConfig, KgardSolver, _check_count
-from .kernel import KernelParams, cross_gram, gram_matrix
+from .kernel import KernelParams, _as_float, cross_gram, gram_matrix
 from .noise import (
     LATTICE_KERNEL_SIGMA,
     SINC_KERNEL_SIGMA,
     SUPPORT_KERNEL_SIGMA,
     NoiseSpec,
-    _as_float,
     corrupt,
     lattice_nodes,
     make_lattice_dataset,
@@ -76,7 +75,10 @@ class TrialResult:
 
 @dataclass
 class AggregateStats:
-    """Means over a run's trials.  ``failures`` stays 0, kept for
+    """Means over a run's trials, and the run's setup time:
+    ``setup_seconds`` is the wall time of building the Gram matrix, the
+    solver and the validation cross-Gram, once per run and in no
+    trial's ``wall_time_seconds``.  ``failures`` stays 0, kept for
     ``bench/workloads.py``: a fit that cannot run fails the whole run."""
 
     mean_mse: float
@@ -85,6 +87,7 @@ class AggregateStats:
     mean_wrong: float
     mean_time: float
     trials: int
+    setup_seconds: float
     failures: int = 0
 
 
@@ -118,7 +121,7 @@ def _nan_mean(values) -> float:
     return float(np.mean(vals)) if vals else math.nan
 
 
-def _aggregate(results: list[TrialResult]) -> AggregateStats:
+def _aggregate(results: list[TrialResult], setup_seconds: float) -> AggregateStats:
     mses = np.array([r.mse_validation for r in results])
     return AggregateStats(
         mean_mse=float(np.mean(mses)),
@@ -127,6 +130,7 @@ def _aggregate(results: list[TrialResult]) -> AggregateStats:
         mean_wrong=_nan_mean(r.wrong_fraction for r in results),
         mean_time=float(np.mean([r.wall_time_seconds for r in results])),
         trials=len(results),
+        setup_seconds=setup_seconds,
     )
 
 
@@ -166,6 +170,7 @@ def run_monte_carlo(
     batch.  Each trial's ``wall_time_seconds``
     (the CSV ``seconds`` column) is the batch's fit time divided by the
     number of trials; drawing, setup and scoring are not counted.  The
+    setup's wall time is the aggregate's ``setup_seconds``.  The
     trial list (and the CSV, when requested) is ordered by trial index;
     the CSV's last column is each trial's ``stop_reason``.
     """
@@ -183,8 +188,10 @@ def run_monte_carlo(
         train, validation = fixed.train.inputs, fixed.validation.inputs
         params = KernelParams(SINC_KERNEL_SIGMA)
         weights = border_weights(fixed.train.size)
+    t0 = time.perf_counter()
     solver = KgardSolver(gram_matrix(train, params), config.lam, tikhonov_weights=weights)
     cross = cross_gram(validation, train, params)
+    setup = time.perf_counter() - t0
 
     ys = np.empty((trials, train.shape[0]))
     truth = np.zeros(ys.shape, dtype=bool)
@@ -210,7 +217,7 @@ def run_monte_carlo(
     ]
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
-    return _aggregate(results), results
+    return _aggregate(results, setup), results
 
 
 @dataclass

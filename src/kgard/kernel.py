@@ -13,6 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float, or ValueError when it has none (an
+    int too large for a float included)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{name} must convert to a float: {err}") from None
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Width of the Gaussian RBF kernel, in input-space units.
@@ -25,8 +34,8 @@ class KernelParams:
 
     def __post_init__(self) -> None:
         # a Python float product overflows to inf where sigma**2 would raise
-        sigma = float(self.sigma) if self.sigma > 0 else 0.0
-        if not (sigma < math.inf and sys.float_info.min <= sigma * sigma < math.inf):
+        sigma = _as_float("sigma", self.sigma)
+        if not (0 < sigma < math.inf and sys.float_info.min <= sigma * sigma < math.inf):
             raise ValueError(
                 f"sigma must be positive and finite with sigma^2 a finite, "
                 f"normal float, got {self.sigma}"
@@ -56,17 +65,30 @@ def rbf_eval(a, b, params: KernelParams) -> float:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exact squared Euclidean distances, (len(a), len(b))
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances, (len(a), len(b)): the squared
+    differences summed one input dimension at a time, in increasing
+    order, into one (M, N) array.  The entry for (a_i, b_j) is the
+    entry for (b_j, a_i) bit for bit."""
+    out = None
+    for j in range(a.shape[1]):
+        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff *= diff
+        if out is None:
+            out = diff
+        else:
+            out += diff
+    # points with no coordinates are all at distance 0
+    return np.zeros((a.shape[0], b.shape[0])) if out is None else out
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """kappa(a_i, b_j) for (M, d) and (N, d) point matrices."""
-    # a small admitted sigma can send d^2 / sigma^2 to inf, and
-    # exp(-inf) = 0 is then the exact kernel value
+    k = _sq_dists(a, b)
+    # d^2 / -sigma^2 is exactly -(d^2 / sigma^2).  A small admitted sigma
+    # can send it to -inf, and exp(-inf) = 0 is then the exact kernel value
     with np.errstate(over="ignore"):
-        return np.exp(-_sq_dists(a, b) / params.sigma**2)
+        np.divide(k, -(params.sigma**2), out=k)
+    return np.exp(k, out=k)
 
 
 def gram_matrix(points, params: KernelParams) -> np.ndarray:
@@ -80,9 +102,9 @@ def gram_matrix(points, params: KernelParams) -> np.ndarray:
     pts = as_point_matrix(points)
     if pts.shape[0] == 0:
         raise ValueError("point set must be nonempty")
+    # exactly symmetric, as kappa(x_i, x_j) and kappa(x_j, x_i) are
+    # formed by the same operations on the same numbers
     k = _rbf(pts, pts, params)
-    # enforce exact symmetry/unit diagonal against round-off
-    k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
     return k
 

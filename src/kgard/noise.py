@@ -25,20 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset
-from .kernel import KernelParams, cross_gram
+from .kernel import KernelParams, _as_float, cross_gram
 
 SINC_KERNEL_SIGMA = 0.15
 LATTICE_KERNEL_SIGMA = 0.2
 SUPPORT_KERNEL_SIGMA = 0.1
-
-
-def _as_float(name: str, value) -> float:
-    """``value`` as a Python float, or ValueError when it has none (an
-    int too large for a float included)."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"{name} must convert to a float: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,8 @@ def rng_for(seed: int) -> np.random.Generator:
 
 def round_half_away(x: float) -> int:
     """round(x) with halves going away from zero (0.5 -> 1)."""
-    return int(np.sign(x) * np.floor(np.abs(x) + 0.5))
+    # math.floor raises ValueError on NaN and OverflowError on inf
+    return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
 def sinc_target(x: np.ndarray) -> np.ndarray:
@@ -215,8 +207,8 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     centers, train_pts, val_pts, train_kernels, val_kernels = _lattice_geometry()
 
     n_train = train_pts.shape[0]
-    lo = int(np.ceil(0.04 * n_train))
-    hi = int(np.floor(0.175 * n_train))
+    lo = math.ceil(0.04 * n_train)
+    hi = math.floor(0.175 * n_train)
     nnz = int(rng.integers(lo, hi + 1))
     alpha = np.zeros(centers.shape[0])
     alpha[rng.choice(centers.shape[0], size=nnz, replace=False)] = rng.normal(

@@ -1,4 +1,6 @@
-"""Dense reference solve for the greedy solver, dense references of
+"""The einsum form of the kernel's squared distances and the Gram and
+cross-Gram matrices built on it, a dense reference solve for the
+greedy solver, dense references of
 its ridge coefficient and residual maps, a closed-form residual after
 k correct selections, a per-row ``np.histogram`` reference for the
 denoising threshold, which in ``kgard.denoise`` takes (L, N) stacks
@@ -20,8 +22,33 @@ from scipy.linalg import block_diag
 
 from kgard.core import KgardSolver, NumericalError
 from kgard.denoise import auto_epsilon, roi_lattice
-from kgard.kernel import KernelParams, gram_matrix
+from kgard.kernel import KernelParams, as_point_matrix, gram_matrix
 from kgard.theory import BoundReport
+
+
+def sq_dists_reference(a, b):
+    """Squared Euclidean distances of (M, d) and (N, d) point matrices
+    through one (M, N, d) difference array reduced by ``np.einsum``,
+    the form ``kgard.kernel`` used before it summed one dimension at a
+    time."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def cross_gram_reference(query_points, train_points, params):
+    """exp(-d^2 / sigma^2) on ``sq_dists_reference``."""
+    q, x = as_point_matrix(query_points), as_point_matrix(train_points)
+    with np.errstate(over="ignore"):
+        return np.exp(-sq_dists_reference(q, x) / params.sigma**2)
+
+
+def gram_reference(points, params):
+    """``cross_gram_reference`` of the points against themselves, made
+    symmetric as 0.5 (K + K^T) and given a unit diagonal."""
+    k = cross_gram_reference(points, points, params)
+    k = 0.5 * (k + k.T)
+    np.fill_diagonal(k, 1.0)
+    return k
 
 
 def design_matrix(gram, support=()):

@@ -117,6 +117,9 @@ def test_experiment_writes_csv(tmp_path, capsys):
     assert "mean_mse" in out
     counts = re.search(r"threshold=(\d+) pivot=(\d+) cap=(\d+)", out)
     assert sum(map(int, counts.groups())) == 3
+    # the setup time is printed next to the mean fit time
+    times = re.search(r"mean_time=(\S+)s setup_time=(\S+)s", out)
+    assert float(times.group(2)) > 0
 
 
 def test_denoise_diagnostics_report_stop_reasons(tmp_path, capsys):

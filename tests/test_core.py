@@ -18,7 +18,7 @@ from kgard.core import (
     _cholesky,
     _solve_upper,
 )
-from kgard.denoise import auto_epsilon, roi_lattice
+from kgard.denoise import RoiConfig, auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import lattice_nodes
 from oracle import (
@@ -117,6 +117,32 @@ def test_solver_rejects_bad_settings(kwargs, match):
 def test_config_rejects_bad_settings(kwargs, match):
     with pytest.raises(ValueError, match=match):
         KgardConfig(**(dict(lam=1.0, epsilon=0.0) | kwargs))
+
+
+# every numeric boundary converts with float(): an int too large for a
+# float, a string or None is a ValueError naming the value, not an
+# OverflowError or a TypeError from deep inside
+NO_FLOAT_BOUNDARIES = {
+    "KernelParams-sigma": ("sigma", lambda v: KernelParams(v)),
+    "RoiConfig-sigma": ("sigma", lambda v: RoiConfig(sigma=v)),
+    "RoiConfig-lambda0": ("lambda0", lambda v: RoiConfig(lambda0=v)),
+    "RoiConfig-e0": ("e0", lambda v: RoiConfig(e0=v)),
+    "auto_epsilon-e0": ("e0", lambda v: auto_epsilon(np.ones((1, 4)), v)),
+    "KgardConfig-lam": ("lambda", lambda v: KgardConfig(lam=v, epsilon=1.0)),
+    "KgardConfig-epsilon": ("epsilon", lambda v: KgardConfig(lam=1.0, epsilon=v)),
+    "KgardSolver-lam": ("lambda", lambda v: KgardSolver(np.eye(3), v)),
+    "KgardSolver-tier": ("lambda", lambda v: KgardSolver(np.eye(3), [1.0, v])),
+    "fit-epsilon": ("epsilon", lambda v: KgardSolver(np.eye(3), 1.0).fit(np.ones(3), v)),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), "abc", None], ids=repr)
+@pytest.mark.parametrize(
+    "name, make", NO_FLOAT_BOUNDARIES.values(), ids=NO_FLOAT_BOUNDARIES.keys()
+)
+def test_boundary_rejects_a_value_without_a_float(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must convert to a float"):
+        make(value)
 
 
 def test_regularized_ls_matches_dense_oracle():

@@ -133,6 +133,26 @@ def test_wall_time_measures_fit_only(monkeypatch, protocol, noise, config):
 
 
 @PROTOCOL_CASES
+def test_setup_seconds_times_setup_apart_from_fit(monkeypatch, protocol, noise, config):
+    stats, _ = run_monte_carlo(protocol, noise, config, 2, 0)
+    assert stats.setup_seconds > 0
+    # the validation cross-Gram closes the setup
+    build = experiments.cross_gram
+
+    def slow_cross_gram(*args, **kwargs):
+        time.sleep(0.2)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cross_gram", slow_cross_gram)
+    t0 = time.perf_counter()
+    stats, rows = run_monte_carlo(protocol, noise, config, 3, 0)
+    total = time.perf_counter() - t0
+    assert 0.2 <= stats.setup_seconds < total
+    assert all(0 < r.wall_time_seconds < 0.2 for r in rows)
+    assert stats.setup_seconds + sum(r.wall_time_seconds for r in rows) <= total
+
+
+@PROTOCOL_CASES
 def test_setup_built_once_per_run(monkeypatch, protocol, noise, config):
     calls = []
     _count_calls(monkeypatch, experiments, "gram_matrix", calls)

@@ -1,13 +1,30 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from kgard.denoise import RoiConfig, roi_lattice
+from kgard.experiments import SWEEP_N
 from kgard.kernel import (
     KernelParams,
+    _sq_dists,
     as_point_matrix,
     cross_gram,
     gram_matrix,
     rbf_eval,
 )
+from kgard.noise import (
+    LATTICE_KERNEL_SIGMA,
+    SINC_KERNEL_SIGMA,
+    SUPPORT_KERNEL_SIGMA,
+    lattice_nodes,
+    make_sinc_dataset,
+)
+from oracle import cross_gram_reference, gram_reference, sq_dists_reference
+
+# the smallest sigma whose square is a normal float
+SMALLEST_SIGMA = math.sqrt(sys.float_info.min)
 
 
 def test_params_require_positive_sigma():
@@ -91,3 +108,77 @@ def test_cross_gram_consistency_and_errors():
     assert np.allclose(rect, full[:4], atol=1e-14)
     with pytest.raises(ValueError):
         cross_gram(np.zeros((3, 2)), np.zeros((5, 3)), params)
+
+
+def _random_points(d, sigma, seed=0):
+    """40 normal points in d dimensions, 8 of them repeats of others."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(40, d))
+    pts[32:] = pts[rng.choice(32, size=8, replace=False)]
+    return pts, KernelParams(sigma)
+
+
+def _low_dim_cases():
+    """(query, train, params) on the inputs of every protocol, the ROI
+    lattice, the sweep, and random points with duplicates, in one and
+    two dimensions."""
+    centers, train, val = lattice_nodes()
+    lattice = KernelParams(LATTICE_KERNEL_SIGMA)
+    sinc = make_sinc_dataset()
+    sweep = np.linspace(0.0, 1.0, SWEEP_N)
+    roi = roi_lattice(RoiConfig().roi_size)
+    cases = {
+        "lattice-train": (train, train, lattice),
+        "lattice-validation": (val, train, lattice),
+        "lattice-centers": (centers, val, lattice),
+        "sinc": (sinc.validation.inputs, sinc.train.inputs, KernelParams(SINC_KERNEL_SIGMA)),
+        "sweep": (sweep, sweep[[3, 17, 50, 99]], KernelParams(SUPPORT_KERNEL_SIGMA)),
+        "roi": (roi, roi, KernelParams(RoiConfig().sigma)),
+    }
+    for d in (1, 2):
+        for sigma in (0.7, SMALLEST_SIGMA):
+            pts, params = _random_points(d, sigma)
+            cases[f"random-d{d}-sigma{sigma:.3g}"] = (pts, pts[::3], params)
+    return cases
+
+
+LOW_DIM = _low_dim_cases()
+
+
+def test_smallest_sigma_is_admitted():
+    KernelParams(SMALLEST_SIGMA)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        KernelParams(math.nextafter(SMALLEST_SIGMA, 0.0))
+
+
+@pytest.mark.parametrize("query, train, params", LOW_DIM.values(), ids=LOW_DIM.keys())
+def test_kernel_matches_einsum_reference_bytes_in_low_dimensions(query, train, params):
+    # summing one dimension at a time adds in einsum's order for d <= 2
+    q, x = as_point_matrix(query), as_point_matrix(train)
+    assert np.array_equal(_sq_dists(q, x), sq_dists_reference(q, x))
+    for got, want in (
+        (gram_matrix(q, params), gram_reference(q, params)),
+        (gram_matrix(x, params), gram_reference(x, params)),
+        (cross_gram(q, x, params), cross_gram_reference(q, x, params)),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_kernel_matches_einsum_reference_in_higher_dimensions(d):
+    # einsum adds d >= 3 terms in another order, so the last bits may move
+    rng = np.random.default_rng(d)
+    q, x = rng.uniform(size=(30, d)), rng.uniform(size=(50, d))
+    params = KernelParams(math.sqrt(d))  # exponents in [-1, 0]
+    assert np.allclose(_sq_dists(q, x), sq_dists_reference(q, x), rtol=1e-14, atol=0)
+    assert np.allclose(gram_matrix(x, params), gram_reference(x, params), rtol=1e-14, atol=0)
+    assert np.allclose(
+        cross_gram(q, x, params), cross_gram_reference(q, x, params), rtol=1e-14, atol=0
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_gram_columns_are_cross_gram_bytes(d):
+    pts, params = _random_points(d, 0.9, seed=d)
+    idx = np.array([0, 5, 32, 39, 7])
+    assert gram_matrix(pts, params)[:, idx].tobytes() == cross_gram(pts, pts[idx], params).tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,21 @@ def test_round_half_away():
     assert round_half_away(-0.5) == -1
     assert round_half_away(19.9) == 20
     assert round_half_away(2.4) == 2
+
+
+@pytest.mark.parametrize("x", [0.5, -0.5, 2.5, -2.5, 0.0, -0.0, 12.8, np.float64(-2.5)])
+def test_round_half_away_matches_numpy_formula(x):
+    want = int(np.sign(x) * np.floor(np.abs(x) + 0.5))
+    got = round_half_away(x)
+    assert type(got) is int and got == want
+
+
+def test_round_half_away_rejects_nan_and_inf():
+    with pytest.raises(ValueError):
+        round_half_away(math.nan)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            round_half_away(x)
 
 
 def test_sinc_dataset_geometry():
