@@ -184,14 +184,18 @@ class KgardConfig:
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises NumericalError with the failing pivot."""
-    c, info = dpotrf(m, lower=1, overwrite_a=0)
+    """Lower Cholesky factor of the lower triangle of ``m``, written over
+    ``m`` when it is Fortran-ordered; raises NumericalError with the
+    failing pivot.  The strict upper triangle is left as it was, so the
+    factor is lower triangular when ``m``'s upper triangle is zero, as
+    ``dsyrk(lower=1)`` leaves it."""
+    c, info = dpotrf(m, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(
             f"normal matrix is not positive definite at pivot {info - 1}",
             pivot=info - 1,
         )
-    return np.tril(c)
+    return c
 
 
 def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
@@ -359,9 +363,9 @@ class KgardSolver:
                         "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
                         f"at lambda {penalty}"
                     )
-                # L0 is C-ordered, so its transpose is the Fortran-ordered
-                # upper factor LAPACK solves with: H = L0^-1 X0^T, then
-                # P = L0^-T H, both in P's slot
+                # L0 overwrites a0, and LAPACK solves with its transpose,
+                # the upper factor: H = L0^-1 X0^T, then P = L0^-T H,
+                # both in P's slot
                 upper0 = _cholesky(a0).T
                 h = self._coef_map[t]
                 h[...] = design.T
@@ -423,10 +427,12 @@ class KgardSolver:
         single = y.ndim == 1
         ys = y.reshape(-1, n)
         batch = ys.shape[0]
-        # one R y per row keeps every row's arithmetic independent of B
-        r = _per_tier(self._residual_map, tier, ys)
-        abs_r = np.abs(r)
-        norms = _stop_norms(r, abs_r, stop_norm)
+        # one R y per row keeps every row's arithmetic independent of B;
+        # an overflow anywhere leaves a norm that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _per_tier(self._residual_map, tier, ys)
+            abs_r = np.abs(r)
+            norms = _stop_norms(r, abs_r, stop_norm)
         if not np.all(np.isfinite(norms)):
             raise ValueError(f"the initial residual's {stop_norm} norm overflows")
 

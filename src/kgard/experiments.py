@@ -245,8 +245,11 @@ def sweep_outlier_magnitude(
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
     Every trial shares one Gram matrix and solver: the trials of one
-    magnitude are fitted as one batch, and sigma_max([K 1]) is computed
-    once per call.  Each trial's truth and its impulse positions and
+    magnitude are fitted as one batch and their certificates checked in
+    one stacked ``theorem_check`` call, and sigma_max([K 1]) is computed
+    once per call.  A magnitude large enough that a truth's squared
+    norm or the initial residual's norm overflows raises
+    ``ValueError``.  Each trial's truth and its impulse positions and
     signs are drawn once per call, as unit impulses; every magnitude
     scales them.  With no inlier noise this gives the observations a
     fresh draw at that magnitude would, bit for bit.
@@ -277,12 +280,11 @@ def sweep_outlier_magnitude(
     truths = np.empty((trials, SWEEP_N))
     units = np.empty((trials, SWEEP_N))
     truth = np.zeros((trials, SWEEP_N), dtype=bool)
-    thetas = []
+    thetas = np.zeros((trials, SWEEP_N + 1))  # the protocol target has no bias
     for t in range(trials):
         rng = rng_for(base_seed + t)
-        _, truths[t], alpha = make_support_dataset(rng, SWEEP_N)
+        _, truths[t], thetas[t, :SWEEP_N] = make_support_dataset(rng, SWEEP_N)
         _, support, units[t] = corrupt(truths[t], unit, rng=rng)
-        thetas.append(np.append(alpha, 0.0))  # the protocol target has no bias
         truth[t, support] = True
 
     points = []
@@ -290,11 +292,9 @@ def sweep_outlier_magnitude(
         u = magnitude * units
         batch = solver.fit(truths + u, epsilon=0.0, max_selections=n_impulses)
         correct, wrong = _support_fractions(batch, truth)
-        # zero-magnitude impulses carry no certificate
-        holds = [
-            magnitude > 0 and theorem_check(sigma_max, theta, u_t, SWEEP_LAMBDA).holds
-            for theta, u_t in zip(thetas, u)
-        ]
+        holds = np.zeros(trials, dtype=bool)  # zero impulses carry no certificate
+        if magnitude > 0:
+            holds = theorem_check(sigma_max, thetas, u, SWEEP_LAMBDA).holds
         points.append(
             SweepPoint(
                 magnitude=magnitude,

@@ -225,6 +225,16 @@ def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _support_inputs(n: int) -> np.ndarray:
+    """The n equidistant points on [0, 1] of ``make_support_dataset``.
+    Every draw of one n shares them, so they are built once and marked
+    read-only."""
+    x = np.linspace(0.0, 1.0, n)
+    x.flags.writeable = False
+    return x
+
+
 def make_support_dataset(
     rng: np.random.Generator, n: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,9 +244,11 @@ def make_support_dataset(
     evaluated from the support only, as ``cross_gram(x, x[idx]) @
     alpha[idx]`` over the nonzero indices ``idx`` in increasing order.
 
-    Returns (inputs, truth, true_alpha).
+    Returns (inputs, truth, true_alpha).  The inputs are shared by every
+    draw of the same n and read-only; truth and true_alpha are the
+    draw's own.
     """
-    x = np.linspace(0.0, 1.0, n)
+    x = _support_inputs(n)
     nnz = int(rng.integers(2, 24))
     alpha = np.zeros(n)
     alpha[rng.choice(n, size=nnz, replace=False)] = rng.normal(0.0, 0.5, size=nnz)

@@ -23,13 +23,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints one SHA-256 per float output: a 32^2 noisy image, three
 # lattice2d and three sinc1d trials, a two-trial sweep, the sweep's
-# sigma_max and the arrays of a tiered batch fit at N = 144
+# sigma_max, the arrays of a tiered batch fit at N = 144 and those of a
+# stacked certificate check at the sweep's N = 100, whose norms are
+# numpy's OpenBLAS dots at its default thread count
 OUTPUTS = """
 import hashlib
 import numpy as np
 from kgard import (KernelParams, KgardConfig, KgardSolver, NoiseSpec, denoise_image,
                    design_sigma_max, gram_matrix, rng_for, run_monte_carlo,
-                   sweep_outlier_magnitude)
+                   sweep_outlier_magnitude, theorem_check)
 
 rng = rng_for(3)
 xx, yy = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32))
@@ -56,6 +58,11 @@ ys[::2, ::17] += 50.0  # the other rows stop sooner
 batch = KgardSolver(gram_matrix(lattice, KernelParams(0.3)), [1.0, 5.0, 15.0]).fit(
     ys, epsilon=20.0, max_selections=12, tier=np.arange(6) % 3
 )
+sigma_max = design_sigma_max(gram_matrix(np.linspace(0, 1, 100), KernelParams(0.1)))
+thetas = rng.normal(0, 0.5, (8, 101)) * 10.0 ** np.arange(-4, 4)[:, None]
+us = np.zeros((8, 100))
+us[:, ::9] = rng.choice([-300.0, 300.0], (8, 12))
+bound = theorem_check(sigma_max, thetas, us, 4000.0)
 outputs = {
     "denoised": result.denoised,
     "outlier_map": result.outlier_map,
@@ -66,7 +73,9 @@ outputs = {
     "fit_bias": batch.bias,
     "fit_outliers": batch.outliers,
     "sweep": [(p.mean_correct, p.mean_wrong, p.bound_hold_rate) for p in points],
-    "sigma_max": design_sigma_max(gram_matrix(np.linspace(0, 1, 100), KernelParams(0.1))),
+    "sigma_max": sigma_max,
+    "bound": [bound.gamma, bound.lambda_cap, bound.holds, bound.min_outlier,
+              bound.theta_norm, bound.outlier_norm],
 }
 for name, value in outputs.items():
     data = np.asarray(value, dtype=np.float64).tobytes()
@@ -87,7 +96,7 @@ def _hashes(blas_threads: str) -> dict:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     one, two = _hashes("1"), _hashes("2")
-    assert len(one) == 10
+    assert len(one) == 11
     assert one == two
 
 

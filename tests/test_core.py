@@ -350,11 +350,65 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
     ids=["nan", "inf", "negative-cap", "cap-above-n", "overflow", "l1-stop-norm",
          "nan-epsilon", "negative-epsilon", "float-cap", "bool-cap"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fit_rejects_bad_input(y, kwargs, match):
     solver = KgardSolver(np.eye(4), lam=1.0)
     with pytest.raises(ValueError, match=match):
         solver.fit(np.array(y), **(dict(epsilon=0.0) | kwargs))
+
+
+@pytest.mark.parametrize(
+    "y, stop_norm",
+    [
+        # R y is finite, its squared entries are not
+        pytest.param(np.full(4, 1e160), "l2", id="l2-square"),
+        # R y itself overflows to -inf in its last entry
+        pytest.param(np.array([1.0, 1.0, 1.0, -1.0]) * 1.7e308, "linf", id="linf-product"),
+        pytest.param(np.array([1.0, 1.0, 1.0, -1.0]) * 1.7e308, "l2", id="l2-product"),
+    ],
+)
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_fit_overflow_raises_value_error_without_a_warning(y, stop_norm, batched):
+    # the test configuration turns every warning into an error, so a
+    # warning ahead of the ValueError fails this test
+    solver = KgardSolver(np.eye(4) * 0.5 + 0.5, 1.0)
+    ys = np.stack([np.ones(4), y]) if batched else y
+    with pytest.raises(ValueError, match=f"initial residual's {stop_norm} norm overflows"):
+        solver.fit(ys, epsilon=1.0, stop_norm=stop_norm)
+
+
+def _copying_cholesky(m):
+    """The factorization before it worked in place: dpotrf on a copy of
+    ``m``, then the lower triangle of the result."""
+    c, info = scipy.linalg.lapack.dpotrf(m, lower=1, overwrite_a=0)
+    assert info == 0
+    return np.tril(c)
+
+
+def test_cholesky_factors_in_place():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(30, 12))
+    a = np.tril(x.T @ x + np.eye(12)).copy(order="F")
+    expected = _copying_cholesky(a)
+    factor = _cholesky(a)
+    assert np.shares_memory(factor, a)
+    assert factor.tobytes(order="F") == expected.tobytes(order="F")
+
+
+@pytest.mark.parametrize(
+    "points, sigma, lams",
+    [
+        pytest.param(roi_lattice(12), 0.3, [1.0, 5.0, 15.0], id="roi-144"),
+        pytest.param(np.linspace(0.0, 1.0, 100), 0.1, 4000.0, id="sweep-100"),
+        pytest.param(lattice_nodes()[1], 0.2, 0.15, id="lattice-256"),
+    ],
+)
+def test_in_place_cholesky_keeps_the_maps(monkeypatch, points, sigma, lams):
+    gram = gram_matrix(points, KernelParams(sigma))
+    solver = KgardSolver(gram, lams)
+    monkeypatch.setattr(kgard.core, "_cholesky", _copying_cholesky)
+    copying = KgardSolver(gram, lams)
+    assert solver._residual_map.tobytes() == copying._residual_map.tobytes()
+    assert solver._coef_map.tobytes() == copying._coef_map.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -319,6 +319,25 @@ def test_sweep_draws_each_truth_once(monkeypatch):
     assert calls == ["make_support_dataset", "corrupt"] * 3
 
 
+def test_sweep_checks_each_magnitude_in_one_stacked_call(monkeypatch):
+    shapes = []
+    real_check = experiments.theorem_check
+
+    def check(sigma_max, theta, u, lam):
+        shapes.append((theta.shape, u.shape, lam))
+        return real_check(sigma_max, theta, u, lam)
+
+    monkeypatch.setattr(experiments, "theorem_check", check)
+    sweep_outlier_magnitude([300.0, 0.0, 100.0, 600.0], trials=3, base_seed=0)
+    assert shapes == [((3, SWEEP_N + 1), (3, SWEEP_N), SWEEP_LAMBDA)] * 3
+
+
+def test_sweep_overflow_raises_value_error_without_a_warning():
+    # the test configuration turns every warning into an error
+    with pytest.raises(ValueError, match="initial residual's l2 norm overflows"):
+        sweep_outlier_magnitude([1e160], trials=2)
+
+
 def test_sweep_point_matches_per_trial_reference(monkeypatch):
     """Every magnitude, in any order and 0.0 included, gives what fresh
     draws at that magnitude would: the same observation and impulse
@@ -333,7 +352,9 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
         return real_fit(self, y, *args, **kwargs)
 
     def check(sigma_max, theta, u, lam):
-        certified.append(np.array(u))
+        # one stack of every trial per magnitude, recorded row by row
+        assert theta.shape == (trials, SWEEP_N + 1) and u.shape == (trials, SWEEP_N)
+        certified.extend(np.array(u))
         return real_check(sigma_max, theta, u, lam)
 
     monkeypatch.setattr(KgardSolver, "fit", fit)

@@ -214,6 +214,17 @@ def test_support_dataset_shapes():
     assert 2 <= np.count_nonzero(alpha) <= 23
 
 
+def test_support_inputs_are_shared_and_read_only():
+    x, _, alpha = make_support_dataset(rng_for(0), 100)
+    again, _, _ = make_support_dataset(rng_for(1), 100)
+    assert again is x
+    assert x.tobytes() == np.linspace(0.0, 1.0, 100).tobytes()
+    with pytest.raises(ValueError):
+        x[0] = 1.0  # shared by every draw, so read-only
+    alpha[0] += 1.0  # each draw's own
+    assert make_support_dataset(rng_for(2), 30)[0].shape == (30,)
+
+
 def test_support_truth_reads_only_the_support():
     params = KernelParams(0.1)
     for seed in (0, 1, 2, 3):

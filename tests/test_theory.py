@@ -178,7 +178,14 @@ def _bound_cases():
     sigma_max = design_sigma_max(gram)
     cases.append((sigma_max, theta, u, 4000.0))
     cases.append((sigma_max, -theta, np.where(u == 0, -0.0, u), 4000.0))
+    # ||theta|| = 1, so the cap is POW_MISROUNDED ** 2 / 2
+    cases.append((1.0, np.array([1.0, 0.0, 0.0]), np.array([POW_MISROUNDED, -3.0]), 0.1))
     return cases
+
+
+# glibc's pow, which Python's ** calls, squares this float one ulp away
+# from x * x
+POW_MISROUNDED = 1.6121007653006214
 
 
 def test_theorem_check_matches_numpy_reference_bit_for_bit():
@@ -195,6 +202,95 @@ def test_theorem_check_matches_numpy_reference_bit_for_bit():
             assert type(got) is type(want), field.name
             if want is not None:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
+
+
+def _assert_row_is_report(stacked, i, report):
+    """Row ``i`` of a stacked report carries the 1-D report's bits, with
+    NaN for its gamma of None."""
+    for field in dataclasses.fields(BoundReport):
+        column, want = getattr(stacked, field.name), getattr(report, field.name)
+        assert column.shape == (stacked.holds.shape[0],), field.name
+        if field.name == "holds":
+            assert column.dtype == bool and bool(column[i]) is want
+        elif want is None:
+            assert np.isnan(column[i]), field.name
+        else:
+            assert column[i].tobytes() == np.float64(want).tobytes(), field.name
+
+
+def test_stacked_theorem_check_rows_match_1d_reports():
+    """Every row of a stack of the bound cases of one N, at every case's
+    sigma_max and lambda, equals that row's own 1-D report."""
+    groups = {}
+    for case in _bound_cases():
+        groups.setdefault(case[2].size, []).append(case)
+    seen = []
+    for cases in groups.values():
+        thetas = np.stack([theta for _, theta, _, _ in cases])
+        us = np.stack([u for _, _, u, _ in cases])
+        for sigma_max, _, _, lam in cases:
+            stacked = theorem_check(sigma_max, thetas, us, lam)
+            for i, (theta, u) in enumerate(zip(thetas, us)):
+                report = theorem_check(sigma_max, theta, u, lam)
+                _assert_row_is_report(stacked, i, report)
+                seen.append(report)
+    assert any(len(cases) > 2 for cases in groups.values())
+    assert any(r.theta_norm == 0 for r in seen)
+    assert any(r.gamma is None for r in seen)
+    assert any(r.holds for r in seen)
+    assert any(r.gamma is not None and not r.holds for r in seen)
+    assert any(np.signbit(u[u == 0]).any() for _, _, u, _ in _bound_cases())
+
+
+def test_stacked_theorem_check_of_no_rows_is_empty():
+    report = theorem_check(1.0, np.empty((0, 5)), np.empty((0, 4)), 1.0)
+    assert report.holds.shape == report.gamma.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "theta, u, match",
+    [
+        pytest.param(np.ones((3, 5)), np.ones((2, 4)), "one row per truth", id="rows"),
+        pytest.param(np.ones((3, 4)), np.ones((3, 4)), "expected theta of length 5",
+                     id="length"),
+        pytest.param(np.ones(5), np.ones((1, 4)), "one row per truth", id="1-d-theta"),
+        pytest.param(np.ones((1, 5)), np.ones(4), "one row per truth", id="1-d-u"),
+        pytest.param(np.ones((1, 1, 5)), np.ones((1, 1, 4)), "one row per truth", id="3-d"),
+        pytest.param(np.ones((3, 5)), np.eye(3, 4) * [[1.0], [0.0], [1.0]],
+                     "empty support in row 1", id="empty-row"),
+        pytest.param(np.ones((3, 5)), np.full((3, 4), -0.0), "empty support in row 0",
+                     id="negative-zero-row"),
+        pytest.param(np.where(np.eye(3, 5) == 1, np.nan, 1.0), np.ones((3, 4)),
+                     "must be finite", id="nan-theta"),
+        pytest.param(np.ones((3, 5)), np.where(np.eye(3, 4) == 1, -np.inf, 1.0),
+                     "must be finite", id="inf-u"),
+    ],
+)
+def test_stacked_theorem_check_rejects_bad_input(theta, u, match):
+    with pytest.raises(ValueError, match=match):
+        theorem_check(1.0, theta, u, 1.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["1-d", "2-d"])
+@pytest.mark.parametrize("name", ["outliers", "theta"])
+def test_theorem_check_rejects_an_overflowing_norm(stacked, name):
+    # finite entries whose squares sum past the largest float; the test
+    # configuration turns the dot's overflow warning into an error
+    u = np.zeros(10)
+    u[:3] = 1e200 if name == "outliers" else 1.0
+    theta = np.full(11, 1e200 if name == "theta" else 1.0)
+    if stacked:
+        theta, u = np.stack([np.ones(11), theta]), np.stack([np.ones(10), u])
+    with pytest.raises(ValueError, match=f"squared norm of the true {name} overflows"):
+        theorem_check(1.0, theta, u, 1.0)
+
+
+def test_theorem_check_lambda_cap_past_the_largest_float_is_inf():
+    # (1e100 / 1e-100)^2 / 2 is no float; Python's ** raised OverflowError
+    report = theorem_check(1.0, np.array([1e-100, 0.0]), np.array([1e100]), 1.0)
+    assert report.lambda_cap == np.inf
+    stacked = theorem_check(1.0, np.array([[1e-100, 0.0]]), np.array([[1e100]]), 1.0)
+    assert stacked.lambda_cap.tolist() == [np.inf]
 
 
 def _solver_residual(gram, y, lam, k):
