@@ -24,7 +24,7 @@ from .experiments import (
     run_monte_carlo,
     sweep_outlier_magnitude,
 )
-from .kernel import KernelParams, cross_gram, gram_matrix, rbf_eval
+from .kernel import KernelParams, cross_gram, gram_matrix
 from .noise import (
     NoiseSpec,
     StableParams,
@@ -71,7 +71,6 @@ __all__ = [
     "make_sinc_dataset",
     "predict",
     "psnr",
-    "rbf_eval",
     "read_pgm",
     "rng_for",
     "run_monte_carlo",

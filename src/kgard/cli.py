@@ -121,8 +121,8 @@ def _read_dataset_csv(path) -> Dataset:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"empty CSV file: {path}")
-    header = rows[0]
-    x_cols = [i for i, name in enumerate(header) if name.strip().startswith("x")]
+    header = [name.strip() for name in rows[0]]
+    x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     try:
         y_col = header.index("y")
     except ValueError:
@@ -269,7 +269,7 @@ def _cmd_denoise(args) -> int:
     result = denoise_image(img, cfg)
     write_pgm_file(args.out, result.denoised)
     if args.outliers is not None:
-        # shift the signed map so both impulse polarities are visible
+        # |map|, so both impulse polarities show as bright pixels
         write_pgm_file(args.outliers, np.abs(result.outlier_map))
     if args.impulse_removed is not None:
         write_pgm_file(args.impulse_removed, result.impulse_removed)

@@ -405,7 +405,9 @@ class KgardSolver:
         other result raises ``ValueError``.  ``tier`` gives each row's
         ridge parameter as an index into the solver's T of them, an
         integer array of shape ``y.shape[:-1]`` (a scalar for a 1-D
-        ``y``); it may be left out only when T = 1.
+        ``y``); it may be left out only when T = 1.  A finite ``y``
+        whose fit overflows, leaving a coefficient or an outlier value
+        that is not finite, raises ``ValueError`` after the last step.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
@@ -459,77 +461,81 @@ class KgardSolver:
         size = max_selections * batch * n
         q = np.frombuffer(mmap.mmap(-1, 8 * size or 1), count=size)
         q = q.reshape(max_selections, batch, n)
-        k = 0
-        while batch:  # an empty batch makes no step
-            m = live.size
-            eps = np.asarray(threshold(abs_r), dtype=np.float64)
-            if eps.shape not in ((), (m,)):
-                raise ValueError(
-                    f"epsilon must return a scalar or {m} thresholds, "
-                    f"one per running row, got shape {eps.shape}"
-                )
-            if not (eps >= 0).all():
-                raise ValueError("epsilon returned a negative or NaN threshold")
-            done = norms <= eps
-            capped = k == max_selections
-            stop = done
-            if not capped:
-                rows = np.arange(m)
-                j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
-                col = self._residual_map[tier, j]
-                if k:
-                    # col -= Q[j, :k] Q^T row by row, one stacked matmul
-                    qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
-                    col -= np.matmul(qj, q[:k, :m].transpose(1, 0, 2))[:, 0]
-                pivot = col[rows, j]
-                # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
-                # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
-                stop = pivot <= _PIVOT_FLOOR
-                stop |= done
-            if capped or stop.any():
-                fin = np.flatnonzero(stop | capped)
-                rows_fin = live[fin]
-                out.selections[rows_fin] = k
-                out.residual_norm[rows_fin] = norms[fin]
-                out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
-                out.stop_reason[rows_fin] = np.where(
-                    done[fin], "threshold", "cap" if capped else "pivot"
-                )
-                # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK
-                # solve per row with the upper triangular q[:, S] = Q[S]^T,
-                # gathered for up to _GATHER_ROWS finishing rows at once.
-                # LAPACK rejects the 0 x 0 system of a row with no selections.
-                for lo in range(0, fin.size if k else 0, _GATHER_ROWS):
-                    block = slice(lo, lo + _GATHER_ROWS)
-                    upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
-                    for f, row in enumerate(rows_fin[block]):
-                        coef[row, :k] = _solve_upper(upper[:, f], coef[row, :k], trans=0)
-                if capped or stop.all():
-                    break
-                # compact the running rows to the front of every array
-                keep = ~stop
-                q[:k, : keep.sum()] = q[:k, :m][:, keep]
-                live, tier = live[keep], tier[keep]
-                r, abs_r, active = r[keep], abs_r[keep], active[keep]
-                j, col, pivot = j[keep], col[keep], pivot[keep]
+        # a step can overflow on a finite y; the fit is checked once, at the end
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = 0
+            while batch:  # an empty batch makes no step
                 m = live.size
-                rows = rows[:m]
+                eps = np.asarray(threshold(abs_r), dtype=np.float64)
+                if eps.shape not in ((), (m,)):
+                    raise ValueError(
+                        f"epsilon must return a scalar or {m} thresholds, "
+                        f"one per running row, got shape {eps.shape}"
+                    )
+                if not (eps >= 0).all():
+                    raise ValueError("epsilon returned a negative or NaN threshold")
+                done = norms <= eps
+                capped = k == max_selections
+                stop = done
+                if not capped:
+                    rows = np.arange(m)
+                    j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
+                    col = self._residual_map[tier, j]
+                    if k:
+                        # col -= Q[j, :k] Q^T row by row, one stacked matmul
+                        qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
+                        col -= np.matmul(qj, q[:k, :m].transpose(1, 0, 2))[:, 0]
+                    pivot = col[rows, j]
+                    # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
+                    # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
+                    stop = pivot <= _PIVOT_FLOOR
+                    stop |= done
+                if capped or stop.any():
+                    fin = np.flatnonzero(stop | capped)
+                    rows_fin = live[fin]
+                    out.selections[rows_fin] = k
+                    out.residual_norm[rows_fin] = norms[fin]
+                    out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
+                    out.stop_reason[rows_fin] = np.where(
+                        done[fin], "threshold", "cap" if capped else "pivot"
+                    )
+                    # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK
+                    # solve per row with the upper triangular q[:, S] = Q[S]^T,
+                    # gathered for up to _GATHER_ROWS finishing rows at once.
+                    # LAPACK rejects the 0 x 0 system of a row with no selections.
+                    for lo in range(0, fin.size if k else 0, _GATHER_ROWS):
+                        block = slice(lo, lo + _GATHER_ROWS)
+                        upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
+                        for f, row in enumerate(rows_fin[block]):
+                            coef[row, :k] = _solve_upper(upper[:, f], coef[row, :k], trans=0)
+                    if capped or stop.all():
+                        break
+                    # compact the running rows to the front of every array
+                    keep = ~stop
+                    q[:k, : keep.sum()] = q[:k, :m][:, keep]
+                    live, tier = live[keep], tier[keep]
+                    r, abs_r, active = r[keep], abs_r[keep], active[keep]
+                    j, col, pivot = j[keep], col[keep], pivot[keep]
+                    m = live.size
+                    rows = rows[:m]
 
-            qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
-            ck = r[rows, j] / qk[rows, j]
-            r -= ck[:, None] * qk
-            picks[live, k] = j
-            coef[live, k] = ck
-            active[rows, j] = True
-            k += 1
-            abs_r = np.abs(r)
-            norms = _stop_norms(r, abs_r, stop_norm)
+                qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
+                ck = r[rows, j] / qk[rows, j]
+                r -= ck[:, None] * qk
+                picks[live, k] = j
+                coef[live, k] = ck
+                active[rows, j] = True
+                k += 1
+                abs_r = np.abs(r)
+                norms = _stop_norms(r, abs_r, stop_norm)
 
-        # (alpha; c) = P (y - I_S u_S), one stacked product per tier
-        rows, index, value = out.selected()
-        e = ys.copy()
-        e[rows, index] -= value
-        theta = _per_tier(self._coef_map, row_tier, e)
+            # (alpha; c) = P (y - I_S u_S), one stacked product per tier
+            rows, index, value = out.selected()
+            e = ys.copy()
+            e[rows, index] -= value
+            theta = _per_tier(self._coef_map, row_tier, e)
+        if not (np.isfinite(theta).all() and np.isfinite(out.outliers).all()):
+            raise ValueError("the fit overflows: its coefficients or outliers are not finite")
         out.alpha, out.bias = theta[:, :n], theta[:, n]
         return out.solution(0) if single else out
 

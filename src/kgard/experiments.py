@@ -116,24 +116,6 @@ def border_weights(n: int) -> np.ndarray:
     return w
 
 
-def _nan_mean(values) -> float:
-    vals = [v for v in values if not math.isnan(v)]
-    return float(np.mean(vals)) if vals else math.nan
-
-
-def _aggregate(results: list[TrialResult], setup_seconds: float) -> AggregateStats:
-    mses = np.array([r.mse_validation for r in results])
-    return AggregateStats(
-        mean_mse=float(np.mean(mses)),
-        std_mse=float(np.std(mses)),
-        mean_correct=_nan_mean(r.correct_fraction for r in results),
-        mean_wrong=_nan_mean(r.wrong_fraction for r in results),
-        mean_time=float(np.mean([r.wall_time_seconds for r in results])),
-        trials=len(results),
-        setup_seconds=setup_seconds,
-    )
-
-
 def _write_trial_csv(path, results: list[TrialResult]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -178,16 +160,16 @@ def run_monte_carlo(
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     _check_count("trials", trials, 1)
 
-    if protocol == "lattice2d":
-        fixed = None  # each trial draws its own target on the fixed lattice
+    lattice = protocol == "lattice2d"
+    if lattice:  # each trial draws its own target on the fixed lattice
         _, train, validation = lattice_nodes()
+        validation_truth = np.empty((trials, validation.shape[0]))
         params = KernelParams(LATTICE_KERNEL_SIGMA)
         weights = None
     else:
-        fixed = make_sinc_dataset()
-        train, validation = fixed.train.inputs, fixed.validation.inputs
+        train, train_truth, validation, validation_truth = make_sinc_dataset()
         params = KernelParams(SINC_KERNEL_SIGMA)
-        weights = border_weights(fixed.train.size)
+        weights = border_weights(train.shape[0])
     t0 = time.perf_counter()
     solver = KgardSolver(gram_matrix(train, params), config.lam, tikhonov_weights=weights)
     cross = cross_gram(validation, train, params)
@@ -195,21 +177,31 @@ def run_monte_carlo(
 
     ys = np.empty((trials, train.shape[0]))
     truth = np.zeros(ys.shape, dtype=bool)
-    validation_truths = np.empty((trials, validation.shape[0]))
     for t in range(trials):
         rng = rng_for(base_seed + t)
-        data = make_lattice_dataset(rng) if fixed is None else fixed
-        ys[t], support, _ = corrupt(data.train_truth, noise, rng=rng)
+        if lattice:
+            train_truth, validation_truth[t], _ = make_lattice_dataset(rng)
+        ys[t], support, _ = corrupt(train_truth, noise, rng=rng)
         truth[t, support] = True
-        validation_truths[t] = data.validation_truth
 
     t0 = time.perf_counter()
     batch = solver.fit(ys, epsilon=config.epsilon, stop_norm=config.stop_norm)
     wall = (time.perf_counter() - t0) / trials
 
     fitted = np.matmul(cross, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]
-    mses = np.mean((fitted - validation_truths) ** 2, axis=1)
+    # one truth row per lattice trial; the sinc truth broadcasts
+    mses = np.mean((fitted - validation_truth) ** 2, axis=1)
     correct, wrong = _support_fractions(batch, truth)
+    scored = ~np.isnan(correct)  # the trials with at least one true outlier
+    stats = AggregateStats(
+        mean_mse=float(np.mean(mses)),
+        std_mse=float(np.std(mses)),
+        mean_correct=float(np.mean(correct[scored])) if scored.any() else math.nan,
+        mean_wrong=float(np.mean(wrong[scored])) if scored.any() else math.nan,
+        mean_time=wall,
+        trials=trials,
+        setup_seconds=setup,
+    )
     per_trial = zip(mses.tolist(), correct.tolist(), wrong.tolist(), batch.stop_reason.tolist())
     results = [
         TrialResult(mse, c, w, wall, base_seed + t, reason)
@@ -217,7 +209,7 @@ def run_monte_carlo(
     ]
     if csv_path is not None:
         _write_trial_csv(csv_path, results)
-    return _aggregate(results, setup), results
+    return stats, results
 
 
 @dataclass

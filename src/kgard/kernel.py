@@ -55,15 +55,6 @@ def as_point_matrix(points) -> np.ndarray:
     return pts
 
 
-def rbf_eval(a, b, params: KernelParams) -> float:
-    """Evaluate kappa(a, b) for two points of the same dimension."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(_rbf(a[None, :], b[None, :], params)[0, 0])
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(a), len(b)): the squared
     differences summed one input dimension at a time, in increasing

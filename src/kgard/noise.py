@@ -3,7 +3,8 @@
 Datasets mirror the benchmark protocols used throughout: a 1-D sinc
 target split into interleaved train/validation grids, a 2-D lattice
 target that is a sparse combination of Gaussian kernels, and a 1-D
-pure-outlier protocol for support-identification studies.
+pure-outlier protocol for support-identification studies.  Each
+generator returns a tuple of plain arrays.
 
 Corruption combines sparse impulses of fixed magnitude with either
 Gaussian inlier noise at a prescribed SNR or symmetric alpha-stable
@@ -24,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset
 from .kernel import KernelParams, _as_float, cross_gram
 
 SINC_KERNEL_SIGMA = 0.15
@@ -122,38 +122,17 @@ def sinc_target(x: np.ndarray) -> np.ndarray:
     return 20.0 * np.sinc(2.0 * np.pi * np.asarray(x, dtype=np.float64))
 
 
-@dataclass
-class RegressionData:
-    """A train/validation pair whose targets are noise-free truths."""
-
-    train: Dataset
-    validation: Dataset
-
-    @property
-    def train_truth(self) -> np.ndarray:
-        return self.train.targets
-
-    @property
-    def validation_truth(self) -> np.ndarray:
-        return self.validation.targets
-
-
-def make_sinc_dataset() -> RegressionData:
+def make_sinc_dataset() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """398 equidistant points on [-0.99, 1) with spacing 0.005; the 199
     odd-indexed points (first, third, ...) form the training set and
-    the rest the validation set."""
+    the rest the validation set.
+
+    Returns (train_inputs, train_truth, validation_inputs,
+    validation_truth), each of shape (199,).
+    """
     x = -0.99 + 0.005 * np.arange(398)
     f = sinc_target(x)
-    return RegressionData(
-        train=Dataset(x[0::2], f[0::2]),
-        validation=Dataset(x[1::2], f[1::2]),
-    )
-
-
-@dataclass
-class LatticeData(RegressionData):
-    true_alpha: np.ndarray  # sparse coefficients over all 961 lattice nodes
-    centers: np.ndarray  # the 961 lattice nodes
+    return x[0::2], f[0::2], x[1::2], f[1::2]
 
 
 def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,58 +150,51 @@ def lattice_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _lattice_geometry() -> tuple[np.ndarray, ...]:
-    """``lattice_nodes()`` plus the fixed center-by-training-node and
-    center-by-validation-node kernel matrices, center-major so that a
-    draw reads the rows of its support.  Every draw shares them, so they
-    are built once and marked read-only."""
+def _lattice_kernels() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed center-by-training-node and center-by-validation-node
+    kernel matrices of ``lattice_nodes()``, center-major so that a draw
+    reads the rows of its support.  Every draw shares them, so they are
+    built once and marked read-only."""
     centers, train_pts, val_pts = lattice_nodes()
     params = KernelParams(LATTICE_KERNEL_SIGMA)
-    arrays = (
-        centers,
-        train_pts,
-        val_pts,
-        cross_gram(centers, train_pts, params),
-        cross_gram(centers, val_pts, params),
-    )
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    kernels = cross_gram(centers, train_pts, params), cross_gram(centers, val_pts, params)
+    for k in kernels:
+        k.flags.writeable = False
+    return kernels
 
 
-def make_lattice_dataset(rng: np.random.Generator) -> LatticeData:
+def make_lattice_dataset(
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2-D target on the lattice of ``lattice_nodes``.
 
     The target is a sparse combination of Gaussian kernels (sigma 0.2)
     centered at all 961 nodes; the number of nonzero coefficients is
     uniform over 4%-17.5% of the 256 training points and their values
-    are N(0, 25.6^2).  Every draw shares the same training and
-    validation nodes.
+    are N(0, 25.6^2).  Every draw shares the training and validation
+    nodes of ``lattice_nodes()``.
 
     Each truth is one product over the support only: the kernel rows of
     the nonzero coefficients, in increasing center order, against those
     coefficients.  A product over all 961 centers can differ from it in
     the last bits.
-    """
-    centers, train_pts, val_pts, train_kernels, val_kernels = _lattice_geometry()
 
-    n_train = train_pts.shape[0]
+    Returns (train_truth, validation_truth, true_alpha): the truths at
+    the 256 training and 225 validation nodes, and the coefficients
+    over all 961 nodes.
+    """
+    train_kernels, val_kernels = _lattice_kernels()
+    n_centers, n_train = train_kernels.shape
     lo = math.ceil(0.04 * n_train)
     hi = math.floor(0.175 * n_train)
     nnz = int(rng.integers(lo, hi + 1))
-    alpha = np.zeros(centers.shape[0])
-    alpha[rng.choice(centers.shape[0], size=nnz, replace=False)] = rng.normal(
+    alpha = np.zeros(n_centers)
+    alpha[rng.choice(n_centers, size=nnz, replace=False)] = rng.normal(
         0.0, 25.6, size=nnz
     )
     idx = np.flatnonzero(alpha)
     weights = alpha[idx]
-
-    return LatticeData(
-        train=Dataset(train_pts, weights @ train_kernels[idx]),
-        validation=Dataset(val_pts, weights @ val_kernels[idx]),
-        true_alpha=alpha,
-        centers=centers,
-    )
+    return weights @ train_kernels[idx], weights @ val_kernels[idx], alpha
 
 
 @functools.lru_cache(maxsize=4)

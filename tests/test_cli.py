@@ -272,6 +272,26 @@ def test_regress_round_trip(tmp_path, capsys):
     assert f"final residual {solution.residual_norm:.6g}" in out
 
 
+def test_regress_header_names_are_stripped(tmp_path, capsys):
+    x = np.linspace(0, 1, 20)
+    y = np.cos(3 * x)
+    y[7] -= 20.0
+    body = "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n"
+    outputs = {}
+    for header in ("x,y", "x, y", " x , y "):
+        csv_in = tmp_path / "data.csv"
+        csv_in.write_text(header + "\n" + body)
+        out = tmp_path / "fit.csv"
+        code = main(
+            ["regress", "--in", str(csv_in), "--out", str(out), "--sigma", "0.2",
+             "--lambda", "0.05", "--epsilon", "1.0"]
+        )
+        assert code == 0, capsys.readouterr().err
+        outputs[header] = (out.read_text(), capsys.readouterr().out)
+    assert outputs["x, y"] == outputs["x,y"]
+    assert outputs[" x , y "] == outputs["x,y"]
+
+
 def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):
     csv_in = tmp_path / "data.csv"
     csv_in.write_text("x1,y\n0.0,1.0\nnan,2.0\n1.0,3.0\n")

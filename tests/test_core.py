@@ -376,6 +376,17 @@ def test_fit_overflow_raises_value_error_without_a_warning(y, stop_norm, batched
         solver.fit(ys, epsilon=1.0, stop_norm=stop_norm)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_fit_that_overflows_after_the_first_step_raises_value_error(batched):
+    # the initial residual is finite, a later step is not; under the
+    # warnings-as-errors configuration no RuntimeWarning may come first
+    solver = KgardSolver(np.eye(4) * 0.5 + 0.5, 1.0)
+    y = np.array([1e308, -1e308, 1e308, -1e308])
+    ys = np.stack([np.ones(4), y]) if batched else y
+    with pytest.raises(ValueError, match="the fit overflows"):
+        solver.fit(ys, epsilon=1.0, stop_norm="linf")
+
+
 def _copying_cholesky(m):
     """The factorization before it worked in place: dpotrf on a copy of
     ``m``, then the lower triangle of the result."""

@@ -30,6 +30,7 @@ from kgard.noise import (
     SUPPORT_KERNEL_SIGMA,
     NoiseSpec,
     corrupt,
+    lattice_nodes,
     make_lattice_dataset,
     make_support_dataset,
     rng_for,
@@ -168,17 +169,28 @@ def test_lattice_trials_match_per_trial_reference():
     _, noise, config = LATTICE
     _, rows = run_monte_carlo("lattice2d", noise, config, 3, 11)
     params = KernelParams(LATTICE_KERNEL_SIGMA)
+    _, train_pts, val_pts = lattice_nodes()
     for t, row in enumerate(rows):
         rng = rng_for(11 + t)
-        data = make_lattice_dataset(rng)
-        y, support, _ = corrupt(data.train_truth, noise, rng=rng)
-        solution = kgard_fit(Dataset(data.train.inputs, y), params, config)
-        fitted = predict(solution, data.train.inputs, data.validation.inputs, params)
-        mse = float(np.mean((fitted - data.validation_truth) ** 2))
+        train_truth, val_truth, _ = make_lattice_dataset(rng)
+        y, support, _ = corrupt(train_truth, noise, rng=rng)
+        solution = kgard_fit(Dataset(train_pts, y), params, config)
+        fitted = predict(solution, train_pts, val_pts, params)
+        mse = float(np.mean((fitted - val_truth) ** 2))
         assert row.mse_validation == mse
         assert (row.correct_fraction, row.wrong_fraction) == support_metrics(
             solution.support, support
         )
+
+
+@PROTOCOL_CASES
+def test_run_constructs_no_dataset(monkeypatch, protocol, noise, config):
+    # the protocols hand out plain arrays: no trial pays for Dataset's
+    # shape and finiteness checks
+    calls = []
+    _count_calls(monkeypatch, Dataset, "__post_init__", calls)
+    run_monte_carlo(protocol, noise, config, 3, 0)
+    assert calls == []
 
 
 def test_lattice_protocol_smoke():

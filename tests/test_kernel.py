@@ -12,7 +12,6 @@ from kgard.kernel import (
     as_point_matrix,
     cross_gram,
     gram_matrix,
-    rbf_eval,
 )
 from kgard.noise import (
     LATTICE_KERNEL_SIGMA,
@@ -46,19 +45,14 @@ def test_smallest_admitted_sigma_gives_exact_zeros():
     params = KernelParams(1.5e-154)
     assert np.array_equal(gram_matrix([0.0, 10.0], params), np.eye(2))
     assert np.array_equal(cross_gram([0.0, 10.0], [0.0, 10.0], params), np.eye(2))
-    assert rbf_eval(0.0, 10.0, params) == 0.0
+    assert cross_gram([0.0], [10.0], params)[0, 0] == 0.0
 
 
-def test_rbf_eval_known_value():
+def test_cross_gram_known_value():
     params = KernelParams(2.0)
     # exp(-|1-3|^2 / 4) = exp(-1)
-    assert rbf_eval(1.0, 3.0, params) == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert rbf_eval([0, 0], [0, 0], params) == 1.0
-
-
-def test_rbf_eval_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rbf_eval([1.0, 2.0], [1.0], KernelParams(1.0))
+    assert cross_gram([1.0], [3.0], params)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert cross_gram([[0, 0]], [[0, 0]], params)[0, 0] == 1.0
 
 
 def test_as_point_matrix_shapes():
@@ -90,7 +84,9 @@ def test_gram_matrix_matches_pairwise_eval():
     k = gram_matrix(pts, params)
     for i in range(6):
         for j in range(6):
-            assert k[i, j] == pytest.approx(rbf_eval(pts[i], pts[j], params), abs=1e-14)
+            # the closed form exp(-||x_i - x_j||^2 / sigma^2), entry by entry
+            ref = math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / params.sigma**2)
+            assert k[i, j] == pytest.approx(ref, abs=1e-14)
 
 
 def test_gram_matrix_rejects_empty():
@@ -124,14 +120,14 @@ def _low_dim_cases():
     two dimensions."""
     centers, train, val = lattice_nodes()
     lattice = KernelParams(LATTICE_KERNEL_SIGMA)
-    sinc = make_sinc_dataset()
+    sinc_train, _, sinc_val, _ = make_sinc_dataset()
     sweep = np.linspace(0.0, 1.0, SWEEP_N)
     roi = roi_lattice(RoiConfig().roi_size)
     cases = {
         "lattice-train": (train, train, lattice),
         "lattice-validation": (val, train, lattice),
         "lattice-centers": (centers, val, lattice),
-        "sinc": (sinc.validation.inputs, sinc.train.inputs, KernelParams(SINC_KERNEL_SIGMA)),
+        "sinc": (sinc_val, sinc_train, KernelParams(SINC_KERNEL_SIGMA)),
         "sweep": (sweep, sweep[[3, 17, 50, 99]], KernelParams(SUPPORT_KERNEL_SIGMA)),
         "roi": (roi, roi, KernelParams(RoiConfig().sigma)),
     }

@@ -120,37 +120,37 @@ def test_round_half_away_rejects_nan_and_inf():
 
 
 def test_sinc_dataset_geometry():
-    data = make_sinc_dataset()
-    assert data.train.size == 199
-    assert data.validation.size == 199
-    x_train = data.train.inputs.ravel()
+    x_train, train_truth, x_val, val_truth = make_sinc_dataset()
+    assert x_train.shape == train_truth.shape == (199,)
+    assert x_val.shape == val_truth.shape == (199,)
     assert x_train[0] == pytest.approx(-0.99)
     # consecutive grid points are 0.005 apart (0.01 within each split)
     assert np.allclose(np.diff(x_train), 0.01)
     assert sinc_target(np.array([0.0]))[0] == pytest.approx(20.0)
     # the peak lands on the training grid
-    assert data.train_truth.max() == pytest.approx(20.0)
+    assert train_truth.max() == pytest.approx(20.0)
+    assert np.array_equal(train_truth, sinc_target(x_train))
+    assert np.array_equal(val_truth, sinc_target(x_val))
 
 
 def test_sinc_dataset_splits_interleave():
-    data = make_sinc_dataset()
-    merged = np.sort(
-        np.concatenate([data.train.inputs.ravel(), data.validation.inputs.ravel()])
-    )
+    x_train, _, x_val, _ = make_sinc_dataset()
+    merged = np.sort(np.concatenate([x_train, x_val]))
     assert merged.size == 398
     assert np.allclose(np.diff(merged), 0.005)
 
 
 def test_lattice_dataset_geometry_and_determinism():
-    data = make_lattice_dataset(rng_for(7))
-    assert data.train.size == 256
-    assert data.validation.size == 225
-    assert data.centers.shape == (961, 2)
-    nnz = np.count_nonzero(data.true_alpha)
+    train_truth, val_truth, alpha = make_lattice_dataset(rng_for(7))
+    assert train_truth.shape == (256,)
+    assert val_truth.shape == (225,)
+    assert alpha.shape == (961,)
+    nnz = np.count_nonzero(alpha)
     assert 11 <= nnz <= 44
     again = make_lattice_dataset(rng_for(7))
-    assert np.array_equal(again.true_alpha, data.true_alpha)
-    assert np.array_equal(again.train_truth, data.train_truth)
+    assert np.array_equal(again[2], alpha)
+    assert np.array_equal(again[0], train_truth)
+    assert np.array_equal(again[1], val_truth)
 
 
 def _close_to_dense(truth, dense):
@@ -163,24 +163,18 @@ def test_lattice_truths_match_per_draw_cross_gram():
     centers, train_pts, val_pts = lattice_nodes()
     params = KernelParams(0.2)
     for seed in (0, 1, 2):
-        data = make_lattice_dataset(rng_for(seed))
-        alpha = data.true_alpha
+        train_truth, val_truth, alpha = make_lattice_dataset(rng_for(seed))
         idx = np.flatnonzero(alpha)
-        assert np.array_equal(data.centers, centers)
-        assert np.array_equal(data.train.inputs, train_pts)
-        assert np.array_equal(data.validation.inputs, val_pts)
         # bit for bit: the same product over freshly computed kernel
         # rows of the support, center-major like the cached matrices
         assert np.array_equal(
-            data.train_truth, alpha[idx] @ cross_gram(centers[idx], train_pts, params)
+            train_truth, alpha[idx] @ cross_gram(centers[idx], train_pts, params)
         )
         assert np.array_equal(
-            data.validation_truth, alpha[idx] @ cross_gram(centers[idx], val_pts, params)
+            val_truth, alpha[idx] @ cross_gram(centers[idx], val_pts, params)
         )
-        assert _close_to_dense(data.train_truth, cross_gram(train_pts, centers, params) @ alpha)
-        assert _close_to_dense(
-            data.validation_truth, cross_gram(val_pts, centers, params) @ alpha
-        )
+        assert _close_to_dense(train_truth, cross_gram(train_pts, centers, params) @ alpha)
+        assert _close_to_dense(val_truth, cross_gram(val_pts, centers, params) @ alpha)
 
 
 def test_lattice_cross_grams_built_once(monkeypatch):
@@ -191,18 +185,18 @@ def test_lattice_cross_grams_built_once(monkeypatch):
         return cross_gram(*args)
 
     monkeypatch.setattr(kgard.noise, "cross_gram", counting)
-    kgard.noise._lattice_geometry.cache_clear()
+    kgard.noise._lattice_kernels.cache_clear()
     for seed in (0, 1, 2):
         make_lattice_dataset(rng_for(seed))
     assert calls == [(961, 256), (961, 225)]  # center-major
-    centers = make_lattice_dataset(rng_for(3)).centers
-    with pytest.raises(ValueError):
-        centers[0, 0] = 1.0  # shared by every draw, so read-only
+    for kernels in kgard.noise._lattice_kernels():
+        with pytest.raises(ValueError):
+            kernels[0, 0] = 1.0  # shared by every draw, so read-only
 
 
 def test_lattice_nnz_spans_range():
     counts = {
-        np.count_nonzero(make_lattice_dataset(rng_for(s)).true_alpha)
+        np.count_nonzero(make_lattice_dataset(rng_for(s))[2])
         for s in range(60)
     }
     assert min(counts) < 20 and max(counts) > 35
@@ -329,7 +323,7 @@ def test_corrupt_rejects_full_support():
 
 
 def test_corrupt_empirical_snr():
-    truth = make_sinc_dataset().train_truth
+    _, truth, _, _ = make_sinc_dataset()
     big = np.tile(truth, 503)  # ~1e5 samples
     y, _, _ = corrupt(big, NoiseSpec(inlier_snr_db=20.0), rng_for(5))
     snr = 10 * np.log10(np.mean(big**2) / np.var(y - big))
