@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib
 import math
 import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import _fblas
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
@@ -43,37 +43,40 @@ _PIVOT_FLOOR = 1e-12
 _GATHER_ROWS = 128
 
 
-def _scipy_openblas():
-    """The thread-count getter and setter of scipy's bundled OpenBLAS,
-    found through the extension module that ``dsyrk`` comes from, or
-    None when scipy is linked against another BLAS."""
+def _scipy_openblas(module: str, suffix: str = ""):
+    """The thread-count getter and setter of the scipy-openblas build
+    that the extension module ``module`` links, or None when it links
+    another BLAS or is no importable extension (as under numpy 1.x)."""
     try:
-        lib = ctypes.CDLL(_fblas.__file__)
-        get = lib.scipy_openblas_get_num_threads
-        set_ = lib.scipy_openblas_set_num_threads
-    except (OSError, AttributeError):
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (ImportError, OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
 
 
-_SCIPY_OPENBLAS = _scipy_openblas()
+# scipy's through the module ``dsyrk`` comes from; numpy's 64-bit
+# build carries the ``64_`` suffix
+_SCIPY_OPENBLAS = _scipy_openblas("scipy.linalg._fblas")
+_NUMPY_OPENBLAS = _scipy_openblas("numpy._core._multiarray_umath", "64_")
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one scipy OpenBLAS thread, then restore the
-    previous count, also when the block raises.
+def _one_blas_thread(numpy_blas=False):
+    """Run the block on one scipy OpenBLAS thread (numpy's with
+    ``numpy_blas``), then restore the previous count, also when the
+    block raises.
 
     OpenBLAS splits a product differently over its threads, so setup
     under a fixed count gives the same bits at every thread setting,
     and no worker is woken to busy-wait through the fit that follows.
-    The count is process-global: scipy running on another thread
-    meanwhile also sees one thread.  With another BLAS this does
-    nothing.
+    The count is process-global: BLAS calls on another thread meanwhile
+    also see one thread.  With another BLAS this does nothing.
     """
-    blas = _SCIPY_OPENBLAS
+    blas = _NUMPY_OPENBLAS if numpy_blas else _SCIPY_OPENBLAS
     if blas is None:
         yield
         return
@@ -178,8 +181,8 @@ class KgardConfig:
     stop_norm: str = "l2"
 
     def __post_init__(self) -> None:
-        _check_lambda(self.lam)
-        _check_epsilon(self.epsilon)
+        self.lam = _check_lambda(self.lam)
+        self.epsilon = _check_epsilon(self.epsilon)
         _check_stop_norm(self.stop_norm)
 
 

@@ -66,15 +66,18 @@ class RoiConfig:
             )
         if (self.roi_size - self.core_size) % 2:
             raise ValueError("roi_size - core_size must be even")
-        KernelParams(self.sigma)
+        object.__setattr__(self, "sigma", KernelParams(self.sigma).sigma)
         # the smooth tier, 15 lambda0, is the largest ridge parameter used
         lambda0 = _as_float("lambda0", self.lambda0)
         if not (lambda0 > 0 and 15.0 * lambda0 < math.inf):
             raise ValueError(
                 f"lambda0 must be positive with 15 * lambda0 finite, got {self.lambda0}"
             )
-        if not _as_float("e0", self.e0) > 0:
+        e0 = _as_float("e0", self.e0)
+        if not e0 > 0:
             raise ValueError(f"e0 must be positive, got {self.e0}")
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "e0", e0)
 
     @property
     def pad(self) -> int:

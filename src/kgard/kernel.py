@@ -40,6 +40,7 @@ class KernelParams:
                 f"sigma must be positive and finite with sigma^2 a finite, "
                 f"normal float, got {self.sigma}"
             )
+        object.__setattr__(self, "sigma", sigma)
 
 
 def as_point_matrix(points) -> np.ndarray:

@@ -13,33 +13,31 @@ theta and u, takes sigma_max itself: a caller checking many truths
 against one Gram matrix computes it once, with ``design_sigma_max``,
 and checks them all in one ``theorem_check`` call on (B, N+1) and
 (B, N) stacks of theta and u, as a 2-D ``KgardSolver.fit`` fits a
-batch.  The norms of theta and u are numpy's OpenBLAS dots at its
-default thread count, which split the sum over threads only above
-10 000 entries on x86-64.
+batch; one truth is a one-row stack.  The norms of theta and u are
+numpy's OpenBLAS dots on one thread, so their bits do not depend on
+the thread setting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import svdvals
 
 from .core import _check_lambda, _one_blas_thread, _ridge_design
+from .kernel import _as_float
 
 _RANK_TOL = 1e-10
 
 
 @dataclass
 class SpectralDiagnostics:
-    singular_values: np.ndarray  # sigma_i of X0 = [K 1]
     hat_diag: np.ndarray  # unregularized leverage h_ii
     hat_diag_reg: np.ndarray  # ridge leverage h~_ii at the given lambda
     g_diag: np.ndarray  # sigma^2 / (sigma^2 + lambda)
     phi_diag: np.ndarray  # lambda sigma / (sigma^2 + lambda)
-    rank_deficient: bool
 
 
 def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
@@ -51,10 +49,9 @@ def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     lambda), so every ridge leverage is strictly below its
     unregularized counterpart.
     """
-    _check_lambda(lam)
+    lam = _check_lambda(lam)
     x0 = _ridge_design(gram)
     q, s, _ = np.linalg.svd(x0, full_matrices=False)  # q: N x N, s: N
-    rank_deficient = bool(np.any(s <= _RANK_TOL * s[0]))
     g = s**2 / (s**2 + lam)
     phi = lam * s / (s**2 + lam)
     # unregularized leverage via the pseudoinverse convention: only
@@ -63,37 +60,30 @@ def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     hat_diag = np.einsum("ij,j,ij->i", q, mask, q)
     hat_diag_reg = np.einsum("ij,j,ij->i", q, g, q)
     return SpectralDiagnostics(
-        singular_values=s,
-        hat_diag=hat_diag,
-        hat_diag_reg=hat_diag_reg,
-        g_diag=g,
-        phi_diag=phi,
-        rank_deficient=rank_deficient,
+        hat_diag=hat_diag, hat_diag_reg=hat_diag_reg, g_diag=g, phi_diag=phi
     )
 
 
 @dataclass
 class BoundReport:
-    """Evaluation of the guaranteed-identification condition.
+    """The guaranteed-identification condition for B truths: every
+    field is a (B,) array, row i for truth i, except ``sigma_max`` and
+    ``lam``, the floats the check ran at.
 
-    ``gamma`` is None when min|u| - sqrt(2 lambda) ||theta|| <= 0, in
+    ``gamma`` is NaN where min|u| - sqrt(2 lambda) ||theta|| <= 0, in
     which case the certificate cannot hold at this lambda.
     ``lambda_cap`` is the largest admissible lambda,
     (min|u| / ||theta||)^2 / 2: inf when theta = 0 or when it exceeds
     the largest float.
-
-    A stacked check reports every field as a (B,) array, one entry per
-    row, with ``gamma`` NaN where the 1-D report holds None; a 1-D check
-    reports Python floats and a bool.
     """
 
     sigma_max: float
-    gamma: Optional[float]
-    lambda_cap: float
-    holds: bool
-    min_outlier: float
-    theta_norm: float
-    outlier_norm: float
+    gamma: np.ndarray
+    lambda_cap: np.ndarray
+    holds: np.ndarray  # bool
+    min_outlier: np.ndarray
+    theta_norm: np.ndarray
+    outlier_norm: np.ndarray
     lam: float
 
 
@@ -110,8 +100,10 @@ def design_sigma_max(gram: np.ndarray) -> float:
 
 def _squared_norms(x: np.ndarray, name: str) -> np.ndarray:
     """x . x of every row of a (B, M) stack, each row the one BLAS dot
-    that ``x[i].dot(x[i])`` makes; ValueError when one overflows."""
-    with np.errstate(over="ignore"):
+    that ``x[i].dot(x[i])`` makes; ValueError when one overflows.  It
+    runs on one numpy OpenBLAS thread: above 10 000 entries OpenBLAS
+    splits a dot over its threads, and the bits with it."""
+    with np.errstate(over="ignore"), _one_blas_thread(numpy_blas=True):
         squares = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
     if not np.isfinite(squares).all():
         raise ValueError(f"the squared norm of the true {name} overflows")
@@ -124,43 +116,33 @@ def theorem_check(
     true_outliers: np.ndarray,
     lam: float,
 ) -> BoundReport:
-    """Check sigma_max(X0) < gamma * sqrt(lambda) for a known truth.
+    """Check sigma_max(X0) < gamma * sqrt(lambda) for B known truths.
 
-    ``sigma_max`` is ``design_sigma_max`` of the Gram matrix,
-    ``true_theta`` the (alpha; c) vector of length N+1 and
-    ``true_outliers`` a dense N-vector that is zero off the outlier
-    support.  Applies to the pure-outlier regime (no inlier noise).
-
-    B truths against the same Gram matrix and lambda are checked as
-    stacks, theta (B, N+1) and u (B, N), and give one report of (B,)
-    arrays.  A 1-D check is the one-row case of the same arithmetic:
-    every row of a stack carries the bits of its own 1-D report.  Every
-    row must be finite with a nonzero u and finite squared norms of
-    theta and u; otherwise ``ValueError``.
+    ``sigma_max`` is ``design_sigma_max`` of the Gram matrix the truths
+    share, ``true_theta`` a (B, N+1) stack of (alpha; c) vectors and
+    ``true_outliers`` a dense (B, N) stack, each row zero off its
+    outlier support.  Applies to the pure-outlier regime (no inlier
+    noise).  Every row must be finite with a nonzero u and finite
+    squared norms of theta and u; otherwise, or for any other shape,
+    ``ValueError``.
     """
     lam = _check_lambda(lam)
+    sigma_max = _as_float("sigma_max", sigma_max)
     if not 0 <= sigma_max < math.inf:
         raise ValueError(f"sigma_max must be nonnegative and finite, got {sigma_max}")
-    sigma_max = float(sigma_max)
     u = np.asarray(true_outliers, dtype=np.float64)
     theta = np.asarray(true_theta, dtype=np.float64)
-    single = u.ndim < 2 and theta.ndim < 2
-    if single:
-        u, theta = u.reshape(1, -1), theta.reshape(1, -1)
-    elif u.ndim != 2 or theta.ndim != 2 or theta.shape[0] != u.shape[0]:
+    if u.ndim != 2 or theta.shape != (u.shape[0], u.shape[1] + 1):
         raise ValueError(
-            "expected theta and outliers as 1-D vectors or as 2-D stacks with "
-            f"one row per truth, got shapes {theta.shape} and {u.shape}"
+            "expected theta of shape (B, N+1) and outliers of shape (B, N), "
+            f"got {theta.shape} and {u.shape}"
         )
-    if theta.shape[1] != u.shape[1] + 1:
-        raise ValueError(f"expected theta of length {u.shape[1] + 1}, got {theta.shape[1]}")
     if not (np.isfinite(theta).all() and np.isfinite(u).all()):
         raise ValueError("true theta and outliers must be finite")
     nonzero = u != 0
     empty = ~nonzero.any(axis=1)
     if empty.any():
-        where = "" if single else f" in row {empty.argmax()}"
-        raise ValueError(f"true outlier vector has empty support{where}")
+        raise ValueError(f"true outlier vector has empty support in row {empty.argmax()}")
     min_outlier = np.where(nonzero, np.abs(u), math.inf).min(axis=1)
     # sqrt(x . x) is exactly what np.linalg.norm computes for a 1-D array
     theta_norm = np.sqrt(_squared_norms(theta, "theta"))
@@ -176,26 +158,13 @@ def theorem_check(
         certified = numerator > 0
         gamma = np.sqrt(numerator / (2.0 * outlier_norm - min_outlier + penalty))
     gamma[~certified] = math.nan
-    holds = certified & (sigma_max < gamma * math.sqrt(lam))
-    if single:
-        return BoundReport(
-            sigma_max=sigma_max,
-            gamma=float(gamma[0]) if certified[0] else None,
-            lambda_cap=float(lambda_cap[0]),
-            holds=bool(holds[0]),
-            min_outlier=float(min_outlier[0]),
-            theta_norm=float(theta_norm[0]),
-            outlier_norm=float(outlier_norm[0]),
-            lam=lam,
-        )
-    rows = u.shape[0]
     return BoundReport(
-        sigma_max=np.full(rows, sigma_max),
+        sigma_max=sigma_max,
         gamma=gamma,
         lambda_cap=lambda_cap,
-        holds=holds,
+        holds=certified & (sigma_max < gamma * math.sqrt(lam)),
         min_outlier=min_outlier,
         theta_norm=theta_norm,
         outlier_norm=outlier_norm,
-        lam=np.full(rows, lam),
+        lam=lam,
     )

@@ -23,7 +23,6 @@ from scipy.linalg import block_diag
 from kgard.core import KgardSolver, NumericalError
 from kgard.denoise import auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, as_point_matrix, gram_matrix
-from kgard.theory import BoundReport
 
 
 def sq_dists_reference(a, b):
@@ -257,8 +256,10 @@ def denoise_reference(image, cfg):
 
 
 def theorem_check_reference(sigma_max, true_theta, true_outliers, lam):
-    """``kgard.theory.theorem_check`` for valid inputs, with the norms
-    from ``np.linalg.norm`` and the square roots from ``np.sqrt``."""
+    """One row of ``kgard.theory.theorem_check`` for valid inputs, as a
+    dict of its ``BoundReport`` fields, with the norms from
+    ``np.linalg.norm`` and the square roots from ``np.sqrt``; ``gamma``
+    is None where no gamma exists."""
     u = np.asarray(true_outliers, dtype=np.float64).ravel()
     theta = np.asarray(true_theta, dtype=np.float64).ravel()
     min_outlier = float(np.min(np.abs(u[np.flatnonzero(u)])))
@@ -276,7 +277,7 @@ def theorem_check_reference(sigma_max, true_theta, true_outliers, lam):
             )
         )
         holds = bool(sigma_max < gamma * np.sqrt(lam))
-    return BoundReport(
+    return dict(
         sigma_max=float(sigma_max),
         gamma=gamma,
         lambda_cap=float(lambda_cap),

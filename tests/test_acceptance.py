@@ -49,7 +49,8 @@ def _certified_instances(count, base_seed=0):
         y, support, u = corrupt(truth, spec, rng=rng)
         gram = gram_matrix(x, params)
         theta = np.append(alpha, 0.0)
-        if theorem_check(design_sigma_max(gram), theta, u, CERT_LAMBDA).holds:
+        report = theorem_check(design_sigma_max(gram), theta[None], u[None], CERT_LAMBDA)
+        if report.holds[0]:
             instances.append((gram, theta, u, support, y))
         seed += 1
     return instances

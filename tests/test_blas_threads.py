@@ -1,4 +1,5 @@
-"""Solver setup runs on one scipy OpenBLAS thread.
+"""Solver setup runs on one scipy OpenBLAS thread, and the
+certificate's norms on one numpy OpenBLAS thread.
 
 Outputs must not depend on ``OPENBLAS_NUM_THREADS``, the pin must hand
 the caller's thread count back, also when setup raises, and without
@@ -17,15 +18,15 @@ import kgard.core as core
 import kgard.theory as theory
 from kgard.core import KgardSolver, NumericalError
 from kgard.kernel import KernelParams, gram_matrix
-from kgard.theory import design_sigma_max
+from kgard.theory import design_sigma_max, theorem_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints one SHA-256 per float output: a 32^2 noisy image, three
 # lattice2d and three sinc1d trials, a two-trial sweep, the sweep's
-# sigma_max, the arrays of a tiered batch fit at N = 144 and those of a
-# stacked certificate check at the sweep's N = 100, whose norms are
-# numpy's OpenBLAS dots at its default thread count
+# sigma_max, the arrays of a tiered batch fit at N = 144 and those of
+# stacked certificate checks at the sweep's N = 100 and at N = 10 001,
+# past the 10 000 entries above which OpenBLAS splits a dot over threads
 OUTPUTS = """
 import hashlib
 import numpy as np
@@ -63,6 +64,9 @@ thetas = rng.normal(0, 0.5, (8, 101)) * 10.0 ** np.arange(-4, 4)[:, None]
 us = np.zeros((8, 100))
 us[:, ::9] = rng.choice([-300.0, 300.0], (8, 12))
 bound = theorem_check(sigma_max, thetas, us, 4000.0)
+large = theorem_check(
+    1.0, rng.normal(0, 1, (40, 10002)), rng.normal(0, 1, (40, 10001)), 1.0
+)
 outputs = {
     "denoised": result.denoised,
     "outlier_map": result.outlier_map,
@@ -76,6 +80,7 @@ outputs = {
     "sigma_max": sigma_max,
     "bound": [bound.gamma, bound.lambda_cap, bound.holds, bound.min_outlier,
               bound.theta_norm, bound.outlier_norm],
+    "large_bound_norms": [large.theta_norm, large.outlier_norm],
 }
 for name, value in outputs.items():
     data = np.asarray(value, dtype=np.float64).tobytes()
@@ -96,7 +101,7 @@ def _hashes(blas_threads: str) -> dict:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     one, two = _hashes("1"), _hashes("2")
-    assert len(one) == 11
+    assert len(one) == 12
     assert one == two
 
 
@@ -145,6 +150,24 @@ def test_setup_restores_the_callers_thread_count(scipy_openblas):
     assert get() == 2
     design_sigma_max(_gram())
     assert get() == 2
+
+
+def test_certificate_norms_run_on_one_numpy_thread(monkeypatch):
+    if core._NUMPY_OPENBLAS is None:
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    get, set_ = core._NUMPY_OPENBLAS
+    original, seen, matmul = get(), [], np.matmul
+    monkeypatch.setattr(theory.np, "matmul", lambda *a: seen.append(get()) or matmul(*a))
+    set_(2)
+    try:
+        theorem_check(1.0, np.ones((2, 5)), np.ones((2, 4)), 1.0)
+        assert get() == 2
+        with pytest.raises(ValueError, match="squared norm of the true theta overflows"):
+            theorem_check(1.0, np.full((1, 5), 1e200), np.ones((1, 4)), 1.0)
+        assert get() == 2
+    finally:
+        set_(original)
+    assert seen == [1, 1, 1]
 
 
 @pytest.mark.parametrize(

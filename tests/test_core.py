@@ -21,6 +21,7 @@ from kgard.core import (
 from kgard.denoise import RoiConfig, auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import lattice_nodes
+from kgard.theory import theorem_check
 from oracle import (
     coefficient_map_reference,
     dense_solve,
@@ -51,6 +52,12 @@ def test_config_validation():
         KgardConfig(lam=1.0, epsilon=-1.0)
     with pytest.raises(ValueError):
         KgardConfig(lam=1.0, epsilon=1.0, stop_norm="l1")
+
+
+def test_config_stores_the_floats_it_checked():
+    cfg = KgardConfig(lam="0.2", epsilon=np.float32(10.0))
+    assert (type(cfg.lam), type(cfg.epsilon)) == (float, float)
+    assert (cfg.lam, cfg.epsilon) == (0.2, 10.0)
 
 
 BAD_SETTINGS = [
@@ -133,6 +140,9 @@ NO_FLOAT_BOUNDARIES = {
     "KgardSolver-lam": ("lambda", lambda v: KgardSolver(np.eye(3), v)),
     "KgardSolver-tier": ("lambda", lambda v: KgardSolver(np.eye(3), [1.0, v])),
     "fit-epsilon": ("epsilon", lambda v: KgardSolver(np.eye(3), 1.0).fit(np.ones(3), v)),
+    "theorem_check-sigma_max": (
+        "sigma_max", lambda v: theorem_check(v, np.ones((1, 3)), np.ones((1, 2)), 1.0)
+    ),
 }
 
 

@@ -56,6 +56,21 @@ def test_roi_config_validation():
     assert RoiConfig().pad == 2
 
 
+@pytest.mark.parametrize(
+    "name, value", [("sigma", "0.3"), ("lambda0", "1"), ("e0", "40")], ids=repr
+)
+def test_roi_config_stores_the_floats_it_checked(name, value):
+    # a string sigma or lambda0 passed the check and then raised TypeError
+    # deep in the pipeline
+    cfg = RoiConfig(**{name: value})
+    assert type(getattr(cfg, name)) is float
+    image = _bump(16)
+    got = denoise_image(image, cfg)
+    want = denoise_image(image, RoiConfig(**{name: float(value)}))
+    assert got.denoised.tobytes() == want.denoised.tobytes()
+    assert got.outlier_map.tobytes() == want.outlier_map.tobytes()
+
+
 def test_tile_plan_32x32():
     cfg = RoiConfig()
     padded = pad_image(np.arange(32 * 32, dtype=float).reshape(32, 32), cfg)

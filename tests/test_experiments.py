@@ -393,7 +393,8 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
                 us.append(u)
                 sigma_max = design_sigma_max(gram)
                 theta = np.append(alpha, 0.0)
-                holds = theorem_check(sigma_max, theta, u, SWEEP_LAMBDA).holds
+                report = theorem_check(sigma_max, theta[None], u[None], SWEEP_LAMBDA)
+                holds = report.holds[0]
             rows.append(support_metrics(solution.support, support) + (float(holds),))
         expected.append(
             experiments.SweepPoint(

@@ -40,6 +40,14 @@ def test_params_require_positive_sigma():
         assert np.all(np.isfinite(gram_matrix([0.0, 1.0], KernelParams(sigma))))
 
 
+def test_params_store_the_float_they_checked():
+    # a string sigma reached _rbf's sigma**2 and raised TypeError there
+    params = KernelParams("0.3")
+    assert type(params.sigma) is float and params.sigma == 0.3
+    x = np.linspace(0.0, 1.0, 7)
+    assert gram_matrix(x, params).tobytes() == gram_matrix(x, KernelParams(0.3)).tobytes()
+
+
 def test_smallest_admitted_sigma_gives_exact_zeros():
     # d^2 / sigma^2 overflows to inf, and exp(-inf) = 0 is the exact value
     params = KernelParams(1.5e-154)

@@ -60,6 +60,14 @@ def test_spectral_diagnostics_requires_positive_lambda():
         spectral_diagnostics(gram, np.inf)
 
 
+def test_spectral_diagnostics_uses_the_float_it_checked():
+    # the checked float was thrown away, and numpy then met the string
+    _, gram = _instance(3)
+    got, want = spectral_diagnostics(gram, "0.5"), spectral_diagnostics(gram, 0.5)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
+
+
 def _certified_setup(seed, magnitude=800.0, n=40):
     rng = np.random.default_rng(seed)
     x = np.linspace(0, 1, n)
@@ -75,7 +83,8 @@ def _certified_setup(seed, magnitude=800.0, n=40):
 
 
 def _check(gram, theta, u, lam):
-    return theorem_check(design_sigma_max(gram), theta, u, lam)
+    """The report of one truth, as a one-row stack."""
+    return theorem_check(design_sigma_max(gram), theta[None], u[None], lam)
 
 
 @pytest.mark.parametrize(
@@ -97,35 +106,34 @@ def test_theorem_check_report_fields():
     gram, theta, u, _ = _certified_setup(0)
     report = _check(gram, theta, u, lam=4000.0)
     min_u = np.min(np.abs(u[u != 0]))
-    assert report.min_outlier == pytest.approx(min_u)
-    assert report.lambda_cap == pytest.approx(
+    assert report.min_outlier[0] == pytest.approx(min_u)
+    assert report.lambda_cap[0] == pytest.approx(
         (min_u / np.linalg.norm(theta)) ** 2 / 2.0
     )
-    assert report.gamma is not None and 0 < report.gamma < 1
+    assert 0 < report.gamma[0] < 1
     assert report.sigma_max > 0
 
 
 def test_theorem_check_gamma_none_above_cap():
     gram, theta, u, _ = _certified_setup(1)
     report = _check(gram, theta, u, lam=4000.0)
-    over = _check(gram, theta, u, lam=report.lambda_cap * 1.01)
-    assert over.gamma is None and not over.holds
+    over = _check(gram, theta, u, lam=report.lambda_cap[0] * 1.01)
+    assert np.isnan(over.gamma[0]) and not over.holds[0]
 
 
 def test_theorem_check_holds_for_large_outliers_only():
     gram, theta, u, _ = _certified_setup(2, magnitude=800.0)
-    report = _check(gram, theta, u, 4000.0)
-    assert report.holds is True
+    assert _check(gram, theta, u, 4000.0).holds.tolist() == [True]
     gram, theta, u, _ = _certified_setup(2, magnitude=30.0)
-    assert _check(gram, theta, u, 4000.0).holds is False
-    # below lambda_cap gamma exists, and holds is still a Python bool
-    below = _check(gram, theta, u, _check(gram, theta, u, 1.0).lambda_cap / 4)
-    assert below.gamma is not None and below.holds is False
+    assert _check(gram, theta, u, 4000.0).holds.tolist() == [False]
+    # below lambda_cap gamma exists, and the certificate still fails
+    below = _check(gram, theta, u, _check(gram, theta, u, 1.0).lambda_cap[0] / 4)
+    assert not np.isnan(below.gamma[0]) and below.holds.tolist() == [False]
 
 
 def test_theorem_check_rejects_empty_support():
     gram, theta, _, _ = _certified_setup(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty support in row 0"):
         _check(gram, theta, np.zeros(gram.shape[0]), 1.0)
 
 
@@ -133,26 +141,39 @@ def test_theorem_check_rejects_bad_sigma_max():
     _, theta, u, _ = _certified_setup(10)
     for sigma_max in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="sigma_max must be nonnegative and finite"):
-            theorem_check(sigma_max, theta, u, 1.0)
+            theorem_check(sigma_max, theta[None], u[None], 1.0)
+    # an int past the largest float has no float; Python's float() raised
+    # OverflowError, and a string reached the range check as a TypeError
+    with pytest.raises(ValueError, match="sigma_max must convert to a float"):
+        theorem_check(10**400, theta[None], u[None], 1.0)
+
+
+def test_theorem_check_takes_a_sigma_max_that_converts_to_a_float():
+    _, theta, u, _ = _certified_setup(10)
+    report = theorem_check("1", theta[None], u[None], 1.0)
+    assert type(report.sigma_max) is float
+    expected = theorem_check(1.0, theta[None], u[None], 1.0)
+    for field in dataclasses.fields(BoundReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
 def test_theorem_check_rejects_theta_of_wrong_length():
     gram, theta, u, _ = _certified_setup(11)
     for bad in (theta[:-1], np.append(theta, 0.0)):
-        with pytest.raises(ValueError, match="expected theta of length 41"):
+        with pytest.raises(ValueError, match=r"expected theta of shape \(B, N\+1\)"):
             _check(gram, bad, u, 1.0)
 
 
 def test_theorem_check_rejects_non_finite_truth():
     gram, theta, u, support = _certified_setup(12)
-    sigma_max = design_sigma_max(gram)
     for bad_theta, bad_u in (
         (np.where(theta == theta[0], np.nan, theta), u),
         (theta, np.where(np.arange(u.size) == support[0], np.inf, u)),
         (theta, np.where(np.arange(u.size) == 0, -np.inf, u)),
     ):
         with pytest.raises(ValueError, match="must be finite"):
-            theorem_check(sigma_max, bad_theta, bad_u, 1.0)
+            _check(gram, bad_theta, bad_u, 1.0)
 
 
 def _bound_cases():
@@ -188,39 +209,45 @@ def _bound_cases():
 POW_MISROUNDED = 1.6121007653006214
 
 
-def test_theorem_check_matches_numpy_reference_bit_for_bit():
-    cases = _bound_cases()
-    reports = [theorem_check(*case) for case in cases]
-    assert any(r.lambda_cap == np.inf for r in reports)
-    assert any(r.gamma is None for r in reports)
-    assert any(r.holds for r in reports)
-    assert any(r.gamma is not None and not r.holds for r in reports)
-    for case, report in zip(cases, reports):
-        expected = theorem_check_reference(*case)
-        for field in dataclasses.fields(BoundReport):
-            got, want = getattr(report, field.name), getattr(expected, field.name)
-            assert type(got) is type(want), field.name
-            if want is not None:
-                assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
-
-
-def _assert_row_is_report(stacked, i, report):
-    """Row ``i`` of a stacked report carries the 1-D report's bits, with
-    NaN for its gamma of None."""
+def _assert_row_is_reference(report, i, expected):
+    """Row ``i`` of a report carries the bits of the per-row reference,
+    with NaN for its gamma of None."""
+    assert type(report.sigma_max) is float and type(report.lam) is float
+    assert report.holds.dtype == bool
     for field in dataclasses.fields(BoundReport):
-        column, want = getattr(stacked, field.name), getattr(report, field.name)
-        assert column.shape == (stacked.holds.shape[0],), field.name
+        got, want = getattr(report, field.name), expected[field.name]
+        if field.name in ("sigma_max", "lam"):
+            assert got == want, field.name
+            continue
+        assert got.shape == (report.holds.shape[0],), field.name
         if field.name == "holds":
-            assert column.dtype == bool and bool(column[i]) is want
+            assert bool(got[i]) is want
         elif want is None:
-            assert np.isnan(column[i]), field.name
+            assert np.isnan(got[i]), field.name
         else:
-            assert column[i].tobytes() == np.float64(want).tobytes(), field.name
+            assert got[i].tobytes() == np.float64(want).tobytes(), field.name
+
+
+def test_theorem_check_matches_numpy_reference_bit_for_bit():
+    """Each bound case, checked as a one-row stack, carries the bits of
+    the per-row reference."""
+    cases = _bound_cases()
+    seen = []
+    for sigma_max, theta, u, lam in cases:
+        report = theorem_check(sigma_max, theta[None], u[None], lam)
+        expected = theorem_check_reference(sigma_max, theta, u, lam)
+        _assert_row_is_reference(report, 0, expected)
+        seen.append(expected)
+    assert any(r["lambda_cap"] == np.inf for r in seen)
+    assert any(r["gamma"] is None for r in seen)
+    assert any(r["holds"] for r in seen)
+    assert any(r["gamma"] is not None and not r["holds"] for r in seen)
 
 
 def test_stacked_theorem_check_rows_match_1d_reports():
     """Every row of a stack of the bound cases of one N, at every case's
-    sigma_max and lambda, equals that row's own 1-D report."""
+    sigma_max and lambda, equals the report of that row's truth alone,
+    checked as a one-row stack, and the per-row reference."""
     groups = {}
     for case in _bound_cases():
         groups.setdefault(case[2].size, []).append(case)
@@ -231,14 +258,21 @@ def test_stacked_theorem_check_rows_match_1d_reports():
         for sigma_max, _, _, lam in cases:
             stacked = theorem_check(sigma_max, thetas, us, lam)
             for i, (theta, u) in enumerate(zip(thetas, us)):
-                report = theorem_check(sigma_max, theta, u, lam)
-                _assert_row_is_report(stacked, i, report)
-                seen.append(report)
+                alone = theorem_check(sigma_max, theta[None], u[None], lam)
+                for field in dataclasses.fields(BoundReport):
+                    got, want = getattr(stacked, field.name), getattr(alone, field.name)
+                    if field.name in ("sigma_max", "lam"):
+                        assert got == want, field.name
+                    else:
+                        assert got[i].tobytes() == want[0].tobytes(), field.name
+                expected = theorem_check_reference(sigma_max, theta, u, lam)
+                _assert_row_is_reference(stacked, i, expected)
+                seen.append(expected)
     assert any(len(cases) > 2 for cases in groups.values())
-    assert any(r.theta_norm == 0 for r in seen)
-    assert any(r.gamma is None for r in seen)
-    assert any(r.holds for r in seen)
-    assert any(r.gamma is not None and not r.holds for r in seen)
+    assert any(r["theta_norm"] == 0 for r in seen)
+    assert any(r["gamma"] is None for r in seen)
+    assert any(r["holds"] for r in seen)
+    assert any(r["gamma"] is not None and not r["holds"] for r in seen)
     assert any(np.signbit(u[u == 0]).any() for _, _, u, _ in _bound_cases())
 
 
@@ -247,15 +281,18 @@ def test_stacked_theorem_check_of_no_rows_is_empty():
     assert report.holds.shape == report.gamma.shape == (0,)
 
 
+SHAPES = r"expected theta of shape \(B, N\+1\) and outliers of shape \(B, N\), got"
+
+
 @pytest.mark.parametrize(
     "theta, u, match",
     [
-        pytest.param(np.ones((3, 5)), np.ones((2, 4)), "one row per truth", id="rows"),
-        pytest.param(np.ones((3, 4)), np.ones((3, 4)), "expected theta of length 5",
-                     id="length"),
-        pytest.param(np.ones(5), np.ones((1, 4)), "one row per truth", id="1-d-theta"),
-        pytest.param(np.ones((1, 5)), np.ones(4), "one row per truth", id="1-d-u"),
-        pytest.param(np.ones((1, 1, 5)), np.ones((1, 1, 4)), "one row per truth", id="3-d"),
+        pytest.param(np.ones((3, 5)), np.ones((2, 4)), SHAPES, id="rows"),
+        pytest.param(np.ones((3, 4)), np.ones((3, 4)), SHAPES, id="length"),
+        pytest.param(np.ones(5), np.ones(4), SHAPES, id="1-d"),
+        pytest.param(np.ones(5), np.ones((1, 4)), SHAPES, id="1-d-theta"),
+        pytest.param(np.ones((1, 5)), np.ones(4), SHAPES, id="1-d-u"),
+        pytest.param(np.ones((1, 1, 5)), np.ones((1, 1, 4)), SHAPES, id="3-d"),
         pytest.param(np.ones((3, 5)), np.eye(3, 4) * [[1.0], [0.0], [1.0]],
                      "empty support in row 1", id="empty-row"),
         pytest.param(np.ones((3, 5)), np.full((3, 4), -0.0), "empty support in row 0",
@@ -271,26 +308,25 @@ def test_stacked_theorem_check_rejects_bad_input(theta, u, match):
         theorem_check(1.0, theta, u, 1.0)
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["1-d", "2-d"])
+@pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "2-d"])
 @pytest.mark.parametrize("name", ["outliers", "theta"])
-def test_theorem_check_rejects_an_overflowing_norm(stacked, name):
-    # finite entries whose squares sum past the largest float; the test
-    # configuration turns the dot's overflow warning into an error
+def test_theorem_check_rejects_an_overflowing_norm(rows, name):
+    # finite entries whose squares sum past the largest float, after
+    # rows - 1 benign rows; the test configuration turns the dot's
+    # overflow warning into an error
     u = np.zeros(10)
     u[:3] = 1e200 if name == "outliers" else 1.0
     theta = np.full(11, 1e200 if name == "theta" else 1.0)
-    if stacked:
-        theta, u = np.stack([np.ones(11), theta]), np.stack([np.ones(10), u])
+    theta = np.vstack([np.ones((rows - 1, 11)), theta])
+    u = np.vstack([np.ones((rows - 1, 10)), u])
     with pytest.raises(ValueError, match=f"squared norm of the true {name} overflows"):
         theorem_check(1.0, theta, u, 1.0)
 
 
 def test_theorem_check_lambda_cap_past_the_largest_float_is_inf():
     # (1e100 / 1e-100)^2 / 2 is no float; Python's ** raised OverflowError
-    report = theorem_check(1.0, np.array([1e-100, 0.0]), np.array([1e100]), 1.0)
-    assert report.lambda_cap == np.inf
-    stacked = theorem_check(1.0, np.array([[1e-100, 0.0]]), np.array([[1e100]]), 1.0)
-    assert stacked.lambda_cap.tolist() == [np.inf]
+    report = theorem_check(1.0, np.array([[1e-100, 0.0]]), np.array([[1e100]]), 1.0)
+    assert report.lambda_cap.tolist() == [np.inf]
 
 
 def _solver_residual(gram, y, lam, k):
