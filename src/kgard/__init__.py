@@ -8,13 +8,10 @@ impulse-noise image denoising pipeline.
 """
 
 from .core import (
-    Dataset,
     KgardBatch,
     KgardConfig,
-    KgardSolution,
     KgardSolver,
     NumericalError,
-    kgard_fit,
     predict,
 )
 from .denoise import DenoiseResult, RoiConfig, denoise_image, psnr
@@ -47,12 +44,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateStats",
     "BoundReport",
-    "Dataset",
     "DenoiseResult",
     "KernelParams",
     "KgardBatch",
     "KgardConfig",
-    "KgardSolution",
     "KgardSolver",
     "NoiseSpec",
     "NumericalError",
@@ -66,7 +61,6 @@ __all__ = [
     "denoise_image",
     "design_sigma_max",
     "gram_matrix",
-    "kgard_fit",
     "make_lattice_dataset",
     "make_sinc_dataset",
     "predict",

@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import Dataset, KgardConfig, NumericalError, kgard_fit
+from .core import KgardConfig, KgardSolver, NumericalError
 from .denoise import RoiConfig, denoise_image, psnr
 from .experiments import PROTOCOLS, run_monte_carlo, sweep_outlier_magnitude
 from .kernel import KernelParams, gram_matrix
@@ -116,7 +116,8 @@ def _stop_counts(reasons) -> str:
     return " ".join(f"{reason}={counts[reason]}" for reason in ("threshold", "pivot", "cap"))
 
 
-def _read_dataset_csv(path) -> Dataset:
+def _read_dataset_csv(path) -> tuple:
+    """The x columns as (N, d) inputs and the y column as (N,) targets."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -149,31 +150,36 @@ def _read_dataset_csv(path) -> Dataset:
             )
         inputs.append([cell(row, line, i) for i in x_cols])
         targets.append(cell(row, line, y_col))
-    return Dataset(np.array(inputs), np.array(targets))
+    return np.array(inputs), np.array(targets)
 
 
 def _cmd_regress(args) -> int:
-    data = _read_dataset_csv(args.infile)
+    inputs, targets = _read_dataset_csv(args.infile)
     config = KgardConfig(lam=args.lam, epsilon=args.epsilon, stop_norm=args.stop_norm)
-    params = KernelParams(args.sigma)
-    solution = kgard_fit(data, params, config)
-    fitted = gram_matrix(data.inputs, params) @ solution.alpha + solution.bias
+    gram = gram_matrix(inputs, KernelParams(args.sigma))
+    fit = KgardSolver(gram, config.lam).fit(
+        targets[None], epsilon=config.epsilon, stop_norm=config.stop_norm
+    )
+    fitted = gram @ fit.alpha[0] + fit.bias[0]
+    _, index, value = fit.selected()
+    outliers = np.zeros(targets.size)
+    outliers[index] = value
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "y", "fitted", "outlier"])
-        for i in range(data.size):
+        for i in range(targets.size):
             writer.writerow(
                 [
                     i,
-                    repr(float(data.targets[i])),
+                    repr(float(targets[i])),
                     repr(float(fitted[i])),
-                    repr(solution.outliers.get(i, 0.0)),
+                    repr(float(outliers[i])),
                 ]
             )
     print(
-        f"fit: {solution.iterations} outliers selected, "
-        f"stop_reason={solution.stop_reason}, "
-        f"final residual {solution.residual_norm:.6g}"
+        f"fit: {fit.selections[0]} outliers selected, "
+        f"stop_reason={fit.stop_reason[0]}, "
+        f"final residual {fit.residual_norm[0]:.6g}"
     )
     return 0
 

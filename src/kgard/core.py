@@ -33,7 +33,10 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernel import KernelParams, _as_float, as_point_matrix, cross_gram, gram_matrix
+# nothing here calls gram_matrix: it stays imported because bench/spans.py
+# wraps kgard.core.gram_matrix and test_every_bench_boundary_resolves
+# requires that name to resolve
+from .kernel import KernelParams, _as_float, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
@@ -58,35 +61,35 @@ def _scipy_openblas(module: str, suffix: str = ""):
     return get, set_
 
 
-# scipy's through the module ``dsyrk`` comes from; numpy's 64-bit
-# build carries the ``64_`` suffix
-_SCIPY_OPENBLAS = _scipy_openblas("scipy.linalg._fblas")
-_NUMPY_OPENBLAS = _scipy_openblas("numpy._core._multiarray_umath", "64_")
+# every bundled OpenBLAS found: scipy's, through the module ``dsyrk``
+# comes from, and numpy's, whose 64-bit build carries the ``64_`` suffix
+_OPENBLAS = list(filter(None, [
+    _scipy_openblas("scipy.linalg._fblas"),
+    _scipy_openblas("numpy._core._multiarray_umath", "64_"),
+]))
 
 
 @contextlib.contextmanager
-def _one_blas_thread(numpy_blas=False):
-    """Run the block on one scipy OpenBLAS thread (numpy's with
-    ``numpy_blas``), then restore the previous count, also when the
-    block raises.
+def _one_blas_thread():
+    """Run the block on one thread of every bundled OpenBLAS, scipy's
+    and numpy's, then restore each previous count, also when the block
+    raises.
 
-    OpenBLAS splits a product differently over its threads, so setup
-    under a fixed count gives the same bits at every thread setting,
+    OpenBLAS splits a product differently over its threads, so a block
+    run under a fixed count gives the same bits at every thread setting,
     and no worker is woken to busy-wait through the fit that follows.
-    The count is process-global: BLAS calls on another thread meanwhile
-    also see one thread.  With another BLAS this does nothing.
+    The counts are process-global: BLAS calls on another thread
+    meanwhile also see one thread.  A library on another BLAS is left
+    alone.
     """
-    blas = _NUMPY_OPENBLAS if numpy_blas else _SCIPY_OPENBLAS
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    previous = get()
-    set_(1)
+    previous = [get() for get, _ in _OPENBLAS]
+    for _, set_ in _OPENBLAS:
+        set_(1)
     try:
         yield
     finally:
-        set_(previous)
+        for (_, set_), count in zip(_OPENBLAS, previous):
+            set_(count)
 
 
 class NumericalError(Exception):
@@ -138,37 +141,14 @@ def _check_weights(weights) -> np.ndarray:
 
 
 def _ridge_design(gram: np.ndarray) -> np.ndarray:
-    """The ridge design X0 = [K 1] of a square, finite Gram matrix."""
+    """The ridge design X0 = [K 1] of a square, nonempty, finite Gram
+    matrix."""
     gram = np.asarray(gram, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"gram matrix must be square, got shape {gram.shape}")
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
+        raise ValueError(f"gram matrix must be square and nonempty, got shape {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise ValueError("gram matrix must be finite")
     return np.hstack([gram, np.ones((gram.shape[0], 1))])
-
-
-@dataclass
-class Dataset:
-    """Training inputs (N points, any dimension) and observations y."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.inputs = as_point_matrix(self.inputs)
-        self.targets = np.asarray(self.targets, dtype=np.float64).ravel()
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError(
-                f"{self.inputs.shape[0]} inputs but {self.targets.shape[0]} targets"
-            )
-        if not np.isfinite(self.inputs).all():
-            raise ValueError("dataset inputs must be finite")
-        if not np.isfinite(self.targets).all():
-            raise ValueError("dataset targets must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass
@@ -211,44 +191,24 @@ def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 
 
 @dataclass
-class KgardSolution:
-    """Fit result: kernel coefficients, bias, and the sparse outliers.
-
-    ``residual_norm`` and ``epsilon`` are the two sides of the fit's
-    last stop test: the stop norm of the final residual, and the fixed
-    epsilon or what the epsilon callable returned for this fit's row.
-    ``stop_reason`` says why the selections ended: ``"threshold"`` (the
-    residual norm reached epsilon), ``"pivot"`` (the next pivot fell to
-    the degenerate floor) or ``"cap"`` (``max_selections`` reached), in
-    that precedence when several hold at once.
-    """
-
-    alpha: np.ndarray
-    bias: float
-    outliers: dict  # index -> estimated outlier value, selection order
-    residual_norm: float
-    epsilon: float
-    stop_reason: str
-
-    @property
-    def support(self) -> list:
-        return list(self.outliers.keys())
-
-    @property
-    def iterations(self) -> int:
-        return len(self.outliers)
-
-
-@dataclass
 class KgardBatch:
     """Fit result of a (B, N) batch as arrays, one row per fit.
 
     ``alpha`` is (B, N); ``bias``, ``selections``, ``residual_norm``,
-    ``epsilon`` and ``stop_reason`` are (B,), the last three as in
-    :class:`KgardSolution`.  ``support`` and ``outliers`` are
-    (B, max_selections): row i's outlier indices in selection order and
-    their values fill its first ``selections[i]`` columns, and the
-    padding after them is 0 and belongs to no selection.
+    ``epsilon`` and ``stop_reason`` are (B,).  ``support`` and
+    ``outliers`` are (B, max_selections): row i's outlier indices in
+    selection order and their values fill its first ``selections[i]``
+    columns, and the padding after them is 0 and belongs to no
+    selection.
+
+    ``residual_norm`` and ``epsilon`` are the two sides of each row's
+    last stop test: the stop norm of the final residual, and the fixed
+    epsilon or what the epsilon callable returned for that row.
+    ``stop_reason`` says why the row's selections ended:
+    ``"threshold"`` (the residual norm reached epsilon), ``"pivot"``
+    (the next pivot fell to the degenerate floor) or ``"cap"``
+    (``max_selections`` reached), in that precedence when several hold
+    at once.
     """
 
     alpha: np.ndarray
@@ -265,18 +225,6 @@ class KgardBatch:
         flat arrays, row by row and each row in selection order."""
         taken = np.arange(self.support.shape[1]) < self.selections[:, None]
         return taken.nonzero()[0], self.support[taken], self.outliers[taken]
-
-    def solution(self, i: int) -> KgardSolution:
-        """Row ``i`` as a :class:`KgardSolution`."""
-        k = self.selections[i]
-        return KgardSolution(
-            alpha=self.alpha[i],
-            bias=float(self.bias[i]),
-            outliers=dict(zip(self.support[i, :k].tolist(), self.outliers[i, :k].tolist())),
-            residual_norm=float(self.residual_norm[i]),
-            epsilon=float(self.epsilon[i]),
-            stop_reason=str(self.stop_reason[i]),
-        )
 
 
 def _per_tier(maps: np.ndarray, tier: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -390,32 +338,30 @@ class KgardSolver:
         max_selections: Optional[int] = None,
         tier=None,
     ):
-        """Fit one observation vector ``y`` of shape (N,), or a batch of
-        B independent ones stacked as (B, N).
+        """Fit B independent observation vectors stacked as ``y`` of
+        shape (B, N); one fit is a one-row stack.
 
-        A 2-D ``y`` returns one :class:`KgardBatch` of B rows, in row
-        order, and a 1-D one the :class:`KgardSolution` of that batch's
-        one row.  The rows advance in lockstep, one selection per step,
-        and a row leaves the batch when it stops; every row's result is
+        Returns one :class:`KgardBatch` of B rows, in row order.  The
+        rows advance in lockstep, one selection per step, and a row
+        leaves the batch when it stops; every row's result is
         bit-identical to fitting it alone.  A row stops when
         its residual norm is at most the threshold, on a degenerate
         pivot, or at ``max_selections`` (N // 2 by default, so a fit
         ends even at epsilon = 0); ``stop_reason`` names which.
         ``epsilon`` is a nonnegative number or a callable that gives the
         threshold at every step: it receives |r| of the L rows still
-        running as an (L, N) stack, with L = 1 for a 1-D fit, and
-        returns a scalar or one threshold per row, each nonnegative; any
-        other result raises ``ValueError``.  ``tier`` gives each row's
-        ridge parameter as an index into the solver's T of them, an
-        integer array of shape ``y.shape[:-1]`` (a scalar for a 1-D
-        ``y``); it may be left out only when T = 1.  A finite ``y``
-        whose fit overflows, leaving a coefficient or an outlier value
-        that is not finite, raises ``ValueError`` after the last step.
+        running as an (L, N) stack, and returns a scalar or one
+        threshold per row, each nonnegative; any other result raises
+        ``ValueError``.  ``tier`` gives each row's ridge parameter as an
+        index into the solver's T of them, an integer array of shape
+        (B,); it may be left out only when T = 1.  A finite ``y`` whose
+        fit overflows, leaving a coefficient or an outlier value that is
+        not finite, raises ``ValueError`` after the last step.
         """
         n = self._n
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim not in (1, 2) or y.shape[-1] != n:
-            raise ValueError(f"expected {n} observations per row, got shape {y.shape}")
+        if y.ndim != 2 or y.shape[1] != n:
+            raise ValueError(f"expected a (B, N) stack with N = {n}, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
         threshold = epsilon
@@ -428,14 +374,12 @@ class KgardSolver:
         _check_count("max_selections", max_selections)
         if max_selections > n:
             raise ValueError(f"max_selections {max_selections} must be in [0, N={n}]")
-        tier = self._check_tier(tier, y.shape[:-1])
-        single = y.ndim == 1
-        ys = y.reshape(-1, n)
-        batch = ys.shape[0]
+        batch = y.shape[0]
+        tier = self._check_tier(tier, batch)
         # one R y per row keeps every row's arithmetic independent of B;
         # an overflow anywhere leaves a norm that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _per_tier(self._residual_map, tier, ys)
+            r = _per_tier(self._residual_map, tier, y)
             abs_r = np.abs(r)
             norms = _stop_norms(r, abs_r, stop_norm)
         if not np.all(np.isfinite(norms)):
@@ -534,67 +478,48 @@ class KgardSolver:
 
             # (alpha; c) = P (y - I_S u_S), one stacked product per tier
             rows, index, value = out.selected()
-            e = ys.copy()
+            e = y.copy()
             e[rows, index] -= value
             theta = _per_tier(self._coef_map, row_tier, e)
         if not (np.isfinite(theta).all() and np.isfinite(out.outliers).all()):
             raise ValueError("the fit overflows: its coefficients or outliers are not finite")
         out.alpha, out.bias = theta[:, :n], theta[:, n]
-        return out.solution(0) if single else out
+        return out
 
-    def _check_tier(self, tier, shape: tuple) -> np.ndarray:
-        """Each row's tier as a flat intp array, checked against the
-        solver's ridge parameters."""
+    def _check_tier(self, tier, rows: int) -> np.ndarray:
+        """Each of ``rows`` rows' tier as an intp array, checked against
+        the solver's ridge parameters."""
         tiers = self._residual_map.shape[0]
         if tier is None:
             if tiers > 1:
                 raise ValueError(
                     f"tier is required: the solver has {tiers} ridge parameters"
                 )
-            return np.zeros(math.prod(shape), dtype=np.intp)
+            return np.zeros(rows, dtype=np.intp)
         tier = np.asarray(tier)
         if tier.dtype.kind not in "iu":
             raise ValueError(f"tier must be an integer array, got dtype {tier.dtype}")
-        if tier.shape != shape:
+        if tier.shape != (rows,):
             raise ValueError(
-                f"tier must have shape {shape}, one per row, got {tier.shape}"
+                f"tier must have shape {(rows,)}, one per row, got {tier.shape}"
             )
         if tier.size and not (tier.min() >= 0 and tier.max() < tiers):
             raise ValueError(
                 f"tier must be in [0, {tiers}), got {tier.min()}..{tier.max()}"
             )
-        return tier.astype(np.intp).ravel()
-
-
-def kgard_fit(
-    data: Dataset,
-    params: KernelParams,
-    config: KgardConfig,
-) -> KgardSolution:
-    """Run the full greedy fit on a dataset, with unit Tikhonov weights
-    and the default cap of N // 2 selections."""
-    if data.size == 0:
-        raise ValueError("dataset is empty")
-    gram = gram_matrix(data.inputs, params)
-    return KgardSolver(gram, config.lam).fit(
-        data.targets, epsilon=config.epsilon, stop_norm=config.stop_norm
-    )
+        return tier.astype(np.intp)
 
 
 def predict(
-    solution: KgardSolution,
+    batch: KgardBatch,
     train_points,
     query_points,
     params: KernelParams,
 ) -> np.ndarray:
-    """Evaluate the fitted expansion at query points."""
-    query, train = as_point_matrix(query_points), as_point_matrix(train_points)
-    for name, points in (("query", query), ("train", train)):
-        if not np.all(np.isfinite(points)):
-            raise ValueError(f"{name} points must be finite")
-    k = cross_gram(query, train, params)
-    if k.shape[1] != solution.alpha.shape[0]:
+    """Evaluate every row's fitted expansion at Q query points, (B, Q)."""
+    k = cross_gram(query_points, train_points, params)
+    if k.shape[1] != batch.alpha.shape[1]:
         raise ValueError(
-            f"{k.shape[1]} train points but {solution.alpha.shape[0]} coefficients"
+            f"{k.shape[1]} train points but {batch.alpha.shape[1]} coefficients"
         )
-    return k @ solution.alpha + solution.bias
+    return np.matmul(k, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]

@@ -154,11 +154,13 @@ def run_monte_carlo(
     number of trials; drawing, setup and scoring are not counted.  The
     setup's wall time is the aggregate's ``setup_seconds``.  The
     trial list (and the CSV, when requested) is ordered by trial index;
-    the CSV's last column is each trial's ``stop_reason``.
+    the CSV's last column is each trial's ``stop_reason``.  ``trials``
+    and ``base_seed`` are checked before any work.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     _check_count("trials", trials, 1)
+    _check_count("base_seed", base_seed)
 
     lattice = protocol == "lattice2d"
     if lattice:  # each trial draws its own target on the fixed lattice
@@ -232,8 +234,8 @@ def sweep_outlier_magnitude(
     Protocol: 100 equidistant points on [0, 1], kernel width 0.1, a
     sparse random kernel target, impulses of the given magnitude at
     the given fraction, no inlier noise.  ``fraction`` must give between
-    1 and 99 impulses, and every magnitude must be nonnegative and
-    finite, both checked before any work.  Each trial fits with the
+    1 and 99 impulses, every magnitude must be nonnegative and finite,
+    and ``base_seed`` a nonnegative integer, all checked before any work.  Each trial fits with the
     fixed sweep ridge parameter, stopping after exactly |T| selections,
     and evaluates the identification certificate at the same lambda.
     Every trial shares one Gram matrix and solver: the trials of one
@@ -250,6 +252,7 @@ def sweep_outlier_magnitude(
     if not magnitudes:
         raise ValueError("magnitudes list is empty")
     _check_count("trials", trials, 1)
+    _check_count("base_seed", base_seed)
     fraction = _as_float("fraction", fraction)
     n_impulses = round_half_away(fraction * SWEEP_N) if math.isfinite(fraction) else 0
     if not 1 <= n_impulses < SWEEP_N:

@@ -46,13 +46,16 @@ class KernelParams:
 def as_point_matrix(points) -> np.ndarray:
     """Normalize points to a 2-D float array of shape (N, d).
 
-    Accepts a 1-D array of scalars (d = 1) or an (N, d) array.
+    Accepts a 1-D array of scalars (d = 1) or an (N, d) array, of
+    finite values only.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be 1-D or 2-D, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
 
 

@@ -81,6 +81,10 @@ class NoiseSpec:
                 f"impulse_magnitude must be nonnegative and finite, "
                 f"got {self.impulse_magnitude}"
             )
+        if not (self.stable_params is None or isinstance(self.stable_params, StableParams)):
+            raise ValueError(
+                f"stable_params must be None or a StableParams, got {self.stable_params!r}"
+            )
         families = [
             self.inlier_snr_db is not None,
             self.inlier_sigma is not None,

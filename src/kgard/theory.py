@@ -90,8 +90,8 @@ class BoundReport:
 def design_sigma_max(gram: np.ndarray) -> float:
     """sigma_max of the ridge design X0 = [K 1].  scipy's SVD shares the
     solver setup's OpenBLAS; numpy's would wait for the other's threads.
-    Like solver setup, it runs on one scipy OpenBLAS thread and restores
-    the count afterwards, so its bits do not depend on the thread
+    Like solver setup, it runs pinned to one OpenBLAS thread, restoring
+    the counts afterwards, so its bits do not depend on the thread
     setting (with another BLAS, only at a fixed setting)."""
     x0 = _ridge_design(gram)
     with _one_blas_thread():
@@ -103,7 +103,7 @@ def _squared_norms(x: np.ndarray, name: str) -> np.ndarray:
     that ``x[i].dot(x[i])`` makes; ValueError when one overflows.  It
     runs on one numpy OpenBLAS thread: above 10 000 entries OpenBLAS
     splits a dot over its threads, and the bits with it."""
-    with np.errstate(over="ignore"), _one_blas_thread(numpy_blas=True):
+    with np.errstate(over="ignore"), _one_blas_thread():
         squares = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
     if not np.isfinite(squares).all():
         raise ValueError(f"the squared norm of the true {name} overflows")

@@ -89,14 +89,16 @@ def residual_map_reference(gram, lam, weights=None):
     )
 
 
-def solution_vector(sol):
-    """(alpha, c, u_S) of a KgardSolution, in selection order."""
-    return np.concatenate([sol.alpha, [sol.bias], list(sol.outliers.values())])
+def solution_vector(batch, i=0):
+    """(alpha, c, u_S) of row i of a KgardBatch, u_S in selection order."""
+    k = batch.selections[i]
+    return np.concatenate([batch.alpha[i], [batch.bias[i]], batch.outliers[i, :k]])
 
 
-def residual(gram, y, sol):
-    """y - X z for a KgardSolution."""
-    return y - design_matrix(gram, sol.support) @ solution_vector(sol)
+def residual(gram, y, batch, i=0):
+    """y - X z for row i of a KgardBatch and its observations y."""
+    support = batch.support[i, : batch.selections[i]]
+    return y - design_matrix(gram, support) @ solution_vector(batch, i)
 
 
 def epsilon_histogram_reference(residual_abs):
@@ -208,9 +210,9 @@ def denoise_reference(image, cfg):
     The image is grown to multiples of L and replicate-padded by
     (N - L) / 2; ROI k, in raster order, is the N x N slice at (i L, j L)
     of the padded image.  Its ridge tier comes from the mean gradient
-    magnitude over that slice; it is fitted alone with a 1-D
-    ``KgardSolver.fit``, whose epsilon callable sees a (1, N^2) stack, and
-    its central L x L core is written to (i L, j L).  Returns (denoised,
+    magnitude over that slice; it is fitted alone as a one-row stack,
+    whose epsilon callable sees a (1, N^2) stack, and its central L x L
+    core is written to (i L, j L).  Returns (denoised,
     outlier_map, diagnostics), each diagnostic an (index, origin, lam,
     epsilon, outliers, stop_reason) tuple.
     """
@@ -236,19 +238,20 @@ def denoise_reference(image, cfg):
     inner = np.s_[pad : pad + ell, pad : pad + ell]
     diagnostics = []
     for idx, ((r, c), lam) in enumerate(zip(origins, lambdas.tolist())):
-        sol = KgardSolver(gram, lam).fit(
-            padded[r : r + n, c : c + n].ravel(),
+        fit = KgardSolver(gram, lam).fit(
+            padded[r : r + n, c : c + n].ravel()[None],
             epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
             stop_norm="linf",
             max_selections=n * n // 3,
         )
-        surface = (gram @ sol.alpha + sol.bias).reshape(n, n)
+        k = int(fit.selections[0])
+        surface = (gram @ fit.alpha[0] + fit.bias[0]).reshape(n, n)
         u = np.zeros(n * n)
-        u[list(sol.outliers)] = list(sol.outliers.values())
+        u[fit.support[0, :k]] = fit.outliers[0, :k]
         denoised[r : r + ell, c : c + ell] = surface[inner]
         outlier_map[r : r + ell, c : c + ell] = u.reshape(n, n)[inner]
         diagnostics.append(
-            (idx, (r, c), lam, sol.epsilon, len(sol.outliers), sol.stop_reason)
+            (idx, (r, c), lam, float(fit.epsilon[0]), k, str(fit.stop_reason[0]))
         )
     quantum = 2.0**-30
     outlier_map = np.round(outlier_map[:h, :w] / quantum) * quantum

@@ -133,10 +133,10 @@ def test_criterion_5_certified_recovery():
     instances = _certified_instances(100)
     violations = 0
     for gram, _, _, support, y in instances:
-        sol = KgardSolver(gram, CERT_LAMBDA).fit(
-            y, epsilon=0.0, max_selections=support.size
+        fit = KgardSolver(gram, CERT_LAMBDA).fit(
+            y[None], epsilon=0.0, max_selections=support.size
         )
-        if not set(sol.support) <= set(support.tolist()):
+        if not set(fit.support[0, : fit.selections[0]].tolist()) <= set(support.tolist()):
             violations += 1
     DETAILS[5] = f"certified recovery: {violations} violations over 100 instances"
     assert violations == 0
@@ -174,10 +174,10 @@ def test_criterion_7_incremental_equals_from_scratch():
         y = rng.normal(size=n)
         lam = float(rng.uniform(0.1, 5.0))
         k = int(rng.integers(1, 6))
-        sol = KgardSolver(gram, lam).fit(y, epsilon=0.0, max_selections=k)
-        assert sol.iterations == k
-        z = solution_vector(sol)
-        dense = dense_solve(gram, y, lam, sol.support)
+        fit = KgardSolver(gram, lam).fit(y[None], epsilon=0.0, max_selections=k)
+        assert fit.selections.tolist() == [k]
+        z = solution_vector(fit)
+        dense = dense_solve(gram, y, lam, fit.support[0])
         worst = max(
             worst, float(np.linalg.norm(z - dense) / np.linalg.norm(dense))
         )
@@ -186,11 +186,11 @@ def test_criterion_7_incremental_equals_from_scratch():
 
 
 def _solver_residual_after(gram, y, k):
-    sol = KgardSolver(gram, CERT_LAMBDA).fit(y, epsilon=0.0, max_selections=k)
-    fitted = gram @ sol.alpha + sol.bias
-    for j, u in sol.outliers.items():
-        fitted[j] += u
-    return y - fitted, sol.support
+    fit = KgardSolver(gram, CERT_LAMBDA).fit(y[None], epsilon=0.0, max_selections=k)
+    support = fit.support[0, : fit.selections[0]]
+    fitted = gram @ fit.alpha[0] + fit.bias[0]
+    fitted[support] += fit.outliers[0, : fit.selections[0]]
+    return y - fitted, support.tolist()
 
 
 def test_criterion_8_residual_oracle_equivalence():

@@ -1,9 +1,9 @@
-"""Solver setup runs on one scipy OpenBLAS thread, and the
-certificate's norms on one numpy OpenBLAS thread.
+"""Solver setup and the certificate's norms run on one thread of every
+bundled OpenBLAS, scipy's and numpy's.
 
 Outputs must not depend on ``OPENBLAS_NUM_THREADS``, the pin must hand
-the caller's thread count back, also when setup raises, and without
-scipy's OpenBLAS setup must run unpinned with the same arithmetic.
+each library's thread count back, also when setup raises, and without
+a bundled OpenBLAS setup must run unpinned with the same arithmetic.
 """
 
 import os
@@ -105,17 +105,27 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     assert one == two
 
 
-@pytest.fixture
-def scipy_openblas():
-    """scipy's OpenBLAS getter and setter, with the caller's count set to
-    2 for the test and the original count restored afterwards."""
-    if core._SCIPY_OPENBLAS is None:
-        pytest.skip("scipy is not linked against its bundled OpenBLAS")
-    get, set_ = core._SCIPY_OPENBLAS
+def _at_two(blas, library):
+    """The getter and setter of ``library``'s bundled OpenBLAS, with the
+    caller's count set to 2 for the test and the original count restored
+    afterwards."""
+    if blas is None:
+        pytest.skip(f"{library} is not linked against its bundled OpenBLAS")
+    get, set_ = blas
     original = get()
     set_(2)
     yield get, set_
     set_(original)
+
+
+@pytest.fixture
+def scipy_openblas():
+    yield from _at_two(core._scipy_openblas("scipy.linalg._fblas"), "scipy")
+
+
+@pytest.fixture
+def numpy_openblas():
+    yield from _at_two(core._scipy_openblas("numpy._core._multiarray_umath", "64_"), "numpy")
 
 
 def _gram(n=60):
@@ -144,30 +154,25 @@ def test_setup_calls_scipy_on_one_thread(scipy_openblas, monkeypatch):
     assert {threads for _, threads in seen} == {1}
 
 
-def test_setup_restores_the_callers_thread_count(scipy_openblas):
-    get, _ = scipy_openblas
+def test_setup_restores_the_callers_thread_count(scipy_openblas, numpy_openblas):
+    # one pin covers both libraries
+    counts = lambda: (scipy_openblas[0](), numpy_openblas[0]())
     KgardSolver(_gram(), [0.1, 1.0])
-    assert get() == 2
+    assert counts() == (2, 2)
     design_sigma_max(_gram())
-    assert get() == 2
+    assert counts() == (2, 2)
 
 
-def test_certificate_norms_run_on_one_numpy_thread(monkeypatch):
-    if core._NUMPY_OPENBLAS is None:
-        pytest.skip("numpy is not linked against its bundled OpenBLAS")
-    get, set_ = core._NUMPY_OPENBLAS
-    original, seen, matmul = get(), [], np.matmul
-    monkeypatch.setattr(theory.np, "matmul", lambda *a: seen.append(get()) or matmul(*a))
-    set_(2)
-    try:
-        theorem_check(1.0, np.ones((2, 5)), np.ones((2, 4)), 1.0)
-        assert get() == 2
-        with pytest.raises(ValueError, match="squared norm of the true theta overflows"):
-            theorem_check(1.0, np.full((1, 5), 1e200), np.ones((1, 4)), 1.0)
-        assert get() == 2
-    finally:
-        set_(original)
-    assert seen == [1, 1, 1]
+def test_certificate_norms_run_on_one_numpy_thread(monkeypatch, scipy_openblas, numpy_openblas):
+    counts = lambda: (scipy_openblas[0](), numpy_openblas[0]())
+    seen, matmul = [], np.matmul
+    monkeypatch.setattr(theory.np, "matmul", lambda *a: seen.append(counts()) or matmul(*a))
+    theorem_check(1.0, np.ones((2, 5)), np.ones((2, 4)), 1.0)
+    assert counts() == (2, 2)
+    with pytest.raises(ValueError, match="squared norm of the true theta overflows"):
+        theorem_check(1.0, np.full((1, 5), 1e200), np.ones((1, 4)), 1.0)
+    assert counts() == (2, 2)
+    assert seen == [(1, 1)] * 3
 
 
 @pytest.mark.parametrize(
@@ -191,7 +196,7 @@ def test_setup_without_scipy_openblas_gives_the_same_arrays(scipy_openblas, monk
     pinned_sigma = design_sigma_max(gram)
     # unpinned, the arithmetic matches at the thread count setup pins
     set_(1)
-    monkeypatch.setattr(core, "_SCIPY_OPENBLAS", None)
+    monkeypatch.setattr(core, "_OPENBLAS", [])
     plain = KgardSolver(gram, [0.1, 1.0])
     assert design_sigma_max(gram) == pinned_sigma
     assert get() == 1

@@ -8,9 +8,9 @@ import pytest
 import kgard.core
 import kgard.experiments
 from kgard.cli import main
-from kgard.core import Dataset, KgardConfig, NumericalError, kgard_fit
+from kgard.core import KgardSolver, NumericalError
 from kgard.denoise import denoise_image
-from kgard.kernel import KernelParams
+from kgard.kernel import KernelParams, gram_matrix
 from kgard.pgm import read_pgm_file, write_pgm_file
 
 
@@ -268,8 +268,12 @@ def test_regress_round_trip(tmp_path, capsys):
     assert sum(1 for v in outlier_col if v != 0.0) <= 3
     out = capsys.readouterr().out
     assert "stop_reason=threshold," in out
-    solution = kgard_fit(Dataset(x, y), KernelParams(0.2), KgardConfig(lam=0.05, epsilon=1.0))
-    assert f"final residual {solution.residual_norm:.6g}" in out
+    fit = KgardSolver(gram_matrix(x, KernelParams(0.2)), 0.05).fit(y[None], epsilon=1.0)
+    assert f"final residual {fit.residual_norm[0]:.6g}" in out
+    k = fit.selections[0]
+    expected = np.zeros(x.size)
+    expected[fit.support[0, :k]] = fit.outliers[0, :k]
+    assert outlier_col == expected.tolist()
 
 
 def test_regress_header_names_are_stripped(tmp_path, capsys):
@@ -301,9 +305,7 @@ def test_regress_non_finite_input_is_argument_error(tmp_path, capsys):
          "--lambda", "0.05", "--epsilon", "1.0"]
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "error: argument: dataset inputs must be finite"
-    )
+    assert capsys.readouterr().err.startswith("error: argument: points must be finite")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,18 +9,16 @@ from hypothesis import strategies as st
 
 import kgard.core
 from kgard.core import (
-    Dataset,
     KgardBatch,
     KgardConfig,
     KgardSolver,
     NumericalError,
-    kgard_fit,
     predict,
     _cholesky,
     _solve_upper,
 )
 from kgard.denoise import RoiConfig, auto_epsilon, roi_lattice
-from kgard.kernel import KernelParams, gram_matrix
+from kgard.kernel import KernelParams, cross_gram, gram_matrix
 from kgard.noise import lattice_nodes
 from kgard.theory import theorem_check
 from oracle import (
@@ -37,12 +36,9 @@ def _random_gram(rng, n, d=1, sigma=0.4):
     return gram_matrix(pts, KernelParams(sigma)), pts
 
 
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros(3), np.zeros(4))
-    data = Dataset([0.0, 1.0], [1.0, 2.0])
-    assert data.size == 2
-    assert data.inputs.shape == (2, 1)
+def _support(fit, i=0):
+    """Row i's outlier indices in selection order, as a list."""
+    return fit.support[i, : fit.selections[i]].tolist()
 
 
 def test_config_validation():
@@ -88,6 +84,7 @@ BAD_SETTINGS = [
             id="inf-weight",
         ),
         pytest.param(dict(gram=np.ones((3, 4))), "must be square", id="non-square-gram"),
+        pytest.param(dict(gram=np.zeros((0, 0))), "must be square and nonempty", id="empty-gram"),
         pytest.param(dict(gram=np.diag([1, np.nan, 1, 1])), "gram matrix must be finite",
                      id="nan-gram"),
         pytest.param(dict(gram=np.diag([1, np.inf, 1, 1])), "gram matrix must be finite",
@@ -139,7 +136,7 @@ NO_FLOAT_BOUNDARIES = {
     "KgardConfig-epsilon": ("epsilon", lambda v: KgardConfig(lam=1.0, epsilon=v)),
     "KgardSolver-lam": ("lambda", lambda v: KgardSolver(np.eye(3), v)),
     "KgardSolver-tier": ("lambda", lambda v: KgardSolver(np.eye(3), [1.0, v])),
-    "fit-epsilon": ("epsilon", lambda v: KgardSolver(np.eye(3), 1.0).fit(np.ones(3), v)),
+    "fit-epsilon": ("epsilon", lambda v: KgardSolver(np.eye(3), 1.0).fit(np.ones((1, 3)), v)),
     "theorem_check-sigma_max": (
         "sigma_max", lambda v: theorem_check(v, np.ones((1, 3)), np.ones((1, 2)), 1.0)
     ),
@@ -159,9 +156,9 @@ def test_regularized_ls_matches_dense_oracle():
     rng = np.random.default_rng(0)
     gram, _ = _random_gram(rng, 20, sigma=0.05)
     y = rng.normal(size=20)
-    sol = KgardSolver(gram, 0.5).fit(y, epsilon=0.0, max_selections=0)
+    fit = KgardSolver(gram, 0.5).fit(y[None], epsilon=0.0, max_selections=0)
     expected = dense_solve(gram, y, 0.5)
-    assert np.allclose(solution_vector(sol), expected, atol=1e-10)
+    assert np.allclose(solution_vector(fit), expected, atol=1e-10)
 
 
 def test_selected_identity_column_zeroes_its_residual():
@@ -171,9 +168,9 @@ def test_selected_identity_column_zeroes_its_residual():
     gram, _ = _random_gram(rng, 15)
     y = rng.normal(size=15)
     y[7] += 50.0
-    sol = KgardSolver(gram, 0.5).fit(y, epsilon=0.0, max_selections=1)
-    assert sol.support == [7]
-    r = residual(gram, y, sol)
+    fit = KgardSolver(gram, 0.5).fit(y[None], epsilon=0.0, max_selections=1)
+    assert fit.support.tolist() == [[7]]
+    r = residual(gram, y, fit)
     assert abs(r[7]) < 1e-9
     assert np.linalg.norm(r) > 1e-3  # other coordinates still misfit
 
@@ -185,11 +182,11 @@ def test_fit_matches_dense_oracle_per_selection():
     solver = KgardSolver(gram, 0.3)
     support = []
     for k in (1, 2, 3):
-        sol = solver.fit(y, epsilon=0.0, max_selections=k)
-        assert sol.support[:-1] == support  # one more selection per step
-        support = sol.support
+        fit = solver.fit(y[None], epsilon=0.0, max_selections=k)
+        assert _support(fit)[:-1] == support  # one more selection per step
+        support = _support(fit)
         expected = dense_solve(gram, y, 0.3, support)
-        assert np.allclose(solution_vector(sol), expected, atol=1e-9)
+        assert np.allclose(solution_vector(fit), expected, atol=1e-9)
 
 
 def test_cholesky_failure_reports_pivot():
@@ -200,11 +197,9 @@ def test_cholesky_failure_reports_pivot():
 
 def test_fit_tie_picks_smallest_index():
     # with K = I the residuals at 1 and 2 tie exactly in magnitude
-    for y in ([0.0, -3.0, 3.0, 0.0], [0.0, 3.0, -3.0, 0.0]):
-        sol = KgardSolver(np.eye(4), lam=1.0).fit(
-            np.array(y), epsilon=0.0, max_selections=1
-        )
-        assert sol.support == [1]
+    y = np.array([[0.0, -3.0, 3.0, 0.0], [0.0, 3.0, -3.0, 0.0]])
+    fit = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=1)
+    assert fit.support.tolist() == [[1], [1]]
 
 
 def test_fit_recovers_planted_outliers():
@@ -217,10 +212,10 @@ def test_fit_recovers_planted_outliers():
     planted = [5, 23, 48]
     y[planted] += np.array([30.0, -25.0, 40.0])
     solver = KgardSolver(gram, lam=1.0)
-    sol = solver.fit(y, epsilon=0.0, max_selections=3)
-    assert sorted(sol.support) == planted
-    for j in planted:
-        assert sol.outliers[j] == pytest.approx(y[j] - truth[j], abs=2.0)
+    fit = solver.fit(y[None], epsilon=0.0, max_selections=3)
+    assert sorted(_support(fit)) == planted
+    for j, u in zip(fit.support[0], fit.outliers[0]):
+        assert u == pytest.approx(y[j] - truth[j], abs=2.0)
 
 
 def test_fit_residual_norm_decreases_with_each_selection():
@@ -229,11 +224,11 @@ def test_fit_residual_norm_decreases_with_each_selection():
     y = rng.normal(size=40)
     y[[3, 17]] += 20.0
     solver = KgardSolver(gram, lam=0.5)
-    sols = [solver.fit(y, epsilon=0.0, max_selections=k) for k in range(6)]
-    assert [sol.iterations for sol in sols] == list(range(6))
-    for a, b in zip(sols, sols[1:]):
-        assert b.residual_norm < a.residual_norm
-        assert b.support[:-1] == a.support
+    fits = [solver.fit(y[None], epsilon=0.0, max_selections=k) for k in range(6)]
+    assert [fit.selections[0] for fit in fits] == list(range(6))
+    for a, b in zip(fits, fits[1:]):
+        assert b.residual_norm[0] < a.residual_norm[0]
+        assert _support(b)[:-1] == _support(a)
 
 
 def test_fit_truncation_flag_and_epsilon_stop():
@@ -241,14 +236,14 @@ def test_fit_truncation_flag_and_epsilon_stop():
     gram, _ = _random_gram(rng, 30)
     y = rng.normal(size=30)
     solver = KgardSolver(gram, lam=1.0)
-    capped = solver.fit(y, epsilon=0.0, max_selections=2)
-    assert capped.stop_reason == "cap" and capped.iterations == 2
-    loose = solver.fit(y, epsilon=1e6)
-    assert loose.stop_reason == "threshold" and loose.iterations == 0
+    capped = solver.fit(y[None], epsilon=0.0, max_selections=2)
+    assert capped.stop_reason.tolist() == ["cap"] and capped.selections.tolist() == [2]
+    loose = solver.fit(y[None], epsilon=1e6)
+    assert loose.stop_reason.tolist() == ["threshold"] and loose.selections.tolist() == [0]
     # plain KRR: no selection allowed, and the norm still exceeds epsilon
-    krr = solver.fit(y, epsilon=1e-3, max_selections=0)
-    assert krr.residual_norm > 1e-3
-    assert krr.stop_reason == "cap" and krr.iterations == 0
+    krr = solver.fit(y[None], epsilon=1e-3, max_selections=0)
+    assert krr.residual_norm[0] > 1e-3
+    assert krr.stop_reason.tolist() == ["cap"] and krr.selections.tolist() == [0]
 
 
 def test_fit_linf_stop_norm():
@@ -256,10 +251,10 @@ def test_fit_linf_stop_norm():
     gram, _ = _random_gram(rng, 30)
     y = rng.normal(size=30)
     y[12] += 15.0
-    sol = KgardSolver(gram, lam=1.0).fit(y, epsilon=3.0, stop_norm="linf")
-    fitted = gram @ sol.alpha + sol.bias
-    for j, u in sol.outliers.items():
-        fitted[j] += u
+    fit = KgardSolver(gram, lam=1.0).fit(y[None], epsilon=3.0, stop_norm="linf")
+    assert fit.selections[0] > 0
+    fitted = gram @ fit.alpha[0] + fit.bias[0]
+    fitted[_support(fit)] += fit.outliers[0, : fit.selections[0]]
     assert np.max(np.abs(y - fitted)) <= 3.0
 
 
@@ -273,9 +268,9 @@ def test_fit_epsilon_callable_gives_the_threshold():
         calls.append(abs_r.copy())
         return float(np.max(abs_r)) + 1.0  # always satisfied
 
-    sol = KgardSolver(gram, lam=1.0).fit(y, epsilon=eps_fn, stop_norm="linf")
-    assert sol.iterations == 0 and sol.stop_reason == "threshold"
-    assert sol.epsilon == float(np.max(calls[0])) + 1.0
+    fit = KgardSolver(gram, lam=1.0).fit(y[None], epsilon=eps_fn, stop_norm="linf")
+    assert fit.selections.tolist() == [0] and fit.stop_reason.tolist() == ["threshold"]
+    assert fit.epsilon.tolist() == [float(np.max(calls[0])) + 1.0]
     assert len(calls) == 1 and calls[0].shape == (1, 30)
 
 
@@ -292,7 +287,7 @@ def test_fit_epsilon_callable_gives_the_threshold():
 def test_fit_rejects_bad_epsilon_callable_result(thresholds, match, batched):
     solver = KgardSolver(np.eye(4), lam=1.0)
     y = np.array([0.0, 9.0, 0.0, 3.0])
-    y = np.stack([y, -y, 2 * y]) if batched else y
+    y = np.stack([y, -y, 2 * y]) if batched else y[None]
     calls = []
 
     def eps_fn(abs_r):
@@ -312,12 +307,12 @@ def test_fit_matches_dense_oracle():
     gram, _ = _random_gram(rng, 35)
     y = rng.normal(size=35)
     y[[4, 20]] += np.array([25.0, -30.0])
-    sol = KgardSolver(gram, lam=0.7).fit(y, epsilon=0.0, max_selections=2)
-    assert sorted(sol.support) == [4, 20]
-    z = dense_solve(gram, y, 0.7, sol.support)
-    assert np.allclose(sol.alpha, z[:35], atol=1e-9)
-    assert sol.bias == pytest.approx(z[35], abs=1e-9)
-    assert np.allclose(list(sol.outliers.values()), z[36:], atol=1e-9)
+    fit = KgardSolver(gram, lam=0.7).fit(y[None], epsilon=0.0, max_selections=2)
+    assert sorted(_support(fit)) == [4, 20]
+    z = dense_solve(gram, y, 0.7, _support(fit))
+    assert np.allclose(fit.alpha[0], z[:35], atol=1e-9)
+    assert fit.bias[0] == pytest.approx(z[35], abs=1e-9)
+    assert np.allclose(fit.outliers[0], z[36:], atol=1e-9)
 
 
 @given(
@@ -335,11 +330,11 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
     y[rng.choice(n, size=n // 5, replace=False)] += rng.normal(0, 20, size=n // 5)
     weights = rng.uniform(0.5, 2.0, size=n + 1) if weighted else None
     k = int(k_frac * n)
-    sol = KgardSolver(gram, lam, tikhonov_weights=weights).fit(
-        y, epsilon=0.0, max_selections=k
+    fit = KgardSolver(gram, lam, tikhonov_weights=weights).fit(
+        y[None], epsilon=0.0, max_selections=k
     )
-    expected = dense_solve(gram, y, lam, sol.support, weights=weights)
-    err = np.linalg.norm(solution_vector(sol) - expected)
+    expected = dense_solve(gram, y, lam, _support(fit), weights=weights)
+    err = np.linalg.norm(solution_vector(fit) - expected)
     assert err <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -363,7 +358,17 @@ def test_fit_matches_dense_oracle_property(n, sigma, lam, k_frac, weighted, seed
 def test_fit_rejects_bad_input(y, kwargs, match):
     solver = KgardSolver(np.eye(4), lam=1.0)
     with pytest.raises(ValueError, match=match):
-        solver.fit(np.array(y), **(dict(epsilon=0.0) | kwargs))
+        solver.fit(np.array([y]), **(dict(epsilon=0.0) | kwargs))
+
+
+@pytest.mark.parametrize(
+    "shape", [(4,), (), (1, 3), (2, 5), (1, 1, 4)], ids=["1-d", "0-d", "short", "long", "3-d"]
+)
+def test_fit_takes_a_stack_only(shape):
+    # one fit is a one-row stack; a 1-D y and a row of the wrong length
+    # (more or fewer observations than the Gram's N) raise
+    with pytest.raises(ValueError, match="expected a \\(B, N\\) stack with N = 4, got shape"):
+        KgardSolver(np.eye(4), lam=1.0).fit(np.ones(shape), epsilon=0.0)
 
 
 @pytest.mark.parametrize(
@@ -381,7 +386,7 @@ def test_fit_overflow_raises_value_error_without_a_warning(y, stop_norm, batched
     # the test configuration turns every warning into an error, so a
     # warning ahead of the ValueError fails this test
     solver = KgardSolver(np.eye(4) * 0.5 + 0.5, 1.0)
-    ys = np.stack([np.ones(4), y]) if batched else y
+    ys = np.stack([np.ones(4), y]) if batched else y[None]
     with pytest.raises(ValueError, match=f"initial residual's {stop_norm} norm overflows"):
         solver.fit(ys, epsilon=1.0, stop_norm=stop_norm)
 
@@ -392,7 +397,7 @@ def test_fit_that_overflows_after_the_first_step_raises_value_error(batched):
     # warnings-as-errors configuration no RuntimeWarning may come first
     solver = KgardSolver(np.eye(4) * 0.5 + 0.5, 1.0)
     y = np.array([1e308, -1e308, 1e308, -1e308])
-    ys = np.stack([np.ones(4), y]) if batched else y
+    ys = np.stack([np.ones(4), y]) if batched else y[None]
     with pytest.raises(ValueError, match="the fit overflows"):
         solver.fit(ys, epsilon=1.0, stop_norm="linf")
 
@@ -436,17 +441,14 @@ def test_in_place_cholesky_keeps_the_maps(monkeypatch, points, sigma, lams):
     "y_shape, tier, match",
     [
         ((2, 4), None, "tier is required: the solver has 2 ridge parameters"),
-        ((4,), None, "tier is required"),
         ((2, 4), np.array([True, False]), "tier must be an integer array"),
         ((2, 4), np.array([0.0, 1.0]), "tier must be an integer array"),
         ((2, 4), [0, 1, 1], "tier must have shape \\(2,\\)"),
         ((2, 4), [[0, 1]], "tier must have shape"),
-        ((4,), [0], "tier must have shape \\(\\)"),
         ((2, 4), [0, 2], "tier must be in \\[0, 2\\)"),
         ((2, 4), [-1, 0], "tier must be in"),
     ],
-    ids=["missing", "missing-1d", "bool", "float", "too-long", "2d", "1d-row-as-array",
-         "above-range", "negative"],
+    ids=["missing", "bool", "float", "too-long", "2d", "above-range", "negative"],
 )
 def test_fit_rejects_bad_tier(y_shape, tier, match):
     solver = KgardSolver(np.eye(4), lam=[1.0, 5.0])
@@ -461,24 +463,24 @@ def test_fit_tier_selects_the_ridge_parameter():
     y[[2, 11]] += 30.0
     kwargs = dict(epsilon=0.5, max_selections=4)
     solver = KgardSolver(gram, [0.5, 2.0])
-    for t, lam in ((np.int32(1), 2.0), (0, 0.5)):  # a 1-D y takes a scalar tier
-        expected = KgardSolver(gram, lam).fit(y, **kwargs)
-        _assert_same_solution(solver.fit(y, tier=t, **kwargs), expected)
+    for t, lam in ((np.int32(1), 2.0), (0, 0.5)):
+        expected = KgardSolver(gram, lam).fit(y[None], **kwargs)
+        _assert_row_matches(solver.fit(y[None], tier=np.array([t]), **kwargs), 0, expected)
     empty = solver.fit(np.empty((0, 25)), tier=np.empty(0, dtype=int), **kwargs)
     assert empty.alpha.shape == (0, 25) and empty.support.shape == (0, 4)
     for field in (empty.bias, empty.selections, empty.residual_norm, empty.stop_reason):
         assert field.shape == (0,)
     single = KgardSolver(gram, 0.5)
-    expected = single.fit(y, **kwargs)
+    expected = single.fit(y[None], **kwargs)
     _assert_row_matches(single.fit(y[None], tier=[0], **kwargs), 0, expected)
     with pytest.raises(ValueError, match="tier must be in \\[0, 1\\)"):
         single.fit(y[None], tier=[1], **kwargs)
 
 
 def test_fit_accepts_numpy_integer_cap():
-    y = np.array([0.0, 9.0, 0.0, 0.0])
-    sol = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=np.int64(1))
-    assert sol.support == [1]
+    y = np.array([[0.0, 9.0, 0.0, 0.0]])
+    fit = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=np.int64(1))
+    assert fit.support.tolist() == [[1]]
 
 
 # the benchmark's three Gram shapes: ROI (at its three ridge tiers),
@@ -541,10 +543,10 @@ def test_tikhonov_weights_scale_effective_penalty():
     y[6] += 20.0
     w = np.ones(n + 1)
     w[:5] = np.sqrt(5.0)
-    sol = KgardSolver(gram, 0.4, tikhonov_weights=w).fit(y, epsilon=0.0, max_selections=2)
-    expected = dense_solve(gram, y, 0.4, sol.support, weights=w)
-    assert np.allclose(solution_vector(sol), expected, atol=1e-10)
-    unweighted = dense_solve(gram, y, 0.4, sol.support)
+    fit = KgardSolver(gram, 0.4, tikhonov_weights=w).fit(y[None], epsilon=0.0, max_selections=2)
+    expected = dense_solve(gram, y, 0.4, _support(fit), weights=w)
+    assert np.allclose(solution_vector(fit), expected, atol=1e-10)
+    unweighted = dense_solve(gram, y, 0.4, _support(fit))
     assert not np.allclose(unweighted, expected)
 
 
@@ -583,11 +585,11 @@ def _degenerate_case():
 
 def test_fit_stops_on_degenerate_pivot():
     gram, y = _degenerate_case()
-    sol = KgardSolver(gram, 1e-12).fit(y, epsilon=0.0, max_selections=10)
+    fit = KgardSolver(gram, 1e-12).fit(y[None], epsilon=0.0, max_selections=10)
     # the ridge fit already interpolates y, so no pivot clears the floor
-    assert sol.iterations == 0 and sol.stop_reason == "pivot"
-    assert sol.residual_norm > 0.0
-    r = residual(gram, y, sol)
+    assert fit.selections.tolist() == [0] and fit.stop_reason.tolist() == ["pivot"]
+    assert fit.residual_norm[0] > 0.0
+    r = residual(gram, y, fit)
     assert np.max(np.abs(r)) <= 1e-6 * np.linalg.norm(y)
 
 
@@ -595,11 +597,11 @@ def test_fit_pivot_failure_reports_pivot():
     gram, y = _degenerate_case()
     # the ridge no longer keeps the bias pivot of [K 1] positive
     with pytest.raises(NumericalError) as err:
-        KgardSolver(gram, 1e-16).fit(y, epsilon=0.0, max_selections=10)
+        KgardSolver(gram, 1e-16).fit(y[None], epsilon=0.0, max_selections=10)
     assert err.value.pivot == 30
 
 
-def test_kgard_fit_and_predict_end_to_end():
+def test_fit_and_predict_end_to_end():
     rng = np.random.default_rng(13)
     x = np.linspace(0, 1, 50)
     params = KernelParams(0.2)
@@ -608,32 +610,37 @@ def test_kgard_fit_and_predict_end_to_end():
     y = truth.copy()
     y[10] += 40.0
     config = KgardConfig(lam=0.1, epsilon=1.0)
-    sol = kgard_fit(Dataset(x, y), params, config)
-    assert sol.support == [10]
-    pred = predict(sol, x, x, params)
-    assert np.sqrt(np.mean((pred - truth) ** 2)) < 0.5
+    fit = KgardSolver(gram, config.lam).fit(np.stack([y, 2 * y]), epsilon=config.epsilon)
+    assert _support(fit, 0) == [10]
+    query = np.linspace(0.1, 0.9, 7)
+    pred = predict(fit, x, query, params)
+    assert pred.shape == (2, 7)
+    for i in range(2):  # each row is that row's expansion at the queries
+        expected = cross_gram(query, x, params) @ fit.alpha[i] + fit.bias[i]
+        assert pred[i].tobytes() == expected.tobytes()
+    assert np.sqrt(np.mean((predict(fit, x, x, params)[0] - truth) ** 2)) < 0.5
 
 
 def test_predict_rejects_mismatched_coefficients():
-    sol = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.zeros(3), epsilon=1.0)
-    with pytest.raises(ValueError):
-        predict(sol, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
+    fit = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.zeros((1, 3)), epsilon=1.0)
+    with pytest.raises(ValueError, match="4 train points but 3 coefficients"):
+        predict(fit, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
 
 
 @pytest.mark.parametrize(
-    "train, query, match",
+    "train, query",
     [
-        ([0.0, 0.5, 1.0], [0.5, np.nan, 0.2], "query points must be finite"),
-        ([0.0, 0.5, 1.0], [0.5, 0.1, np.inf], "query points must be finite"),
-        ([0.0, np.nan, 1.0], [0.5], "train points must be finite"),
-        ([0.0, 0.5, -np.inf], [0.5], "train points must be finite"),
+        ([0.0, 0.5, 1.0], [0.5, np.nan, 0.2]),
+        ([0.0, 0.5, 1.0], [0.5, 0.1, np.inf]),
+        ([0.0, np.nan, 1.0], [0.5]),
+        ([0.0, 0.5, -np.inf], [0.5]),
     ],
     ids=["nan-query", "inf-query", "nan-train", "inf-train"],
 )
-def test_predict_rejects_non_finite_points(train, query, match):
-    sol = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.arange(3.0), epsilon=1.0)
-    with pytest.raises(ValueError, match=match):
-        predict(sol, train, query, KernelParams(1.0))
+def test_predict_rejects_non_finite_points(train, query):
+    fit = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.arange(3.0)[None], epsilon=1.0)
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        predict(fit, train, query, KernelParams(1.0))
 
 
 def _duplicate_pairs():
@@ -655,30 +662,14 @@ def _duplicate_pair_case():
     return KgardSolver(gram, 1e-12), base, pair
 
 
-def _assert_same_solution(a, b):
-    assert a.alpha.tobytes() == b.alpha.tobytes()
-    assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
-    assert list(a.outliers.items()) == list(b.outliers.items())
-    assert np.float64(a.residual_norm).tobytes() == np.float64(b.residual_norm).tobytes()
-    assert a.stop_reason == b.stop_reason
-    assert a.epsilon == b.epsilon
-
-
-def _assert_row_matches(batch, i, sol):
-    """Row i of a batch holds the bits of the 1-D fit ``sol``, and 0
-    past its selections."""
+def _assert_row_matches(batch, i, one):
+    """Row i of a batch holds the bits of the one-row fit ``one`` in
+    every field, and 0 past its selections."""
+    for field in dataclasses.fields(KgardBatch):
+        row, alone = getattr(batch, field.name)[i], getattr(one, field.name)[0]
+        assert row.tobytes() == alone.tobytes(), field.name
     k = batch.selections[i]
-    assert k == sol.iterations
-    assert batch.alpha[i].tobytes() == sol.alpha.tobytes()
-    assert batch.bias[i].tobytes() == np.float64(sol.bias).tobytes()
-    assert batch.support[i, :k].tolist() == sol.support
-    u = np.array(list(sol.outliers.values()), dtype=np.float64)
-    assert batch.outliers[i, :k].tobytes() == u.tobytes()
     assert not batch.support[i, k:].any() and not batch.outliers[i, k:].any()
-    assert batch.residual_norm[i].tobytes() == np.float64(sol.residual_norm).tobytes()
-    assert batch.epsilon[i].tobytes() == np.float64(sol.epsilon).tobytes()
-    assert batch.stop_reason[i] == sol.stop_reason
-    _assert_same_solution(batch.solution(i), sol)
 
 
 @pytest.mark.parametrize("stop_norm", ["l2", "linf"])
@@ -703,11 +694,11 @@ def test_batched_fit_rows_stop_independently(stop_norm):
         (1, "pivot"), (2, "threshold"), (2, "cap"),
     ]
     for i, y in enumerate(rows):
-        _assert_row_matches(batch, i, solver.fit(y, **kwargs))
+        _assert_row_matches(batch, i, solver.fit(y[None], **kwargs))
     # the batch's row order does not matter either
     backwards = solver.fit(rows[::-1], **kwargs)
     for i, y in enumerate(rows[::-1]):
-        _assert_row_matches(backwards, i, solver.fit(y, **kwargs))
+        _assert_row_matches(backwards, i, solver.fit(y[None], **kwargs))
 
 
 @pytest.mark.parametrize("gather_rows", [128, 1, 5])
@@ -728,7 +719,7 @@ def test_tiered_batch_mixes_every_stop_and_matches_single_fits(monkeypatch, gath
     assert set(batch.stop_reason.tolist()) == {"threshold", "pivot", "cap"}
     assert set(batch.selections.tolist()) == {0, 1, 2}
     for i, (y, t) in enumerate(zip(rows, tier)):
-        _assert_row_matches(batch, i, KgardSolver(gram, lams[t]).fit(y, **kwargs))
+        _assert_row_matches(batch, i, KgardSolver(gram, lams[t]).fit(y[None], **kwargs))
 
 
 @given(
@@ -786,7 +777,7 @@ def test_batched_fit_matches_single_fits(
     threshold_stop = batch.stop_reason == "threshold"
     assert (threshold_stop == (batch.residual_norm <= batch.epsilon)).all()
     for i, (row, t) in enumerate(zip(y, tier)):
-        _assert_row_matches(batch, i, singles[t].fit(row, **kwargs))
+        _assert_row_matches(batch, i, singles[t].fit(row[None], **kwargs))
 
 
 def test_dtrtrs_matches_solve_triangular_bit_for_bit():
@@ -823,7 +814,7 @@ def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
     batch = solver.fit(y, **kwargs)
     assert (batch.selections == 0).tolist() == [True, False, False, True, False, True]
     for i, row in enumerate(y):
-        _assert_row_matches(batch, i, solver.fit(row, **kwargs))
+        _assert_row_matches(batch, i, solver.fit(row[None], **kwargs))
     for i in (0, 3, 5):  # no selection: the plain ridge fit
         z = dense_solve(gram, y[i], 0.5)
         assert np.allclose(batch.alpha[i], z[:40], atol=1e-9)

@@ -8,14 +8,7 @@ import pytest
 import kgard.core
 import kgard.experiments as experiments
 import kgard.theory
-from kgard.core import (
-    Dataset,
-    KgardConfig,
-    KgardSolver,
-    NumericalError,
-    kgard_fit,
-    predict,
-)
+from kgard.core import KgardConfig, KgardSolver, NumericalError, predict
 from kgard.experiments import (
     SWEEP_LAMBDA,
     SWEEP_N,
@@ -174,23 +167,15 @@ def test_lattice_trials_match_per_trial_reference():
         rng = rng_for(11 + t)
         train_truth, val_truth, _ = make_lattice_dataset(rng)
         y, support, _ = corrupt(train_truth, noise, rng=rng)
-        solution = kgard_fit(Dataset(train_pts, y), params, config)
-        fitted = predict(solution, train_pts, val_pts, params)
+        fit = KgardSolver(gram_matrix(train_pts, params), config.lam).fit(
+            y[None], epsilon=config.epsilon, stop_norm=config.stop_norm
+        )
+        fitted = predict(fit, train_pts, val_pts, params)[0]
         mse = float(np.mean((fitted - val_truth) ** 2))
         assert row.mse_validation == mse
         assert (row.correct_fraction, row.wrong_fraction) == support_metrics(
-            solution.support, support
+            fit.support[0, : fit.selections[0]], support
         )
-
-
-@PROTOCOL_CASES
-def test_run_constructs_no_dataset(monkeypatch, protocol, noise, config):
-    # the protocols hand out plain arrays: no trial pays for Dataset's
-    # shape and finiteness checks
-    calls = []
-    _count_calls(monkeypatch, Dataset, "__post_init__", calls)
-    run_monte_carlo(protocol, noise, config, 3, 0)
-    assert calls == []
 
 
 def test_lattice_protocol_smoke():
@@ -298,6 +283,27 @@ def test_trials_must_be_an_integer(trials):
         sweep_outlier_magnitude([100.0], trials=trials)
 
 
+@pytest.mark.parametrize(
+    "base_seed, match",
+    [
+        (0.5, "base_seed must be an integer"),
+        ("0", "base_seed must be an integer"),
+        (True, "base_seed must be an integer"),
+        (-5, "base_seed must be nonnegative"),
+    ],
+    ids=["float", "str", "bool", "negative"],
+)
+def test_base_seed_is_checked_before_any_work(monkeypatch, base_seed, match):
+    def boom(*args, **kwargs):
+        raise AssertionError("the Gram matrix was built")
+
+    monkeypatch.setattr(experiments, "gram_matrix", boom)
+    with pytest.raises(ValueError, match=match):
+        run_monte_carlo("sinc1d", SINC[1], SINC[2], 2, base_seed=base_seed)
+    with pytest.raises(ValueError, match=match):
+        sweep_outlier_magnitude([100.0], trials=2, base_seed=base_seed)
+
+
 def test_trials_accept_numpy_integers():
     _, rows = run_monte_carlo("sinc1d", SINC[1], SINC[2], np.int64(2))
     assert [r.seed for r in rows] == [0, 1]
@@ -385,8 +391,8 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
             y, support, u = corrupt(truth, spec, rng=rng)
             ys.append(y)
             gram = gram_matrix(x, params)
-            solution = KgardSolver(gram, SWEEP_LAMBDA).fit(
-                y, epsilon=0.0, max_selections=support.size
+            fit = KgardSolver(gram, SWEEP_LAMBDA).fit(
+                y[None], epsilon=0.0, max_selections=support.size
             )
             holds = False
             if np.any(u):
@@ -395,7 +401,8 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
                 theta = np.append(alpha, 0.0)
                 report = theorem_check(sigma_max, theta[None], u[None], SWEEP_LAMBDA)
                 holds = report.holds[0]
-            rows.append(support_metrics(solution.support, support) + (float(holds),))
+            picks = fit.support[0, : fit.selections[0]]
+            rows.append(support_metrics(picks, support) + (float(holds),))
         expected.append(
             experiments.SweepPoint(
                 magnitude=magnitude,

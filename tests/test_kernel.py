@@ -102,6 +102,28 @@ def test_gram_matrix_rejects_empty():
         gram_matrix(np.zeros((0, 2)), KernelParams(1.0))
 
 
+NON_FINITE_POINTS = pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"]
+)
+
+
+@NON_FINITE_POINTS
+def test_gram_matrix_rejects_non_finite_points(bad):
+    # an inf point once gave a finite Gram: its NaN diagonal entry was
+    # overwritten with 1 and the rest of its row was 0
+    for points in ([bad, 0.0, 0.5], [[0.0, 1.0], [0.5, bad]]):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            gram_matrix(points, KernelParams(0.3))
+
+
+@NON_FINITE_POINTS
+def test_cross_gram_rejects_non_finite_points(bad):
+    good = [0.0, 0.5, 1.0]
+    for query, train in (([0.2, bad], good), ([0.2], [0.0, bad, 1.0])):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            cross_gram(query, train, KernelParams(0.3))
+
+
 def test_cross_gram_consistency_and_errors():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(10, 2))

@@ -61,6 +61,13 @@ def test_spec_rejects_values_that_cannot_be_drawn(kwargs, match):
         NoiseSpec(**kwargs)
 
 
+@pytest.mark.parametrize("stable", ["x", (1.5, 1.0), 1.5], ids=["str", "tuple", "float"])
+def test_spec_rejects_stable_params_of_another_type(stable):
+    # a string was accepted, and the run then died reading its .alpha
+    with pytest.raises(ValueError, match="stable_params must be None or a StableParams"):
+        NoiseSpec(stable_params=stable)
+
+
 def test_spec_holds_python_floats():
     spec = NoiseSpec(inlier_sigma=np.float32(2.5), impulse_fraction=0, impulse_magnitude=40)
     stable = StableParams(alpha=np.int64(1), gamma_scale=3)

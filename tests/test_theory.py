@@ -331,8 +331,8 @@ def test_theorem_check_lambda_cap_past_the_largest_float_is_inf():
 
 def _solver_residual(gram, y, lam, k):
     """Residual and support of the greedy fit after k selections."""
-    sol = KgardSolver(gram, lam).fit(y, epsilon=0.0, max_selections=k)
-    return residual(gram, y, sol), sol.support
+    fit = KgardSolver(gram, lam).fit(y[None], epsilon=0.0, max_selections=k)
+    return residual(gram, y, fit), fit.support[0, : fit.selections[0]].tolist()
 
 
 def test_residual_oracle_k0_matches_ridge_solve():
@@ -361,6 +361,15 @@ def test_residual_oracle_zero_at_selected_coordinates():
     picks = sorted(support.tolist())[:2]
     rk, _ = residual_oracle(gram, theta, u, lam=4000.0, selected=picks)
     assert np.max(np.abs(rk[picks])) < 1e-8
+
+
+def test_spectral_functions_reject_an_empty_gram():
+    # a 0 x 0 Gram once raised IndexError from inside both
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="must be square and nonempty"):
+        spectral_diagnostics(empty, 1.0)
+    with pytest.raises(ValueError, match="must be square and nonempty"):
+        design_sigma_max(empty)
 
 
 def test_theorem_check_rejects_non_finite_gram():
