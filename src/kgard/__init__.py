@@ -12,7 +12,6 @@ from .core import (
     KgardConfig,
     KgardSolver,
     NumericalError,
-    predict,
 )
 from .denoise import DenoiseResult, RoiConfig, denoise_image, psnr
 from .experiments import (
@@ -63,7 +62,6 @@ __all__ = [
     "gram_matrix",
     "make_lattice_dataset",
     "make_sinc_dataset",
-    "predict",
     "psnr",
     "read_pgm",
     "rng_for",

@@ -116,6 +116,15 @@ def _stop_counts(reasons) -> str:
     return " ".join(f"{reason}={counts[reason]}" for reason in ("threshold", "pivot", "cap"))
 
 
+def _write_csv(path, header, rows) -> None:
+    """One header line, then one line per row; a Python float is written
+    as its repr, so it reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_dataset_csv(path) -> tuple:
     """The x columns as (N, d) inputs and the y column as (N,) targets."""
     with open(path, newline="") as fh:
@@ -155,27 +164,19 @@ def _read_dataset_csv(path) -> tuple:
 
 def _cmd_regress(args) -> int:
     inputs, targets = _read_dataset_csv(args.infile)
-    config = KgardConfig(lam=args.lam, epsilon=args.epsilon, stop_norm=args.stop_norm)
     gram = gram_matrix(inputs, KernelParams(args.sigma))
-    fit = KgardSolver(gram, config.lam).fit(
-        targets[None], epsilon=config.epsilon, stop_norm=config.stop_norm
+    fit = KgardSolver(gram, args.lam).fit(
+        targets[None], epsilon=args.epsilon, stop_norm=args.stop_norm
     )
-    fitted = gram @ fit.alpha[0] + fit.bias[0]
     _, index, value = fit.selected()
     outliers = np.zeros(targets.size)
     outliers[index] = value
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "y", "fitted", "outlier"])
-        for i in range(targets.size):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(targets[i])),
-                    repr(float(fitted[i])),
-                    repr(float(outliers[i])),
-                ]
-            )
+    columns = zip(targets.tolist(), fit.evaluate(gram)[0].tolist(), outliers.tolist())
+    _write_csv(
+        args.out,
+        ["index", "y", "fitted", "outlier"],
+        ([i, *values] for i, values in enumerate(columns)),
+    )
     print(
         f"fit: {fit.selections[0]} outliers selected, "
         f"stop_reason={fit.stop_reason[0]}, "
@@ -204,7 +205,15 @@ def _cmd_experiment(args) -> int:
         config,
         trials=args.trials,
         base_seed=args.seed,
-        csv_path=args.out,
+    )
+    _write_csv(
+        args.out,
+        ["seed", "mse", "correct", "wrong", "seconds", "stop_reason"],
+        (
+            [r.seed, r.mse_validation, r.correct_fraction, r.wrong_fraction,
+             r.wall_time_seconds, r.stop_reason]
+            for r in results
+        ),
     )
     print(
         f"trials={stats.trials} {_stop_counts(r.stop_reason for r in results)} "
@@ -226,18 +235,11 @@ def _cmd_sweep(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["magnitude", "mean_correct", "mean_wrong", "bound_hold_rate"])
-        for pt in points:
-            writer.writerow(
-                [
-                    repr(pt.magnitude),
-                    repr(pt.mean_correct),
-                    repr(pt.mean_wrong),
-                    repr(pt.bound_hold_rate),
-                ]
-            )
+    _write_csv(
+        args.out,
+        ["magnitude", "mean_correct", "mean_wrong", "bound_hold_rate"],
+        ([pt.magnitude, pt.mean_correct, pt.mean_wrong, pt.bound_hold_rate] for pt in points),
+    )
     for pt in points:
         print(
             f"magnitude={pt.magnitude:g} correct={pt.mean_correct:.4f} "

@@ -33,10 +33,10 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-# nothing here calls gram_matrix: it stays imported because bench/spans.py
-# wraps kgard.core.gram_matrix and test_every_bench_boundary_resolves
-# requires that name to resolve
-from .kernel import KernelParams, _as_float, cross_gram, gram_matrix
+# nothing here calls gram_matrix or cross_gram: they stay imported because
+# bench/spans.py wraps kgard.core.gram_matrix and kgard.core.cross_gram and
+# test_every_bench_boundary_resolves requires those names to resolve
+from .kernel import _as_float, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
@@ -128,11 +128,6 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def _check_stop_norm(stop_norm: str) -> None:
-    if stop_norm not in ("l2", "linf"):
-        raise ValueError(f"stop_norm must be 'l2' or 'linf', got {stop_norm!r}")
-
-
 def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).ravel()
     if not np.all((w > 0) & (w < math.inf)):
@@ -153,17 +148,15 @@ def _ridge_design(gram: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KgardConfig:
-    """Solver parameters: the ridge parameter, the stop threshold and
-    the norm it is compared with."""
+    """Solver parameters of a Monte-Carlo run: the ridge parameter and
+    the stop threshold."""
 
     lam: float
     epsilon: float
-    stop_norm: str = "l2"
 
     def __post_init__(self) -> None:
         self.lam = _check_lambda(self.lam)
         self.epsilon = _check_epsilon(self.epsilon)
-        _check_stop_norm(self.stop_norm)
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -181,10 +174,11 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return c
 
 
-def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """upper^-1 b (trans=0) or upper^-T b (trans=1), written over ``b``
-    when it is a contiguous vector or a Fortran-ordered matrix."""
-    x, info = dtrtrs(upper, b, lower=0, trans=trans, overwrite_b=1)
+def _solve_triangular(factor: np.ndarray, b: np.ndarray, lower: int, trans: int) -> np.ndarray:
+    """factor^-1 b (trans=0) or factor^-T b (trans=1) of a lower (lower=1)
+    or upper (lower=0) triangular factor, written over ``b`` when it is a
+    contiguous vector or a Fortran-ordered matrix."""
+    x, info = dtrtrs(factor, b, lower=lower, trans=trans, overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     return x
@@ -225,6 +219,19 @@ class KgardBatch:
         flat arrays, row by row and each row in selection order."""
         taken = np.arange(self.support.shape[1]) < self.selections[:, None]
         return taken.nonzero()[0], self.support[taken], self.outliers[taken]
+
+    def evaluate(self, kernel: np.ndarray) -> np.ndarray:
+        """Every row's fitted expansion K alpha + c at Q points, (B, Q),
+        from their (Q, N) kernel matrix against the training points: the
+        Gram matrix for the fitted values, ``cross_gram(query, train)``
+        for other points.  Each row is the one matrix-vector product a
+        single row makes, so its bits do not depend on the batch."""
+        if kernel.ndim != 2 or kernel.shape[1] != self.alpha.shape[1]:
+            raise ValueError(
+                f"expected a (Q, {self.alpha.shape[1]}) kernel matrix, one column "
+                f"per coefficient, got shape {kernel.shape}"
+            )
+        return np.matmul(kernel, self.alpha[:, :, None])[..., 0] + self.bias[:, None]
 
 
 def _per_tier(maps: np.ndarray, tier: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -314,20 +321,20 @@ class KgardSolver:
                         "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
                         f"at lambda {penalty}"
                     )
-                # L0 overwrites a0, and LAPACK solves with its transpose,
-                # the upper factor: H = L0^-1 X0^T, then P = L0^-T H,
-                # both in P's slot
-                upper0 = _cholesky(a0).T
+                # L0 overwrites a0, Fortran-ordered, so LAPACK solves with
+                # it uncopied: H = L0^-1 X0^T, then P = L0^-T H, both in
+                # P's slot
+                l0 = _cholesky(a0)
                 h = self._coef_map[t]
                 h[...] = design.T
-                _solve_upper(upper0, h, trans=1)
+                _solve_triangular(l0, h, lower=1, trans=0)
                 hth = dsyrk(1.0, h, trans=1, lower=1)
                 # R = I - H^T H mirrored from the lower triangle, so R is
                 # exactly symmetric: 0 - H^T H, then 1 on the diagonal
                 r = self._residual_map[t]
                 np.subtract(0.0, np.where(lower_tri, hth, hth.T), out=r)
                 r[np.diag_indices(n)] += 1.0
-                _solve_upper(upper0, h, trans=0)
+                _solve_triangular(l0, h, lower=1, trans=1)
         self._n = n
 
     def fit(
@@ -368,7 +375,8 @@ class KgardSolver:
         if not callable(epsilon):
             epsilon = _check_epsilon(epsilon)
             threshold = lambda abs_r: epsilon
-        _check_stop_norm(stop_norm)
+        if stop_norm not in ("l2", "linf"):
+            raise ValueError(f"stop_norm must be 'l2' or 'linf', got {stop_norm!r}")
         if max_selections is None:
             max_selections = n // 2
         _check_count("max_selections", max_selections)
@@ -454,7 +462,9 @@ class KgardSolver:
                         block = slice(lo, lo + _GATHER_ROWS)
                         upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
                         for f, row in enumerate(rows_fin[block]):
-                            coef[row, :k] = _solve_upper(upper[:, f], coef[row, :k], trans=0)
+                            coef[row, :k] = _solve_triangular(
+                                upper[:, f], coef[row, :k], lower=0, trans=0
+                            )
                     if capped or stop.all():
                         break
                     # compact the running rows to the front of every array
@@ -509,17 +519,3 @@ class KgardSolver:
             )
         return tier.astype(np.intp)
 
-
-def predict(
-    batch: KgardBatch,
-    train_points,
-    query_points,
-    params: KernelParams,
-) -> np.ndarray:
-    """Evaluate every row's fitted expansion at Q query points, (B, Q)."""
-    k = cross_gram(query_points, train_points, params)
-    if k.shape[1] != batch.alpha.shape[1]:
-        raise ValueError(
-            f"{k.shape[1]} train points but {batch.alpha.shape[1]} coefficients"
-        )
-    return np.matmul(k, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]

@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import KgardSolver, _check_count
-from .kernel import KernelParams, _as_float, gram_matrix
+from .kernel import KernelParams, _as_float, gram_matrix, grid_points
+from .pgm import _as_image
 
 _DEGENERATE_SPAN = 1e-9
 _DISPERSION_GATE = 0.9
@@ -84,15 +85,6 @@ class RoiConfig:
         return (self.roi_size - self.core_size) // 2
 
 
-def _as_image(image) -> np.ndarray:
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or img.size == 0:
-        raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image pixels must be finite")
-    return img
-
-
 def pad_image(image, cfg: RoiConfig) -> np.ndarray:
     """Grow both sides to multiples of the core size by replicating the
     last row/column, then replicate-pad all sides by (N - L) / 2."""
@@ -127,8 +119,7 @@ def roi_lattice(n: int) -> np.ndarray:
     """The N^2 regression inputs: pixel (i, j) maps to
     ((i-1)/(N-1), (j-1)/(N-1)) in [0, 1]^2, in row-major order."""
     axis = np.arange(n) / (n - 1)
-    rr, cc = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([rr.ravel(), cc.ravel()])
+    return grid_points(axis, axis)
 
 
 def _mean_gradients(padded: np.ndarray, cfg: RoiConfig) -> np.ndarray:
@@ -146,13 +137,20 @@ def auto_lambda_map(padded, cfg: RoiConfig) -> np.ndarray:
     ``padded`` is the image as returned by :func:`pad_image`.  Detailed
     ROIs (mean gradient above m + s) get lambda0, smooth ones (below
     m - s/10) get 15 lambda0, the rest 5 lambda0, where m and s are the
-    mean and standard deviation over all ROI mean gradients.
+    mean and standard deviation over all ROI mean gradients.  A finite
+    image whose gradients are too large for these statistics raises
+    ``ValueError``.
     """
     padded = _as_image(padded)
     _rois(padded, cfg)  # rejects a shape that is not a padded image's
-    means = _mean_gradients(padded, cfg)
-    m = float(np.mean(means))
-    s = float(np.std(means))
+    # finite pixels can overflow a squared gradient; the statistics are
+    # checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _mean_gradients(padded, cfg)
+        m = float(np.mean(means))
+        s = float(np.std(means))
+    if not (math.isfinite(m) and math.isfinite(s)):
+        raise ValueError("the ROI mean gradients overflow: the pixel values are too large")
     lambdas = np.full(means.shape, 5.0 * cfg.lambda0)
     lambdas[means > m + s] = cfg.lambda0
     lambdas[means < m - s / 10.0] = 15.0 * cfg.lambda0
@@ -292,7 +290,9 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     lambda tiers over the shared Gram matrix, and all ROIs are fitted
     as one lockstep batch, on the calling thread.  The fitted smooth
     surfaces' cores form the denoised image and the estimated impulses'
-    cores the outlier map.  Diagnostics are in raster order.
+    cores the outlier map.  Diagnostics are in raster order.  A finite
+    image too large for the pipeline's arithmetic, one that would give
+    an output that is not finite, raises ``ValueError``.
     """
     if cfg is None:
         cfg = RoiConfig()
@@ -314,7 +314,6 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         tier=tier,
     )
 
-    surfaces = np.matmul(gram, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]
     outliers = np.zeros(ys.shape)
     roi, index, value = batch.selected()
     outliers[roi, index] = value
@@ -328,13 +327,20 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ]
 
     h, w = img.shape
-    denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]
-    outlier_map = _cores(outliers.reshape(rows, cols, n, n), cfg)[:h, :w]
-    outlier_map = np.round(outlier_map / _MAP_QUANTUM) * _MAP_QUANTUM
+    # a fit of finite pixels can still overflow here; the outputs are
+    # checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        surfaces = batch.evaluate(gram)
+        denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]
+        outlier_map = _cores(outliers.reshape(rows, cols, n, n), cfg)[:h, :w]
+        outlier_map = np.round(outlier_map / _MAP_QUANTUM) * _MAP_QUANTUM
+        impulse_removed = img - outlier_map
+    if not all(np.isfinite(a).all() for a in (denoised, outlier_map, impulse_removed)):
+        raise ValueError("denoising overflows: an output pixel is not finite")
     return DenoiseResult(
         denoised=denoised,
         outlier_map=outlier_map,
-        impulse_removed=img - outlier_map,
+        impulse_removed=impulse_removed,
         diagnostics=diagnostics,
     )
 

@@ -20,7 +20,6 @@ reproducible from its base seed.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -116,30 +115,12 @@ def border_weights(n: int) -> np.ndarray:
     return w
 
 
-def _write_trial_csv(path, results: list[TrialResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "mse", "correct", "wrong", "seconds", "stop_reason"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.seed,
-                    repr(r.mse_validation),
-                    repr(r.correct_fraction),
-                    repr(r.wrong_fraction),
-                    repr(r.wall_time_seconds),
-                    r.stop_reason,
-                ]
-            )
-
-
 def run_monte_carlo(
     protocol: str,
     noise: NoiseSpec,
     config: KgardConfig,
     trials: int,
     base_seed: int = 0,
-    csv_path=None,
 ) -> tuple[AggregateStats, list[TrialResult]]:
     """Run ``trials`` independent corrupt/fit/score trials.
 
@@ -149,13 +130,11 @@ def run_monte_carlo(
     ``NumericalError`` there fails the whole run.  ``sinc1d`` fits with
     :func:`border_weights`, ``lattice2d`` with unit weights, both at the
     solver's default cap.  The trials are then drawn and fitted as one
-    batch.  Each trial's ``wall_time_seconds``
-    (the CSV ``seconds`` column) is the batch's fit time divided by the
-    number of trials; drawing, setup and scoring are not counted.  The
-    setup's wall time is the aggregate's ``setup_seconds``.  The
-    trial list (and the CSV, when requested) is ordered by trial index;
-    the CSV's last column is each trial's ``stop_reason``.  ``trials``
-    and ``base_seed`` are checked before any work.
+    batch.  Each trial's ``wall_time_seconds`` is the batch's fit time
+    divided by the number of trials; drawing, setup and scoring are not
+    counted.  The setup's wall time is the aggregate's
+    ``setup_seconds``.  The trial list is ordered by trial index.
+    ``trials`` and ``base_seed`` are checked before any work.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -187,12 +166,11 @@ def run_monte_carlo(
         truth[t, support] = True
 
     t0 = time.perf_counter()
-    batch = solver.fit(ys, epsilon=config.epsilon, stop_norm=config.stop_norm)
+    batch = solver.fit(ys, epsilon=config.epsilon)
     wall = (time.perf_counter() - t0) / trials
 
-    fitted = np.matmul(cross, batch.alpha[:, :, None])[..., 0] + batch.bias[:, None]
     # one truth row per lattice trial; the sinc truth broadcasts
-    mses = np.mean((fitted - validation_truth) ** 2, axis=1)
+    mses = np.mean((batch.evaluate(cross) - validation_truth) ** 2, axis=1)
     correct, wrong = _support_fractions(batch, truth)
     scored = ~np.isnan(correct)  # the trials with at least one true outlier
     stats = AggregateStats(
@@ -209,8 +187,6 @@ def run_monte_carlo(
         TrialResult(mse, c, w, wall, base_seed + t, reason)
         for t, (mse, c, w, reason) in enumerate(per_trial)
     ]
-    if csv_path is not None:
-        _write_trial_csv(csv_path, results)
     return stats, results
 
 

@@ -59,6 +59,13 @@ def as_point_matrix(points) -> np.ndarray:
     return pts
 
 
+def grid_points(a, b) -> np.ndarray:
+    """The points (a_i, b_j) of the grid a x b as a (len(a) len(b), 2)
+    array, in row-major order."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return np.column_stack([aa.ravel(), bb.ravel()])
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(a), len(b)): the squared
     differences summed one input dimension at a time, in increasing

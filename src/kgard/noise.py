@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelParams, _as_float, cross_gram
+from .kernel import KernelParams, _as_float, cross_gram, grid_points
 
 SINC_KERNEL_SIGMA = 0.15
 LATTICE_KERNEL_SIGMA = 0.2
@@ -139,18 +139,13 @@ def make_sinc_dataset() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return x[0::2], f[0::2], x[1::2], f[1::2]
 
 
-def _lattice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return np.column_stack([aa.ravel(), bb.ravel()])
-
-
 def lattice_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(all 961 nodes, 256 training nodes, 225 validation nodes) of the
     31 x 31 lattice over [0,1]^2.  The 16 odd-indexed axis points give
     the training nodes and the remaining 15 the validation nodes."""
     axis = np.linspace(0.0, 1.0, 31)
     train, val = axis[0::2], axis[1::2]
-    return _lattice(axis, axis), _lattice(train, train), _lattice(val, val)
+    return grid_points(axis, axis), grid_points(train, train), grid_points(val, val)
 
 
 @functools.lru_cache(maxsize=1)

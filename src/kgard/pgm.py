@@ -79,13 +79,19 @@ def quantize(image) -> np.ndarray:
     return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
 
-def write_pgm(image) -> bytes:
-    """Serialize an image to canonical binary PGM bytes."""
+def _as_image(image) -> np.ndarray:
+    """``image`` as a nonempty 2-D float array of finite pixels."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise ValueError("image pixels must be finite")
+    return img
+
+
+def write_pgm(image) -> bytes:
+    """Serialize an image to canonical binary PGM bytes."""
+    img = _as_image(image)
     height, width = img.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + quantize(img).tobytes()

@@ -47,11 +47,14 @@ def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     (sigma_i^2 + lambda)): each spectral direction of the plain hat
     matrix Q Q^T is shrunk by the factor sigma_i^2 / (sigma_i^2 +
     lambda), so every ridge leverage is strictly below its
-    unregularized counterpart.
+    unregularized counterpart.  The SVD runs pinned to one OpenBLAS
+    thread, like ``design_sigma_max``, so the arrays' bits do not depend
+    on the thread setting.
     """
     lam = _check_lambda(lam)
     x0 = _ridge_design(gram)
-    q, s, _ = np.linalg.svd(x0, full_matrices=False)  # q: N x N, s: N
+    with _one_blas_thread():
+        q, s, _ = np.linalg.svd(x0, full_matrices=False)  # q: N x N, s: N
     g = s**2 / (s**2 + lam)
     phi = lam * s / (s**2 + lam)
     # unregularized leverage via the pseudoinverse convention: only

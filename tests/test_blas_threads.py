@@ -24,15 +24,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # prints one SHA-256 per float output: a 32^2 noisy image, three
 # lattice2d and three sinc1d trials, a two-trial sweep, the sweep's
-# sigma_max, the arrays of a tiered batch fit at N = 144 and those of
+# sigma_max, the arrays of a tiered batch fit at N = 144, those of
 # stacked certificate checks at the sweep's N = 100 and at N = 10 001,
-# past the 10 000 entries above which OpenBLAS splits a dot over threads
+# past the 10 000 entries above which OpenBLAS splits a dot over threads,
+# and the spectral diagnostics of the 961-node lattice Gram
 OUTPUTS = """
 import hashlib
 import numpy as np
 from kgard import (KernelParams, KgardConfig, KgardSolver, NoiseSpec, denoise_image,
                    design_sigma_max, gram_matrix, rng_for, run_monte_carlo,
-                   sweep_outlier_magnitude, theorem_check)
+                   spectral_diagnostics, sweep_outlier_magnitude, theorem_check)
+from kgard.noise import lattice_nodes
 
 rng = rng_for(3)
 xx, yy = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32))
@@ -67,6 +69,7 @@ bound = theorem_check(sigma_max, thetas, us, 4000.0)
 large = theorem_check(
     1.0, rng.normal(0, 1, (40, 10002)), rng.normal(0, 1, (40, 10001)), 1.0
 )
+spectral = spectral_diagnostics(gram_matrix(lattice_nodes()[0], KernelParams(0.2)), 0.3)
 outputs = {
     "denoised": result.denoised,
     "outlier_map": result.outlier_map,
@@ -81,6 +84,8 @@ outputs = {
     "bound": [bound.gamma, bound.lambda_cap, bound.holds, bound.min_outlier,
               bound.theta_norm, bound.outlier_norm],
     "large_bound_norms": [large.theta_norm, large.outlier_norm],
+    "spectral": [spectral.hat_diag, spectral.hat_diag_reg, spectral.g_diag,
+                 spectral.phi_diag],
 }
 for name, value in outputs.items():
     data = np.asarray(value, dtype=np.float64).tobytes()
@@ -101,7 +106,7 @@ def _hashes(blas_threads: str) -> dict:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     one, two = _hashes("1"), _hashes("2")
-    assert len(one) == 12
+    assert len(one) == 13
     assert one == two
 
 

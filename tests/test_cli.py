@@ -8,9 +8,11 @@ import pytest
 import kgard.core
 import kgard.experiments
 from kgard.cli import main
-from kgard.core import KgardSolver, NumericalError
+from kgard.core import KgardConfig, KgardSolver, NumericalError
 from kgard.denoise import denoise_image
+from kgard.experiments import run_monte_carlo
 from kgard.kernel import KernelParams, gram_matrix
+from kgard.noise import NoiseSpec
 from kgard.pgm import read_pgm_file, write_pgm_file
 
 
@@ -113,6 +115,22 @@ def test_experiment_writes_csv(tmp_path, capsys):
     assert lines[0] == "seed,mse,correct,wrong,seconds,stop_reason"
     assert len(lines) == 4
     assert all(line.split(",")[5] in ("threshold", "pivot", "cap") for line in lines[1:])
+    # each row holds its trial's fields, every float as its repr; only
+    # the measured seconds differ between runs
+    _, trials = run_monte_carlo(
+        "sinc1d",
+        NoiseSpec(inlier_snr_db=20.0, impulse_fraction=0.05),
+        KgardConfig(lam=0.2, epsilon=10.0),
+        trials=3,
+        base_seed=7,
+    )
+    for line, trial in zip(lines[1:], trials):
+        seed, mse, correct, wrong, seconds, reason = line.split(",")
+        assert [seed, mse, correct, wrong, reason] == [
+            str(trial.seed), repr(trial.mse_validation), repr(trial.correct_fraction),
+            repr(trial.wrong_fraction), trial.stop_reason,
+        ]
+        assert float(seconds) > 0
     out = capsys.readouterr().out
     assert "mean_mse" in out
     counts = re.search(r"threshold=(\d+) pivot=(\d+) cap=(\d+)", out)

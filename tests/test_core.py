@@ -13,9 +13,8 @@ from kgard.core import (
     KgardConfig,
     KgardSolver,
     NumericalError,
-    predict,
     _cholesky,
-    _solve_upper,
+    _solve_triangular,
 )
 from kgard.denoise import RoiConfig, auto_epsilon, roi_lattice
 from kgard.kernel import KernelParams, cross_gram, gram_matrix
@@ -46,8 +45,6 @@ def test_config_validation():
         KgardConfig(lam=0.0, epsilon=1.0)
     with pytest.raises(ValueError):
         KgardConfig(lam=1.0, epsilon=-1.0)
-    with pytest.raises(ValueError):
-        KgardConfig(lam=1.0, epsilon=1.0, stop_norm="l1")
 
 
 def test_config_stores_the_floats_it_checked():
@@ -612,35 +609,21 @@ def test_fit_and_predict_end_to_end():
     config = KgardConfig(lam=0.1, epsilon=1.0)
     fit = KgardSolver(gram, config.lam).fit(np.stack([y, 2 * y]), epsilon=config.epsilon)
     assert _support(fit, 0) == [10]
-    query = np.linspace(0.1, 0.9, 7)
-    pred = predict(fit, x, query, params)
+    # KgardBatch.evaluate predicts every row at the queries of a cross-Gram
+    kernel = cross_gram(np.linspace(0.1, 0.9, 7), x, params)
+    pred = fit.evaluate(kernel)
     assert pred.shape == (2, 7)
     for i in range(2):  # each row is that row's expansion at the queries
-        expected = cross_gram(query, x, params) @ fit.alpha[i] + fit.bias[i]
+        expected = kernel @ fit.alpha[i] + fit.bias[i]
         assert pred[i].tobytes() == expected.tobytes()
-    assert np.sqrt(np.mean((predict(fit, x, x, params)[0] - truth) ** 2)) < 0.5
+    assert np.sqrt(np.mean((fit.evaluate(gram)[0] - truth) ** 2)) < 0.5
 
 
 def test_predict_rejects_mismatched_coefficients():
     fit = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.zeros((1, 3)), epsilon=1.0)
-    with pytest.raises(ValueError, match="4 train points but 3 coefficients"):
-        predict(fit, np.zeros((4, 1)), np.zeros((2, 1)), KernelParams(1.0))
-
-
-@pytest.mark.parametrize(
-    "train, query",
-    [
-        ([0.0, 0.5, 1.0], [0.5, np.nan, 0.2]),
-        ([0.0, 0.5, 1.0], [0.5, 0.1, np.inf]),
-        ([0.0, np.nan, 1.0], [0.5]),
-        ([0.0, 0.5, -np.inf], [0.5]),
-    ],
-    ids=["nan-query", "inf-query", "nan-train", "inf-train"],
-)
-def test_predict_rejects_non_finite_points(train, query):
-    fit = KgardSolver(np.eye(3) * 0.5 + 0.5, lam=1.0).fit(np.arange(3.0)[None], epsilon=1.0)
-    with pytest.raises(ValueError, match="^points must be finite$"):
-        predict(fit, train, query, KernelParams(1.0))
+    for shape in [(2, 4), (2, 2), (3,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match=r"expected a \(Q, 3\) kernel matrix"):
+            fit.evaluate(np.zeros(shape))
 
 
 def _duplicate_pairs():
@@ -800,7 +783,7 @@ def test_dtrtrs_matches_solve_triangular_bit_for_bit():
 def test_finished_row_solve_raises_on_a_singular_system():
     upper = np.zeros((1, 1))  # a zero diagonal: Q[S] is singular
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        _solve_upper(upper, np.ones(1), trans=0)
+        _solve_triangular(upper, np.ones(1), lower=0, trans=0)
 
 
 def test_batch_mixes_rows_without_selections_and_rows_that_run_on():

@@ -347,6 +347,27 @@ def test_denoise_rejects_non_finite_pixel_before_any_fit(monkeypatch, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_denoise_gradient_overflow_raises_value_error_without_a_warning(scale):
+    # finite pixels whose squared gradients overflow; the test
+    # configuration turns every warning into an error
+    image = rng_for(4).uniform(0.0, 1.0, (16, 16))
+    assert np.isfinite(denoise_image(image * 1e10).outlier_map).all()
+    with pytest.raises(ValueError, match="ROI mean gradients overflow"):
+        denoise_image(image * scale)
+
+
+def test_denoise_output_overflow_raises_value_error_without_a_warning(monkeypatch):
+    # a map quantum this small sends every nonzero outlier value past the
+    # largest float
+    image = _bump(16)
+    image[5, 9] += 100.0
+    assert np.any(denoise_image(image).outlier_map)
+    monkeypatch.setattr(denoise_mod, "_MAP_QUANTUM", 5e-324)
+    with pytest.raises(ValueError, match="denoising overflows"):
+        denoise_image(image)
+
+
 def _residual_rows(rng, rows, n):
     """Nonnegative residual rows of mixed kinds: spread rows with values
     placed exactly on interior bin edges and on the last edge, integer

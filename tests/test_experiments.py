@@ -8,7 +8,7 @@ import pytest
 import kgard.core
 import kgard.experiments as experiments
 import kgard.theory
-from kgard.core import KgardConfig, KgardSolver, NumericalError, predict
+from kgard.core import KgardConfig, KgardSolver, NumericalError
 from kgard.experiments import (
     SWEEP_LAMBDA,
     SWEEP_N,
@@ -17,7 +17,7 @@ from kgard.experiments import (
     sweep_outlier_magnitude,
 )
 from kgard.denoise import denoise_image
-from kgard.kernel import KernelParams, gram_matrix
+from kgard.kernel import KernelParams, cross_gram, gram_matrix
 from kgard.noise import (
     LATTICE_KERNEL_SIGMA,
     SUPPORT_KERNEL_SIGMA,
@@ -83,18 +83,15 @@ def test_unknown_protocol_rejected():
 
 
 @PROTOCOL_CASES
-def test_trials_deterministic_and_csv(tmp_path, protocol, noise, config):
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    stats1, rows1 = run_monte_carlo(protocol, noise, config, 6, 3, csv_path=p1)
-    stats2, rows2 = run_monte_carlo(protocol, noise, config, 6, 3, csv_path=p2)
+def test_trials_deterministic(protocol, noise, config):
+    stats1, rows1 = run_monte_carlo(protocol, noise, config, 6, 3)
+    stats2, rows2 = run_monte_carlo(protocol, noise, config, 6, 3)
+    assert len(rows1) == len(rows2) == 6
     for a, b in zip(rows1, rows2):
         assert a.seed == b.seed
         assert a.mse_validation == b.mse_validation
         assert a.correct_fraction == b.correct_fraction
     assert stats1.mean_mse == stats2.mean_mse
-    header = p1.read_text().splitlines()[0]
-    assert header == "seed,mse,correct,wrong,seconds,stop_reason"
-    assert len(p1.read_text().splitlines()) == 7
 
 
 def test_mse_is_against_truth_not_observations():
@@ -168,9 +165,9 @@ def test_lattice_trials_match_per_trial_reference():
         train_truth, val_truth, _ = make_lattice_dataset(rng)
         y, support, _ = corrupt(train_truth, noise, rng=rng)
         fit = KgardSolver(gram_matrix(train_pts, params), config.lam).fit(
-            y[None], epsilon=config.epsilon, stop_norm=config.stop_norm
+            y[None], epsilon=config.epsilon
         )
-        fitted = predict(fit, train_pts, val_pts, params)[0]
+        fitted = fit.evaluate(cross_gram(val_pts, train_pts, params))[0]
         mse = float(np.mean((fitted - val_truth) ** 2))
         assert row.mse_validation == mse
         assert (row.correct_fraction, row.wrong_fraction) == support_metrics(
@@ -196,15 +193,13 @@ def test_no_outliers_records_nan_metrics():
 
 
 @PROTOCOL_CASES
-def test_setup_failure_fails_the_run(monkeypatch, tmp_path, protocol, noise, config):
+def test_setup_failure_fails_the_run(monkeypatch, protocol, noise, config):
     def boom(*args, **kwargs):
         raise NumericalError("forced setup failure", pivot=0)
 
     monkeypatch.setattr(kgard.core, "_cholesky", boom)
-    out = tmp_path / "trials.csv"
     with pytest.raises(NumericalError, match="forced setup failure"):
-        run_monte_carlo(protocol, noise, config, 3, 0, csv_path=out)
-    assert not out.exists()
+        run_monte_carlo(protocol, noise, config, 3, 0)
 
 
 def test_stable_protocol_runs():
