@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import importlib
+import importlib.machinery
+import importlib.util
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 # nothing here calls gram_matrix or cross_gram: they stay imported because
 # bench/spans.py wraps kgard.core.gram_matrix and kgard.core.cross_gram and
@@ -46,15 +47,48 @@ _PIVOT_FLOOR = 1e-12
 _GATHER_ROWS = 128
 
 
-def _scipy_openblas(module: str, suffix: str = ""):
+def _scipy_linalg_module(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its
+    file without running the ``scipy.linalg`` package, whose import
+    (scipy's array-API layer, and through it ``numpy.f2py`` and
+    ``numpy.testing``) costs more than the rest of ``import kgard``.
+
+    Loading an extension registers it in ``sys.modules``; the entry is
+    dropped again unless it was there before, so a later ``import
+    scipy.linalg`` makes its own and hands out the same function
+    objects.  ImportError when scipy or the module file is missing."""
+    qualified = f"scipy.linalg.{name}"
+    scipy = importlib.util.find_spec("scipy")  # finds scipy, does not run it
+    if scipy is None:
+        raise ImportError("no module scipy", name="scipy")
+    directory = os.path.join(os.path.dirname(scipy.origin), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(qualified, [directory])
+    if spec is None:
+        raise ImportError(f"no module {qualified} in {directory}", name=qualified)
+    registered = qualified in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(qualified, None)
+    return module
+
+
+_fblas = _scipy_linalg_module("_fblas")
+_flapack = _scipy_linalg_module("_flapack")
+# the very objects scipy.linalg.blas and scipy.linalg.lapack re-export
+dsyrk = _fblas.dsyrk
+dpotrf, dtrtrs = _flapack.dpotrf, _flapack.dtrtrs
+
+
+def _scipy_openblas(module, suffix: str = ""):
     """The thread-count getter and setter of the scipy-openblas build
     that the extension module ``module`` links, or None when it links
-    another BLAS or is no importable extension (as under numpy 1.x)."""
+    another BLAS or is no loaded extension (as under numpy 1.x)."""
     try:
-        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        lib = ctypes.CDLL(module.__file__)
         get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
         set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -64,8 +98,8 @@ def _scipy_openblas(module: str, suffix: str = ""):
 # every bundled OpenBLAS found: scipy's, through the module ``dsyrk``
 # comes from, and numpy's, whose 64-bit build carries the ``64_`` suffix
 _OPENBLAS = list(filter(None, [
-    _scipy_openblas("scipy.linalg._fblas"),
-    _scipy_openblas("numpy._core._multiarray_umath", "64_"),
+    _scipy_openblas(_fblas),
+    _scipy_openblas(sys.modules.get("numpy._core._multiarray_umath"), "64_"),
 ]))
 
 

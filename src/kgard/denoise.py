@@ -347,12 +347,23 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
 
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB against a 255 peak; identical
-    images return +inf."""
+    images return +inf.  The difference is scaled by its largest
+    magnitude m before it is squared, 20 log10(255 / m) - 10
+    log10(mean((d / m)^2)), so no square overflows or underflows;
+    ValueError when the difference itself overflows."""
     a = _as_image(a)
     b = _as_image(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
+    with np.errstate(over="ignore"):
+        d = a - b
+    m = float(np.abs(d).max())
+    if m == math.inf:
+        raise ValueError("the image difference overflows")
+    if m == 0.0:
         return math.inf
-    return 10.0 * math.log10(255.0**2 / mse)
+    # log10(255) - log10(m), not log10(255 / m): 255 / m overflows for a
+    # subnormal m
+    return 20.0 * (math.log10(255.0) - math.log10(m)) - 10.0 * math.log10(
+        float(np.mean((d / m) ** 2))
+    )

@@ -24,12 +24,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
-from .core import _check_lambda, _one_blas_thread, _ridge_design
+from .core import _check_lambda, _flapack, _one_blas_thread, _ridge_design
 from .kernel import _as_float
 
 _RANK_TOL = 1e-10
+
+# the LAPACK SVD that scipy.linalg.svdvals calls, and its workspace query
+dgesdd, dgesdd_lwork = _flapack.dgesdd, _flapack.dgesdd_lwork
 
 
 @dataclass
@@ -91,14 +93,24 @@ class BoundReport:
 
 
 def design_sigma_max(gram: np.ndarray) -> float:
-    """sigma_max of the ridge design X0 = [K 1].  scipy's SVD shares the
-    solver setup's OpenBLAS; numpy's would wait for the other's threads.
-    Like solver setup, it runs pinned to one OpenBLAS thread, restoring
-    the counts afterwards, so its bits do not depend on the thread
-    setting (with another BLAS, only at a fixed setting)."""
+    """sigma_max of the ridge design X0 = [K 1].  scipy's LAPACK
+    ``dgesdd`` shares the solver setup's OpenBLAS; numpy's SVD would
+    wait for the other's threads.  It is called as
+    ``scipy.linalg.svdvals(x0, check_finite=False)`` calls it, with the
+    optimal workspace, which picks the blocked or unblocked
+    bidiagonalisation and so the bits.  Like solver setup, it runs
+    pinned to one OpenBLAS thread, restoring the counts afterwards, so
+    its bits do not depend on the thread setting (with another BLAS,
+    only at a fixed setting)."""
     x0 = _ridge_design(gram)
     with _one_blas_thread():
-        return float(svdvals(x0, check_finite=False)[0])
+        lwork = int(dgesdd_lwork(*x0.shape, compute_uv=0, full_matrices=1)[0])
+        _, s, _, info = dgesdd(x0, compute_uv=0, full_matrices=1, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgesdd")
+    return float(s[0])
 
 
 def _squared_norms(x: np.ndarray, name: str) -> np.ndarray:

@@ -239,6 +239,34 @@ def test_psnr_values():
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+def test_psnr_matches_the_mse_formula_on_8_bit_images():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a, b = rng.integers(0, 256, (2, 8, 8)).astype(np.float64)
+        expected = 10 * math.log10(255**2 / np.mean((a - b) ** 2))
+        assert psnr(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "magnitude, expected",
+    [
+        # the squares overflowed to inf: a warning, then log10 of 0
+        pytest.param(1e200, 20 * (math.log10(255) - 200), id="huge"),
+        # the squares underflowed to 0: the +inf of identical images
+        pytest.param(1e-170, 20 * (math.log10(255) + 170), id="tiny"),
+        pytest.param(5e-324, 20 * (math.log10(255) - math.log10(5e-324)), id="subnormal"),
+    ],
+)
+def test_psnr_of_an_extreme_difference_is_finite(magnitude, expected):
+    value = psnr(np.zeros((4, 4)), np.full((4, 4), magnitude))
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_psnr_rejects_an_overflowing_difference():
+    with pytest.raises(ValueError, match="image difference overflows"):
+        psnr(np.full((2, 2), 1.7e308), np.full((2, 2), -1.7e308))
+
+
 def test_denoise_clean_smooth_image():
     img = _bump(32)
     result = denoise_image(img)

@@ -316,12 +316,12 @@ def test_sweep_zero_magnitude_degrades_without_error():
 def test_sweep_builds_one_solver(monkeypatch):
     calls = []
     _count_calls(monkeypatch, KgardSolver, "__init__", calls)
-    _count_calls(monkeypatch, kgard.theory, "svdvals", calls)
+    _count_calls(monkeypatch, kgard.theory, "dgesdd", calls)
     sweep_outlier_magnitude([100.0, 300.0], trials=3, base_seed=0)
-    assert sorted(calls) == ["__init__", "svdvals"]
+    assert sorted(calls) == ["__init__", "dgesdd"]
     # nothing is kept between calls: a second sweep takes its own
     sweep_outlier_magnitude([100.0], trials=2, base_seed=0)
-    assert sorted(calls) == ["__init__", "__init__", "svdvals", "svdvals"]
+    assert sorted(calls) == ["__init__", "__init__", "dgesdd", "dgesdd"]
 
 
 def test_sweep_draws_each_truth_once(monkeypatch):

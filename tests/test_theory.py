@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kgard.core import KgardSolver
-from kgard.denoise import roi_lattice
+from kgard.core import KgardSolver, _ridge_design
+from kgard.denoise import RoiConfig, roi_lattice
+from kgard.experiments import SWEEP_N
 from kgard.kernel import KernelParams, gram_matrix
-from kgard.noise import lattice_nodes
+from kgard.noise import LATTICE_KERNEL_SIGMA, SUPPORT_KERNEL_SIGMA, lattice_nodes
 from kgard.theory import (
     BoundReport,
     design_sigma_max,
@@ -100,6 +102,39 @@ def test_design_sigma_max_matches_numpy_svd(points, sigma):
     x0 = np.hstack([gram, np.ones((gram.shape[0], 1))])
     expected = np.linalg.svd(x0, compute_uv=False)[0]
     assert abs(design_sigma_max(gram) - expected) <= 1e-13 * expected
+
+
+def _random_gram(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    return gram_matrix(rng.uniform(0, 1, (n, dim)), KernelParams(rng.uniform(0.05, 0.6)))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        pytest.param(
+            gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), KernelParams(SUPPORT_KERNEL_SIGMA)),
+            id="sweep",
+        ),
+        pytest.param(
+            gram_matrix(roi_lattice(RoiConfig().roi_size), KernelParams(RoiConfig().sigma)),
+            id="roi-144",
+        ),
+        pytest.param(
+            gram_matrix(lattice_nodes()[1], KernelParams(LATTICE_KERNEL_SIGMA)), id="lattice-256"
+        ),
+        *(
+            pytest.param(_random_gram(seed, n, dim), id=f"random-{dim}d-{n}")
+            for seed, (n, dim) in enumerate(
+                [(1, 1), (2, 1), (7, 1), (40, 1), (1, 2), (3, 2), (30, 2), (90, 2)]
+            )
+        ),
+    ],
+)
+def test_design_sigma_max_is_scipy_svdvals_bit_for_bit(gram):
+    # scipy's own wrapper of the same LAPACK routine, workspace and flags
+    expected = scipy.linalg.svdvals(_ridge_design(gram), check_finite=False)[0]
+    assert design_sigma_max(gram) == expected
 
 
 def test_theorem_check_report_fields():
