@@ -162,8 +162,14 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64).ravel()
+def _check_weights(weights, count: int) -> np.ndarray:
+    """``count`` Tikhonov weights as a 1-D array, each positive and
+    finite."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (count,):
+        raise ValueError(
+            f"expected {count} tikhonov_weights in a 1-D sequence, got shape {w.shape}"
+        )
     if not np.all((w > 0) & (w < math.inf)):
         raise ValueError("all tikhonov_weights must be positive and finite")
     return w
@@ -260,6 +266,7 @@ class KgardBatch:
         Gram matrix for the fitted values, ``cross_gram(query, train)``
         for other points.  Each row is the one matrix-vector product a
         single row makes, so its bits do not depend on the batch."""
+        kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 2 or kernel.shape[1] != self.alpha.shape[1]:
             raise ValueError(
                 f"expected a (Q, {self.alpha.shape[1]}) kernel matrix, one column "
@@ -328,10 +335,7 @@ class KgardSolver:
         n = design.shape[0]
         w2 = 1.0
         if tikhonov_weights is not None:
-            w = _check_weights(tikhonov_weights)
-            if w.shape[0] != n + 1:
-                raise ValueError(f"expected {n + 1} tikhonov_weights, got {w.shape[0]}")
-            w2 = w**2
+            w2 = _check_weights(tikhonov_weights, n + 1) ** 2
         tiers = len(lams)
         self._residual_map = np.empty((tiers, n, n))
         # each tier's P is Fortran-ordered, as LAPACK writes it in place
@@ -455,7 +459,13 @@ class KgardSolver:
             k = 0
             while batch:  # an empty batch makes no step
                 m = live.size
-                eps = np.asarray(threshold(abs_r), dtype=np.float64)
+                result = threshold(abs_r)
+                try:
+                    if np.iscomplexobj(result):  # a cast would drop the imaginary part
+                        raise TypeError("the thresholds are complex")
+                    eps = np.asarray(result, dtype=np.float64)
+                except (TypeError, ValueError) as err:
+                    raise ValueError(f"epsilon must return real thresholds: {err}") from None
                 if eps.shape not in ((), (m,)):
                     raise ValueError(
                         f"epsilon must return a scalar or {m} thresholds, "
@@ -505,7 +515,8 @@ class KgardSolver:
                     keep = ~stop
                     q[:k, : keep.sum()] = q[:k, :m][:, keep]
                     live, tier = live[keep], tier[keep]
-                    r, abs_r, active = r[keep], abs_r[keep], active[keep]
+                    # abs_r is recomputed from r before it is read again
+                    r, active = r[keep], active[keep]
                     j, col, pivot = j[keep], col[keep], pivot[keep]
                     m = live.size
                     rows = rows[:m]

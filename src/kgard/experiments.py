@@ -31,6 +31,7 @@ from .kernel import KernelParams, _as_float, cross_gram, gram_matrix
 from .noise import (
     LATTICE_KERNEL_SIGMA,
     SINC_KERNEL_SIGMA,
+    SUPPORT_INPUTS,
     SUPPORT_KERNEL_SIGMA,
     NoiseSpec,
     corrupt,
@@ -48,7 +49,7 @@ PROTOCOLS = ("sinc1d", "lattice2d")
 # the pure-outlier magnitude sweep uses one fixed, deliberately large
 # ridge parameter for both the fit and the certificate check
 SWEEP_LAMBDA = 4000.0
-SWEEP_N = 100
+SWEEP_N = SUPPORT_INPUTS.size
 
 BORDER_BOOST_COUNT = 5
 BORDER_BOOST_FACTOR = np.sqrt(5.0)
@@ -242,7 +243,7 @@ def sweep_outlier_magnitude(
     ]
 
     params = KernelParams(SUPPORT_KERNEL_SIGMA)
-    gram = gram_matrix(np.linspace(0.0, 1.0, SWEEP_N), params)
+    gram = gram_matrix(SUPPORT_INPUTS, params)
     solver = KgardSolver(gram, SWEEP_LAMBDA)
     sigma_max = design_sigma_max(gram)
     # corrupt writes sign * magnitude at each impulse and 0.0 elsewhere,
@@ -254,7 +255,7 @@ def sweep_outlier_magnitude(
     thetas = np.zeros((trials, SWEEP_N + 1))  # the protocol target has no bias
     for t in range(trials):
         rng = rng_for(base_seed + t)
-        _, truths[t], thetas[t, :SWEEP_N] = make_support_dataset(rng, SWEEP_N)
+        _, truths[t], thetas[t, :SWEEP_N] = make_support_dataset(rng)
         _, support, units[t] = corrupt(truths[t], unit, rng=rng)
         truth[t, support] = True
 

@@ -46,14 +46,16 @@ class KernelParams:
 def as_point_matrix(points) -> np.ndarray:
     """Normalize points to a 2-D float array of shape (N, d).
 
-    Accepts a 1-D array of scalars (d = 1) or an (N, d) array, of
-    finite values only.
+    Accepts a 1-D array of scalars (d = 1) or an (N, d) array with
+    d >= 1, of finite values only.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be 1-D or 2-D, got shape {pts.shape}")
+    if pts.shape[1] == 0:
+        raise ValueError("points must have at least one coordinate")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts
@@ -71,16 +73,13 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differences summed one input dimension at a time, in increasing
     order, into one (M, N) array.  The entry for (a_i, b_j) is the
     entry for (b_j, a_i) bit for bit."""
-    out = None
-    for j in range(a.shape[1]):
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    for j in range(1, a.shape[1]):
         diff = np.subtract.outer(a[:, j], b[:, j])
         diff *= diff
-        if out is None:
-            out = diff
-        else:
-            out += diff
-    # points with no coordinates are all at distance 0
-    return np.zeros((a.shape[0], b.shape[0])) if out is None else out
+        out += diff
+    return out
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -105,10 +104,10 @@ def gram_matrix(points, params: KernelParams) -> np.ndarray:
     if pts.shape[0] == 0:
         raise ValueError("point set must be nonempty")
     # exactly symmetric, as kappa(x_i, x_j) and kappa(x_j, x_i) are
-    # formed by the same operations on the same numbers
-    k = _rbf(pts, pts, params)
-    np.fill_diagonal(k, 1.0)
-    return k
+    # formed by the same operations on the same numbers.  The diagonal is
+    # exactly 1: a finite point is at squared distance 0.0 from itself,
+    # 0.0 / -sigma^2 is -0.0 for every admitted sigma, and exp(-0.0) = 1.0
+    return _rbf(pts, pts, params)
 
 
 def cross_gram(query_points, train_points, params: KernelParams) -> np.ndarray:

@@ -30,6 +30,9 @@ from .kernel import KernelParams, _as_float, cross_gram, grid_points
 SINC_KERNEL_SIGMA = 0.15
 LATTICE_KERNEL_SIGMA = 0.2
 SUPPORT_KERNEL_SIGMA = 0.1
+# the inputs of the pure-outlier protocol, shared by every draw
+SUPPORT_INPUTS = np.linspace(0.0, 1.0, 100)
+SUPPORT_INPUTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -196,30 +199,22 @@ def make_lattice_dataset(
     return weights @ train_kernels[idx], weights @ val_kernels[idx], alpha
 
 
-@functools.lru_cache(maxsize=4)
-def _support_inputs(n: int) -> np.ndarray:
-    """The n equidistant points on [0, 1] of ``make_support_dataset``.
-    Every draw of one n shares them, so they are built once and marked
-    read-only."""
-    x = np.linspace(0.0, 1.0, n)
-    x.flags.writeable = False
-    return x
-
-
 def make_support_dataset(
-    rng: np.random.Generator, n: int = 100
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure-outlier identification protocol: n equidistant points on
-    [0, 1], target a sparse kernel combination (sigma 0.1) with 2 to 23
-    nonzero coefficients drawn from N(0, 0.5^2).  The truth is
-    evaluated from the support only, as ``cross_gram(x, x[idx]) @
-    alpha[idx]`` over the nonzero indices ``idx`` in increasing order.
+    """Pure-outlier identification protocol: the 100 equidistant points
+    ``SUPPORT_INPUTS`` on [0, 1], target a sparse kernel combination
+    (sigma 0.1) with 2 to 23 nonzero coefficients drawn from
+    N(0, 0.5^2).  The truth is evaluated from the support only, as
+    ``cross_gram(x, x[idx]) @ alpha[idx]`` over the nonzero indices
+    ``idx`` in increasing order.
 
-    Returns (inputs, truth, true_alpha).  The inputs are shared by every
-    draw of the same n and read-only; truth and true_alpha are the
-    draw's own.
+    Returns (inputs, truth, true_alpha).  The inputs are
+    ``SUPPORT_INPUTS`` itself, shared by every draw and read-only;
+    truth and true_alpha are the draw's own.
     """
-    x = _support_inputs(n)
+    x = SUPPORT_INPUTS
+    n = x.size
     nnz = int(rng.integers(2, 24))
     alpha = np.zeros(n)
     alpha[rng.choice(n, size=nnz, replace=False)] = rng.normal(0.0, 0.5, size=nnz)
@@ -270,14 +265,16 @@ def corrupt(
     outlier vector).  The impulse count is round(fraction * N) with
     halves away from zero; signs are independent equiprobable +/-.
     Gaussian inlier variance is mean(truth^2) / 10^(snr_db / 10).
-    ``truth`` must be finite, and so must that variance and the
-    observations: a sum that overflows raises ``ValueError`` naming the
-    noise family.
+    ``truth`` must be a nonempty 1-D vector of finite values, and that
+    variance and the observations must be finite too: a sum that
+    overflows raises ``ValueError`` naming the noise family.
 
     Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
     that drew the dataset from the same stream keeps consuming it here.
     """
-    truth = np.asarray(truth, dtype=np.float64).ravel()
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim != 1 or truth.size == 0:
+        raise ValueError(f"truth must be a nonempty 1-D vector, got shape {truth.shape}")
     n = truth.shape[0]
 
     count = round_half_away(spec.impulse_fraction * n)

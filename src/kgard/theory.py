@@ -30,7 +30,7 @@ from .kernel import _as_float
 
 _RANK_TOL = 1e-10
 
-# the LAPACK SVD that scipy.linalg.svdvals calls, and its workspace query
+# the LAPACK SVD that scipy.linalg.svd and svdvals call, and its workspace query
 dgesdd, dgesdd_lwork = _flapack.dgesdd, _flapack.dgesdd_lwork
 
 
@@ -42,6 +42,26 @@ class SpectralDiagnostics:
     phi_diag: np.ndarray  # lambda sigma / (sigma^2 + lambda)
 
 
+def _design_svd(gram: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, s) of the thin SVD of X0 = [K 1], U a placeholder unless
+    ``compute_uv`` is 1: every SVD here.  scipy's LAPACK ``dgesdd``
+    shares the solver setup's OpenBLAS; numpy's SVD would wait for the
+    other's threads.  It is called with the optimal workspace, which
+    picks the blocked or unblocked bidiagonalisation and so the bits, as
+    ``scipy.linalg.svd`` calls it.  Like solver setup, it runs pinned to
+    one OpenBLAS thread, so its bits do not depend on the thread setting
+    (with another BLAS, only at a fixed setting)."""
+    x0 = _ridge_design(gram)
+    with _one_blas_thread():
+        lwork = int(dgesdd_lwork(*x0.shape, compute_uv=compute_uv, full_matrices=0)[0])
+        u, s, _, info = dgesdd(x0, compute_uv=compute_uv, full_matrices=0, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgesdd")
+    return u, s
+
+
 def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     """Leverage analysis of X0 = [K 1] under ridge regularization.
 
@@ -49,14 +69,10 @@ def spectral_diagnostics(gram: np.ndarray, lam: float) -> SpectralDiagnostics:
     (sigma_i^2 + lambda)): each spectral direction of the plain hat
     matrix Q Q^T is shrunk by the factor sigma_i^2 / (sigma_i^2 +
     lambda), so every ridge leverage is strictly below its
-    unregularized counterpart.  The SVD runs pinned to one OpenBLAS
-    thread, like ``design_sigma_max``, so the arrays' bits do not depend
-    on the thread setting.
+    unregularized counterpart.
     """
     lam = _check_lambda(lam)
-    x0 = _ridge_design(gram)
-    with _one_blas_thread():
-        q, s, _ = np.linalg.svd(x0, full_matrices=False)  # q: N x N, s: N
+    q, s = _design_svd(gram, compute_uv=1)  # q: N x N, s: N
     g = s**2 / (s**2 + lam)
     phi = lam * s / (s**2 + lam)
     # unregularized leverage via the pseudoinverse convention: only
@@ -93,24 +109,9 @@ class BoundReport:
 
 
 def design_sigma_max(gram: np.ndarray) -> float:
-    """sigma_max of the ridge design X0 = [K 1].  scipy's LAPACK
-    ``dgesdd`` shares the solver setup's OpenBLAS; numpy's SVD would
-    wait for the other's threads.  It is called as
-    ``scipy.linalg.svdvals(x0, check_finite=False)`` calls it, with the
-    optimal workspace, which picks the blocked or unblocked
-    bidiagonalisation and so the bits.  Like solver setup, it runs
-    pinned to one OpenBLAS thread, restoring the counts afterwards, so
-    its bits do not depend on the thread setting (with another BLAS,
-    only at a fixed setting)."""
-    x0 = _ridge_design(gram)
-    with _one_blas_thread():
-        lwork = int(dgesdd_lwork(*x0.shape, compute_uv=0, full_matrices=1)[0])
-        _, s, _, info = dgesdd(x0, compute_uv=0, full_matrices=1, lwork=lwork)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgesdd")
-    return float(s[0])
+    """sigma_max of the ridge design X0 = [K 1]: the bits of
+    ``scipy.linalg.svdvals(x0, check_finite=False)[0]``."""
+    return float(_design_svd(gram, compute_uv=0)[1][0])
 
 
 def _squared_norms(x: np.ndarray, name: str) -> np.ndarray:

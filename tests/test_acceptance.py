@@ -44,7 +44,7 @@ def _certified_instances(count, base_seed=0):
     params = KernelParams(0.1)
     while len(instances) < count:
         rng = rng_for(seed)
-        x, truth, alpha = make_support_dataset(rng, 100)
+        x, truth, alpha = make_support_dataset(rng)
         spec = NoiseSpec(impulse_fraction=0.1, impulse_magnitude=CERT_MAGNITUDE)
         y, support, u = corrupt(truth, spec, rng=rng)
         gram = gram_matrix(x, params)

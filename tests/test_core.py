@@ -80,6 +80,11 @@ BAD_SETTINGS = [
             dict(tikhonov_weights=[1, 1, np.inf, 1, 1]), "weights must be positive and finite",
             id="inf-weight",
         ),
+        pytest.param(
+            dict(gram=np.eye(5), tikhonov_weights=np.ones((2, 3))),
+            r"expected 6 tikhonov_weights in a 1-D sequence, got shape \(2, 3\)",
+            id="2d-weights",
+        ),
         pytest.param(dict(gram=np.ones((3, 4))), "must be square", id="non-square-gram"),
         pytest.param(dict(gram=np.zeros((0, 0))), "must be square and nonempty", id="empty-gram"),
         pytest.param(dict(gram=np.diag([1, np.nan, 1, 1])), "gram matrix must be finite",
@@ -279,6 +284,9 @@ def test_fit_epsilon_callable_gives_the_threshold():
         pytest.param(lambda rows: np.full(rows, -1.0), "negative or NaN", id="negative"),
         pytest.param(lambda rows: np.zeros(rows + 1), "one per running row", id="wrong-length"),
         pytest.param(lambda rows: np.zeros((rows, 1)), "one per running row", id="2-d"),
+        pytest.param(lambda rows: 1j, "real thresholds", id="complex"),
+        pytest.param(lambda rows: np.full(rows, 1j), "real thresholds", id="complex-array"),
+        pytest.param(lambda rows: "x", "real thresholds", id="string"),
     ],
 )
 def test_fit_rejects_bad_epsilon_callable_result(thresholds, match, batched):
@@ -624,6 +632,11 @@ def test_predict_rejects_mismatched_coefficients():
     for shape in [(2, 4), (2, 2), (3,), (1, 2, 3)]:
         with pytest.raises(ValueError, match=r"expected a \(Q, 3\) kernel matrix"):
             fit.evaluate(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"expected a \(Q, 3\) kernel matrix"):
+            fit.evaluate(np.zeros(shape).tolist())
+    # a kernel that is not an ndarray evaluates as its array does
+    kernel = np.arange(6.0).reshape(2, 3)
+    assert fit.evaluate(kernel.tolist()).tobytes() == fit.evaluate(kernel).tobytes()
 
 
 def _duplicate_pairs():

@@ -382,7 +382,7 @@ def test_sweep_point_matches_per_trial_reference(monkeypatch):
         rows = []
         for t in range(trials):
             rng = rng_for(base_seed + t)
-            x, truth, alpha = make_support_dataset(rng, SWEEP_N)
+            x, truth, alpha = make_support_dataset(rng)
             y, support, u = corrupt(truth, spec, rng=rng)
             ys.append(y)
             gram = gram_matrix(x, params)

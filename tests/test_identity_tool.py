@@ -1,0 +1,78 @@
+"""tools/identity.py: the corpus is reproducible, also through the
+child's saved inputs and outputs, and a moved bit is reported with the
+output it moved and by how much."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "identity.py"
+
+
+@pytest.fixture(scope="module")
+def identity():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(identity, tmp_path_factory):
+    """The small corpus run in-process, and run again as a child runs it:
+    inputs read from and outputs written to .npz files, kgard imported
+    from this checkout's src/."""
+    inputs = identity.make_inputs(tiny=True)
+    direct = identity.corpus(inputs, tiny=True)
+    tmp = tmp_path_factory.mktemp("identity")
+    np.savez(tmp / "inputs.npz", **inputs)
+    path = list(sys.path)
+    try:
+        identity._child(str(ROOT / "src"), str(tmp / "inputs.npz"), str(tmp / "out.npz"), tiny=True)
+    finally:
+        sys.path[:] = path
+    with np.load(tmp / "out.npz") as data:
+        return direct, dict(data)
+
+
+def test_tiny_corpus_digests_repeat(identity, tiny_runs):
+    first, second = tiny_runs
+    assert first.keys() == second.keys()
+    assert {name: identity.digest(v) for name, v in first.items()} == {
+        name: identity.digest(v) for name, v in second.items()
+    }
+    lines, differing = identity.compare({"a": first, "b": second})
+    assert differing == [] and len(lines) == len(first)
+    # every part of the corpus is there, and no timing field
+    for prefix in ("denoise.", "sinc1d.snr.", "sinc1d.stable.", "lattice2d.", "sweep.",
+                   "bound.", "bound.large.", "fit.", "corrupt.stable0.5.",
+                   "spectral.lattice961.", "sigma_max."):
+        assert any(name.startswith(prefix) for name in first), prefix
+    assert not any(name.endswith(tuple(identity.TIMING)) for name in first)
+
+
+def test_compare_names_the_first_output_that_differs(identity, tiny_runs):
+    reference, _ = tiny_runs
+    changed = dict(reference)
+    alpha = reference["fit.alpha"].copy()
+    alpha[2, 5] = np.nextafter(alpha[2, 5], np.inf)
+    changed["fit.alpha"] = alpha
+    changed["fit.stop_reason"] = np.where(
+        reference["fit.stop_reason"] == "cap", "pivot", reference["fit.stop_reason"]
+    )
+    lines, differing = identity.compare({"parent": reference, "change": changed})
+    assert differing == ["fit.alpha", "fit.stop_reason"]
+    report = "\n".join(lines)
+    assert "DIFFERS" in report and "fit.alpha  (change vs parent)" in report
+    spacing = abs(np.spacing(reference["fit.alpha"][2, 5]))
+    detail = next(line for line in lines if "first difference" in line)
+    assert "fit.alpha" in detail
+    assert f"1 of {alpha.size} entries differ" in detail
+    assert f"largest absolute difference {spacing:.3e}" in detail
+    assert "largest relative difference" in detail
+    # only the first differing output gets the detail line
+    assert sum("first difference" in line for line in lines) == 1

@@ -68,15 +68,20 @@ def test_as_point_matrix_shapes():
     assert as_point_matrix([[1.0, 2.0]]).shape == (1, 2)
     with pytest.raises(ValueError):
         as_point_matrix(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        as_point_matrix(np.zeros((2, 0)))
 
 
 def test_gram_matrix_symmetric_unit_diagonal():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(40, 3))
-    k = gram_matrix(pts, KernelParams(1.5))
-    assert np.array_equal(k, k.T)
-    assert np.array_equal(np.diag(k), np.ones(40))
-    assert np.all(k > 0) and np.all(k <= 1.0)
+    # the diagonal is computed, not written: exp(0.0 / -sigma^2) is 1.0
+    # at every admitted sigma and for coordinates of any finite size
+    pts = np.random.default_rng(0).normal(size=(40, 3))
+    for scale, sigma in [(1.0, 1.5), (1.0, SMALLEST_SIGMA), (1e150, 1e150)]:
+        k = gram_matrix(scale * pts, KernelParams(sigma))
+        assert np.array_equal(k, k.T)
+        assert np.diag(k).tobytes() == np.ones(40).tobytes()
+        assert np.all(k >= 0) and np.all(k <= 1.0)
+    assert np.all(gram_matrix(pts, KernelParams(1.5)) > 0)
 
 
 def test_gram_matrix_positive_semidefinite():

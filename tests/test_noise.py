@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,26 +211,25 @@ def test_lattice_nnz_spans_range():
 
 
 def test_support_dataset_shapes():
-    x, truth, alpha = make_support_dataset(rng_for(0), 100)
+    x, truth, alpha = make_support_dataset(rng_for(0))
     assert x.shape == (100,) and truth.shape == (100,)
     assert 2 <= np.count_nonzero(alpha) <= 23
 
 
 def test_support_inputs_are_shared_and_read_only():
-    x, _, alpha = make_support_dataset(rng_for(0), 100)
-    again, _, _ = make_support_dataset(rng_for(1), 100)
+    x, _, alpha = make_support_dataset(rng_for(0))
+    again, _, _ = make_support_dataset(rng_for(1))
     assert again is x
     assert x.tobytes() == np.linspace(0.0, 1.0, 100).tobytes()
     with pytest.raises(ValueError):
         x[0] = 1.0  # shared by every draw, so read-only
     alpha[0] += 1.0  # each draw's own
-    assert make_support_dataset(rng_for(2), 30)[0].shape == (30,)
 
 
 def test_support_truth_reads_only_the_support():
     params = KernelParams(0.1)
     for seed in (0, 1, 2, 3):
-        x, truth, alpha = make_support_dataset(rng_for(seed), 100)
+        x, truth, alpha = make_support_dataset(rng_for(seed))
         idx = np.flatnonzero(alpha)
         gram = cross_gram(x, x, params)
         # bit for bit: the same row-major (100, nnz) product; the gathered
@@ -246,7 +246,7 @@ def test_support_truth_is_one_cross_gram_of_the_support(monkeypatch):
         return cross_gram(query, train, params)
 
     monkeypatch.setattr(kgard.noise, "cross_gram", counting)
-    _, _, alpha = make_support_dataset(rng_for(5), 100)
+    _, _, alpha = make_support_dataset(rng_for(5))
     assert shapes == [(100, np.count_nonzero(alpha))]
 
 
@@ -322,6 +322,14 @@ def test_corrupt_rejects_noise_that_overflows(truth, spec, match):
 def test_corrupt_names_a_non_finite_truth_under_every_family(spec, bad):
     with pytest.raises(ValueError, match="truth must be finite"):
         corrupt(np.array([bad, 1.0, 2.0]), spec, rng_for(0))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (12, 1), (0,), (0, 3)], ids=str)
+def test_corrupt_requires_a_nonempty_vector(shape):
+    # a matrix was once flattened into N = 12 observations, and an empty
+    # truth failed on its impulse count
+    with pytest.raises(ValueError, match=re.escape(f"1-D vector, got shape {shape}")):
+        corrupt(np.ones(shape), NoiseSpec(impulse_fraction=0.25), rng_for(0))
 
 
 def test_corrupt_rejects_full_support():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kgard.core import KgardSolver, _ridge_design
+from kgard.core import KgardSolver, _one_blas_thread, _ridge_design
 from kgard.denoise import RoiConfig, roi_lattice
 from kgard.experiments import SWEEP_N
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import LATTICE_KERNEL_SIGMA, SUPPORT_KERNEL_SIGMA, lattice_nodes
 from kgard.theory import (
     BoundReport,
+    SpectralDiagnostics,
     design_sigma_max,
     spectral_diagnostics,
     theorem_check,
@@ -87,6 +88,55 @@ def _certified_setup(seed, magnitude=800.0, n=40):
 def _check(gram, theta, u, lam):
     """The report of one truth, as a one-row stack."""
     return theorem_check(design_sigma_max(gram), theta[None], u[None], lam)
+
+
+def _diagnostics_from_svd(svd, gram, lam):
+    """The arrays of ``spectral_diagnostics`` from ``svd``'s thin SVD of
+    X0, pinned to one thread."""
+    with _one_blas_thread():
+        q, s, _ = svd(_ridge_design(gram))
+    g = s**2 / (s**2 + lam)
+    mask = (s > 1e-10 * s[0]).astype(np.float64)
+    return SpectralDiagnostics(
+        hat_diag=np.einsum("ij,j,ij->i", q, mask, q),
+        hat_diag_reg=np.einsum("ij,j,ij->i", q, g, q),
+        g_diag=g,
+        phi_diag=lam * s / (s**2 + lam),
+    )
+
+
+def _scipy_gesdd(x0):
+    return scipy.linalg.svd(x0, full_matrices=False, check_finite=False, lapack_driver="gesdd")
+
+
+def _numpy_svd(x0):
+    return np.linalg.svd(x0, full_matrices=False)
+
+
+@pytest.mark.parametrize(
+    "points, sigma, lam",
+    [
+        pytest.param(np.linspace(0.0, 1.0, SWEEP_N), SUPPORT_KERNEL_SIGMA, 4000.0, id="sweep"),
+        pytest.param(roi_lattice(RoiConfig().roi_size), RoiConfig().sigma, 0.3, id="roi-144"),
+        pytest.param(lattice_nodes()[0], LATTICE_KERNEL_SIGMA, 0.15, id="lattice-961"),
+    ],
+)
+def test_spectral_diagnostics_needs_no_numpy_svd(points, sigma, lam, monkeypatch):
+    # every SVD goes through scipy's dgesdd: the bits of scipy's own
+    # wrapper of it, and numpy's SVD, from another LAPACK build, agrees
+    gram = gram_matrix(points, KernelParams(sigma))
+    expected = _diagnostics_from_svd(_scipy_gesdd, gram, lam)
+    numpy_diag = _diagnostics_from_svd(_numpy_svd, gram, lam)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("numpy's SVD was called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    diag = spectral_diagnostics(gram, lam)
+    for field in dataclasses.fields(SpectralDiagnostics):
+        got = getattr(diag, field.name)
+        assert got.tobytes() == getattr(expected, field.name).tobytes(), field.name
+        np.testing.assert_allclose(got, getattr(numpy_diag, field.name), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize(
