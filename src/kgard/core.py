@@ -29,6 +29,7 @@ import math
 import mmap
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,7 +38,7 @@ import numpy as np
 # nothing here calls gram_matrix or cross_gram: they stay imported because
 # bench/spans.py wraps kgard.core.gram_matrix and kgard.core.cross_gram and
 # test_every_bench_boundary_resolves requires those names to resolve
-from .kernel import _as_float, cross_gram, gram_matrix
+from .kernel import _as_float, _as_real_array, cross_gram, gram_matrix
 
 # a selection whose pivot of R falls to this stops the fit
 _PIVOT_FLOOR = 1e-12
@@ -45,6 +46,29 @@ _PIVOT_FLOOR = 1e-12
 # most 2.4 MB at the denoising cap k = 48, where gathering all 1024 ROIs
 # of a 256^2 image at once raised peak RSS by 18 MB
 _GATHER_ROWS = 128
+# Q, one (rows, N) slab of columns per selection, lives in a private
+# anonymous mapping, so slabs no selection reaches are never touched.
+# Each thread keeps one such mapping in _workspace, and every fit on
+# that thread borrows it, so Q's pages are faulted in once per thread,
+# not once per fit.  A fit hands its mapping back, also when it raises,
+# only when the slabs it reached, k x B x N doubles, are at most
+# _KEPT_Q_DOUBLES: one default denoising block's Q, 48 selections x 256
+# ROIs x 144 pixels (14 MiB).  A larger mapping is unmapped, so no
+# thread keeps more than that resident.
+_KEPT_Q_DOUBLES = 48 * 256 * 144
+_workspace = threading.local()
+
+
+def _borrow_q(doubles: int) -> mmap.mmap:
+    """This thread's kept Q mapping if it holds ``doubles`` doubles, else
+    a new one.  The slot stays empty until the mapping is handed back,
+    so a fit nested in an epsilon callable maps its own."""
+    mapping = getattr(_workspace, "q", None)
+    _workspace.q = None
+    if mapping is None or len(mapping) < 8 * doubles:
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        mapping = mmap.mmap(-1, 8 * doubles or 8, flags=flags)
+    return mapping
 
 
 def _scipy_linalg_module(name: str):
@@ -165,7 +189,7 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
 def _check_weights(weights, count: int) -> np.ndarray:
     """``count`` Tikhonov weights as a 1-D array, each positive and
     finite."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = _as_real_array("tikhonov_weights", weights)
     if w.shape != (count,):
         raise ValueError(
             f"expected {count} tikhonov_weights in a 1-D sequence, got shape {w.shape}"
@@ -178,7 +202,7 @@ def _check_weights(weights, count: int) -> np.ndarray:
 def _ridge_design(gram: np.ndarray) -> np.ndarray:
     """The ridge design X0 = [K 1] of a square, nonempty, finite Gram
     matrix."""
-    gram = np.asarray(gram, dtype=np.float64)
+    gram = _as_real_array("gram matrix", gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
         raise ValueError(f"gram matrix must be square and nonempty, got shape {gram.shape}")
     if not np.all(np.isfinite(gram)):
@@ -266,7 +290,7 @@ class KgardBatch:
         Gram matrix for the fitted values, ``cross_gram(query, train)``
         for other points.  Each row is the one matrix-vector product a
         single row makes, so its bits do not depend on the batch."""
-        kernel = np.asarray(kernel, dtype=np.float64)
+        kernel = _as_real_array("kernel", kernel)
         if kernel.ndim != 2 or kernel.shape[1] != self.alpha.shape[1]:
             raise ValueError(
                 f"expected a (Q, {self.alpha.shape[1]}) kernel matrix, one column "
@@ -280,9 +304,11 @@ def _per_tier(maps: np.ndarray, tier: np.ndarray, x: np.ndarray) -> np.ndarray:
     tier.  Each row is the same BLAS call a single product makes, so
     its bits do not depend on the batch."""
     out = np.empty((x.shape[0], maps.shape[1]))
-    for t in np.unique(tier):
+    # not np.unique: its first call imports numpy.ma
+    for t in range(maps.shape[0]):
         at = np.flatnonzero(tier == t)
-        out[at] = np.matmul(maps[t], x[at, :, None])[..., 0]
+        if at.size:
+            out[at] = np.matmul(maps[t], x[at, :, None])[..., 0]
     return out
 
 
@@ -402,9 +428,17 @@ class KgardSolver:
         (B,); it may be left out only when T = 1.  A finite ``y`` whose
         fit overflows, leaving a coefficient or an outlier value that is
         not finite, raises ``ValueError`` after the last step.
+
+        The Schur columns Q, ``max_selections`` slabs of (B, N) doubles,
+        are borrowed from a private anonymous mapping that the calling
+        thread keeps from one fit to the next, so a thread's later fits
+        find Q's pages already faulted in.  The fit hands the mapping
+        back, also when it raises, only when the slabs it reached hold
+        at most 48 x 256 x 144 doubles (14 MiB, one default denoising
+        block); otherwise it is unmapped.  No output aliases Q.
         """
         n = self._n
-        y = np.asarray(y, dtype=np.float64)
+        y = _as_real_array("observations", y)
         if y.ndim != 2 or y.shape[1] != n:
             raise ValueError(f"expected a (B, N) stack with N = {n}, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -446,90 +480,92 @@ class KgardSolver:
         picks, coef, row_tier = out.support, out.outliers, tier
         live = np.arange(batch)  # original row of each running row
         active = np.zeros((batch, n), dtype=bool)
-        # one (rows, N) slab of Q columns per selection, in an anonymous
-        # mapping: slabs no selection reaches are never touched, and
-        # freeing it unmaps it.  A malloc'd block this large raises
-        # glibc's mmap threshold, after which freed temporaries of later
-        # fits stay in the heap and peak RSS grows with every batch.
+        # Q is borrowed from this thread's workspace (see _KEPT_Q_DOUBLES),
+        # never malloc'd: a block this large raises glibc's mmap threshold,
+        # after which freed temporaries of later fits stay in the heap
         size = max_selections * batch * n
-        q = np.frombuffer(mmap.mmap(-1, 8 * size or 1), count=size)
-        q = q.reshape(max_selections, batch, n)
+        mapping = _borrow_q(size)
+        q = np.frombuffer(mapping, count=size).reshape(max_selections, batch, n)
+        k = 0
         # a step can overflow on a finite y; the fit is checked once, at the end
         with np.errstate(over="ignore", invalid="ignore"):
-            k = 0
-            while batch:  # an empty batch makes no step
-                m = live.size
-                result = threshold(abs_r)
-                try:
-                    if np.iscomplexobj(result):  # a cast would drop the imaginary part
-                        raise TypeError("the thresholds are complex")
-                    eps = np.asarray(result, dtype=np.float64)
-                except (TypeError, ValueError) as err:
-                    raise ValueError(f"epsilon must return real thresholds: {err}") from None
-                if eps.shape not in ((), (m,)):
-                    raise ValueError(
-                        f"epsilon must return a scalar or {m} thresholds, "
-                        f"one per running row, got shape {eps.shape}"
-                    )
-                if not (eps >= 0).all():
-                    raise ValueError("epsilon returned a negative or NaN threshold")
-                done = norms <= eps
-                capped = k == max_selections
-                stop = done
-                if not capped:
-                    rows = np.arange(m)
-                    j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
-                    col = self._residual_map[tier, j]
-                    if k:
-                        # col -= Q[j, :k] Q^T row by row, one stacked matmul
-                        qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
-                        col -= np.matmul(qj, q[:k, :m].transpose(1, 0, 2))[:, 0]
-                    pivot = col[rows, j]
-                    # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
-                    # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
-                    stop = pivot <= _PIVOT_FLOOR
-                    stop |= done
-                if capped or stop.any():
-                    fin = np.flatnonzero(stop | capped)
-                    rows_fin = live[fin]
-                    out.selections[rows_fin] = k
-                    out.residual_norm[rows_fin] = norms[fin]
-                    out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
-                    out.stop_reason[rows_fin] = np.where(
-                        done[fin], "threshold", "cap" if capped else "pivot"
-                    )
-                    # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK
-                    # solve per row with the upper triangular q[:, S] = Q[S]^T,
-                    # gathered for up to _GATHER_ROWS finishing rows at once.
-                    # LAPACK rejects the 0 x 0 system of a row with no selections.
-                    for lo in range(0, fin.size if k else 0, _GATHER_ROWS):
-                        block = slice(lo, lo + _GATHER_ROWS)
-                        upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
-                        for f, row in enumerate(rows_fin[block]):
-                            coef[row, :k] = _solve_triangular(
-                                upper[:, f], coef[row, :k], lower=0, trans=0
-                            )
-                    if capped or stop.all():
-                        break
-                    # compact the running rows to the front of every array
-                    keep = ~stop
-                    q[:k, : keep.sum()] = q[:k, :m][:, keep]
-                    live, tier = live[keep], tier[keep]
-                    # abs_r is recomputed from r before it is read again
-                    r, active = r[keep], active[keep]
-                    j, col, pivot = j[keep], col[keep], pivot[keep]
+            try:
+                while batch:  # an empty batch makes no step
                     m = live.size
-                    rows = rows[:m]
+                    result = threshold(abs_r)
+                    try:
+                        if np.iscomplexobj(result):  # a cast would drop the imaginary part
+                            raise TypeError("the thresholds are complex")
+                        eps = np.asarray(result, dtype=np.float64)
+                    except (TypeError, ValueError) as err:
+                        raise ValueError(f"epsilon must return real thresholds: {err}") from None
+                    if eps.shape not in ((), (m,)):
+                        raise ValueError(
+                            f"epsilon must return a scalar or {m} thresholds, "
+                            f"one per running row, got shape {eps.shape}"
+                        )
+                    if not (eps >= 0).all():
+                        raise ValueError("epsilon returned a negative or NaN threshold")
+                    done = norms <= eps
+                    capped = k == max_selections
+                    stop = done
+                    if not capped:
+                        rows = np.arange(m)
+                        j = np.argmax(np.where(active, -np.inf, abs_r), axis=1)
+                        col = self._residual_map[tier, j]
+                        if k:
+                            # col -= Q[j, :k] Q^T row by row, one stacked matmul
+                            qj = np.ascontiguousarray(q[:k, rows, j].T)[:, None, :]
+                            col -= np.matmul(qj, q[:k, :m].transpose(1, 0, 2))[:, 0]
+                        pivot = col[rows, j]
+                        # R - Q Q^T is PSD with eigenvalues in [0, 1], so a row's
+                        # argmax |r_j| <= sqrt(pivot) ||y||: r is already ~0
+                        stop = pivot <= _PIVOT_FLOOR
+                        stop |= done
+                    if capped or stop.any():
+                        fin = np.flatnonzero(stop | capped)
+                        rows_fin = live[fin]
+                        out.selections[rows_fin] = k
+                        out.residual_norm[rows_fin] = norms[fin]
+                        out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
+                        out.stop_reason[rows_fin] = np.where(
+                            done[fin], "threshold", "cap" if capped else "pivot"
+                        )
+                        # Q[S] is lower triangular, so u_S = Q[S]^-T c is one LAPACK
+                        # solve per row with the upper triangular q[:, S] = Q[S]^T,
+                        # gathered for up to _GATHER_ROWS finishing rows at once.
+                        # LAPACK rejects the 0 x 0 system of a row with no selections.
+                        for lo in range(0, fin.size if k else 0, _GATHER_ROWS):
+                            block = slice(lo, lo + _GATHER_ROWS)
+                            upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
+                            for f, row in enumerate(rows_fin[block]):
+                                coef[row, :k] = _solve_triangular(
+                                    upper[:, f], coef[row, :k], lower=0, trans=0
+                                )
+                        if capped or stop.all():
+                            break
+                        # compact the running rows to the front of every array
+                        keep = ~stop
+                        q[:k, : keep.sum()] = q[:k, :m][:, keep]
+                        live, tier = live[keep], tier[keep]
+                        # abs_r is recomputed from r before it is read again
+                        r, active = r[keep], active[keep]
+                        j, col, pivot = j[keep], col[keep], pivot[keep]
+                        m = live.size
+                        rows = rows[:m]
 
-                qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
-                ck = r[rows, j] / qk[rows, j]
-                r -= ck[:, None] * qk
-                picks[live, k] = j
-                coef[live, k] = ck
-                active[rows, j] = True
-                k += 1
-                abs_r = np.abs(r)
-                norms = _stop_norms(r, abs_r, stop_norm)
+                    qk = np.divide(col, np.sqrt(pivot)[:, None], out=q[k, :m])
+                    ck = r[rows, j] / qk[rows, j]
+                    r -= ck[:, None] * qk
+                    picks[live, k] = j
+                    coef[live, k] = ck
+                    active[rows, j] = True
+                    k += 1
+                    abs_r = np.abs(r)
+                    norms = _stop_norms(r, abs_r, stop_norm)
+            finally:
+                if k * batch * n <= _KEPT_Q_DOUBLES:
+                    _workspace.q = mapping
 
             # (alpha; c) = P (y - I_S u_S), one stacked product per tier
             rows, index, value = out.selected()

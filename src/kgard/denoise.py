@@ -8,9 +8,10 @@ ridge fit with sparse outlier estimation separates the smooth intensity
 surface from impulses.  The ridge parameter is picked per ROI from the
 local gradient statistics and the stopping threshold is re-derived at
 every iteration from a histogram of the current residuals, row-wise
-over the (L, N) stack of the ROIs still running.  All ROIs of an image
-are fitted as one lockstep batch by one solver that carries every
-ridge tier.
+over the (L, N) stack of the ROIs still running.  One solver carries
+every ridge tier, and it fits the ROIs of an image in raster-order
+blocks of ``_BLOCK_ROIS``, each block one lockstep batch, so a large
+image reuses one block's Schur workspace instead of holding every ROI's.
 
 Outputs are the denoised image (the fitted smooth surfaces), the
 outlier map (estimated impulses at full resolution), and the original
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import KgardSolver, _check_count
-from .kernel import KernelParams, _as_float, gram_matrix, grid_points
+from .kernel import KernelParams, _as_float, _as_real_array, gram_matrix, grid_points
 from .pgm import _as_image
 
 _DEGENERATE_SPAN = 1e-9
@@ -39,6 +40,14 @@ _DISPERSION_GATE = 0.9
 # original - outlier_map is exact and the reconstruction identity
 # impulse_removed + outlier_map == original holds bit for bit
 _MAP_QUANTUM = 2.0**-30
+
+# ROIs per fit.  Each block borrows the calling thread's Q workspace,
+# which keeps one such block's Q (48 selections x 256 ROIs x 144 pixels
+# at the default ROI size).  Measured on 512^2 and 256^2 images: 64 and
+# 128 took 10-20 % longer, 256 to 384 the same, 512 longer again, and
+# the peak RSS rise grows with the block, so 256 is the smallest of the
+# fastest sizes.
+_BLOCK_ROIS = 256
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ def auto_lambda_map(padded, cfg: RoiConfig) -> np.ndarray:
 def _magnitude_rows(residual_abs) -> tuple:
     """Validated (L, N) residual magnitudes, with each row's minimum and
     maximum."""
-    r = np.asarray(residual_abs, dtype=np.float64)
+    r = _as_real_array("residual magnitudes", residual_abs)
     if r.ndim != 2:
         raise ValueError(f"residual magnitudes must be an (L, N) stack, got {r.shape}")
     if r.size == 0:
@@ -287,10 +296,12 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     on the N^2 lattice and the ROI's automatic ridge parameter, using
     the max-norm stopping rule with the threshold recomputed from the
     residual histogram at every iteration.  One solver carries the
-    lambda tiers over the shared Gram matrix, and all ROIs are fitted
-    as one lockstep batch, on the calling thread.  The fitted smooth
-    surfaces' cores form the denoised image and the estimated impulses'
-    cores the outlier map.  Diagnostics are in raster order.  A finite
+    lambda tiers over the shared Gram matrix and fits the ROIs in
+    blocks of 256, each block one lockstep batch, on the calling
+    thread; every ROI's result is the one a fit of it alone gives, so
+    the block size moves no output bit.  The fitted smooth surfaces'
+    cores form the denoised image and the estimated impulses' cores the
+    outlier map.  Diagnostics are in raster order.  A finite
     image too large for the pipeline's arithmetic, one that would give
     an output that is not finite, raises ``ValueError``.
     """
@@ -305,21 +316,38 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ys = rois.reshape(rows * cols, n * n)
 
     gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
-    lams, tier = np.unique(lambdas, return_inverse=True)
-    batch = KgardSolver(gram, lams).fit(
-        ys,
-        epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
-        stop_norm="linf",
-        max_selections=(n * n) // 3,
-        tier=tier,
-    )
+    # the ridge tiers that occur, ascending, and each ROI's index into
+    # them (not np.unique: its first call imports numpy.ma)
+    levels = np.array([1.0, 5.0, 15.0]) * cfg.lambda0
+    lams = levels[[(lambdas == level).any() for level in levels]]
+    tier = np.searchsorted(lams, lambdas)
+    solver = KgardSolver(gram, lams)
 
     outliers = np.zeros(ys.shape)
-    roi, index, value = batch.selected()
-    outliers[roi, index] = value
+    surfaces = np.empty(ys.shape)
+    epsilon = np.empty(len(ys))
+    selections = np.empty(len(ys), dtype=np.intp)
+    stop_reason = np.empty(len(ys), dtype="<U9")
+    for lo in range(0, len(ys), _BLOCK_ROIS):
+        block = slice(lo, lo + _BLOCK_ROIS)
+        batch = solver.fit(
+            ys[block],
+            epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
+            stop_norm="linf",
+            max_selections=(n * n) // 3,
+            tier=tier[block],
+        )
+        roi, index, value = batch.selected()
+        outliers[lo + roi, index] = value
+        # a fit of finite pixels can still overflow here; the outputs are
+        # checked once
+        with np.errstate(over="ignore", invalid="ignore"):
+            surfaces[block] = batch.evaluate(gram)
+        epsilon[block] = batch.epsilon
+        selections[block] = batch.selections
+        stop_reason[block] = batch.stop_reason
     per_roi = zip(
-        lambdas.tolist(), batch.epsilon.tolist(), batch.selections.tolist(),
-        batch.stop_reason.tolist(),
+        lambdas.tolist(), epsilon.tolist(), selections.tolist(), stop_reason.tolist()
     )
     diagnostics = [
         RoiDiagnostics(idx, (idx // cols * ell, idx % cols * ell), lam, eps, count, reason)
@@ -327,10 +355,7 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ]
 
     h, w = img.shape
-    # a fit of finite pixels can still overflow here; the outputs are
-    # checked once
     with np.errstate(over="ignore", invalid="ignore"):
-        surfaces = batch.evaluate(gram)
         denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]
         outlier_map = _cores(outliers.reshape(rows, cols, n, n), cfg)[:h, :w]
         outlier_map = np.round(outlier_map / _MAP_QUANTUM) * _MAP_QUANTUM

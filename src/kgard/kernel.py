@@ -22,6 +22,18 @@ def _as_float(name: str, value) -> float:
         raise ValueError(f"{name} must convert to a float: {err}") from None
 
 
+def _as_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, or ValueError naming ``name`` when
+    it holds complex numbers, whose imaginary parts a cast would drop,
+    or values without a float."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got complex values")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError as err:  # an object array holding a complex, say
+        raise ValueError(f"{name} must be real numbers: {err}") from None
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Width of the Gaussian RBF kernel, in input-space units.
@@ -49,7 +61,7 @@ def as_point_matrix(points) -> np.ndarray:
     Accepts a 1-D array of scalars (d = 1) or an (N, d) array with
     d >= 1, of finite values only.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _as_real_array("points", points)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelParams, _as_float, cross_gram, grid_points
+from .kernel import KernelParams, _as_float, _as_real_array, cross_gram, grid_points
 
 SINC_KERNEL_SIGMA = 0.15
 LATTICE_KERNEL_SIGMA = 0.2
@@ -272,7 +272,7 @@ def corrupt(
     Every draw comes from ``rng``, typically ``rng_for(seed)``; a caller
     that drew the dataset from the same stream keeps consuming it here.
     """
-    truth = np.asarray(truth, dtype=np.float64)
+    truth = _as_real_array("truth", truth)
     if truth.ndim != 1 or truth.size == 0:
         raise ValueError(f"truth must be a nonempty 1-D vector, got shape {truth.shape}")
     n = truth.shape[0]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import _as_real_array
+
 
 class PgmFormatError(Exception):
     """Malformed PGM data.  ``offset`` is the byte position at fault."""
@@ -74,14 +76,14 @@ def read_pgm(data: bytes) -> np.ndarray:
 
 def quantize(image) -> np.ndarray:
     """Round half away from zero, then clamp to [0, 255] uint8."""
-    img = np.asarray(image, dtype=np.float64)
+    img = _as_real_array("image", image)
     rounded = np.sign(img) * np.floor(np.abs(img) + 0.5)
     return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
 
 def _as_image(image) -> np.ndarray:
     """``image`` as a nonempty 2-D float array of finite pixels."""
-    img = np.asarray(image, dtype=np.float64)
+    img = _as_real_array("image", image)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
     if not np.all(np.isfinite(img)):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_lambda, _flapack, _one_blas_thread, _ridge_design
-from .kernel import _as_float
+from .kernel import _as_float, _as_real_array
 
 _RANK_TOL = 1e-10
 
@@ -146,8 +146,8 @@ def theorem_check(
     sigma_max = _as_float("sigma_max", sigma_max)
     if not 0 <= sigma_max < math.inf:
         raise ValueError(f"sigma_max must be nonnegative and finite, got {sigma_max}")
-    u = np.asarray(true_outliers, dtype=np.float64)
-    theta = np.asarray(true_theta, dtype=np.float64)
+    u = _as_real_array("true outliers", true_outliers)
+    theta = _as_real_array("true theta", true_theta)
     if u.ndim != 2 or theta.shape != (u.shape[0], u.shape[1] + 1):
         raise ValueError(
             "expected theta of shape (B, N+1) and outliers of shape (B, N), "

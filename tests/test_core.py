@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kgard.core
+import kgard.denoise
 from kgard.core import (
     KgardBatch,
     KgardConfig,
@@ -16,9 +19,9 @@ from kgard.core import (
     _cholesky,
     _solve_triangular,
 )
-from kgard.denoise import RoiConfig, auto_epsilon, roi_lattice
-from kgard.kernel import KernelParams, cross_gram, gram_matrix
-from kgard.noise import lattice_nodes
+from kgard.denoise import RoiConfig, auto_epsilon, denoise_image, roi_lattice
+from kgard.kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
+from kgard.noise import NoiseSpec, corrupt, lattice_nodes, rng_for
 from kgard.theory import theorem_check
 from oracle import (
     coefficient_map_reference,
@@ -814,3 +817,215 @@ def test_batch_mixes_rows_without_selections_and_rows_that_run_on():
     for i in (0, 3, 5):  # no selection: the plain ridge fit
         z = dense_solve(gram, y[i], 0.5)
         assert np.allclose(batch.alpha[i], z[:40], atol=1e-9)
+
+
+# every array boundary rejects complex input, whose imaginary part a
+# cast to float would drop with only a ComplexWarning
+COMPLEX_BOUNDARIES = {
+    "as_point_matrix": ("points", lambda: as_point_matrix(np.array([1j, 2.0]))),
+    "as_point_matrix-object": (
+        "points", lambda: as_point_matrix(np.array([1j, 2.0], dtype=object))
+    ),
+    "gram_matrix": ("points", lambda: gram_matrix(np.array([1j, 2.0]), KernelParams(1.0))),
+    "KgardSolver-gram": ("gram matrix", lambda: KgardSolver(np.eye(3) + 0j, 1.0)),
+    "KgardSolver-weights": (
+        "tikhonov_weights", lambda: KgardSolver(np.eye(3), 1.0, np.ones(4) + 1j)
+    ),
+    "fit-y": (
+        "observations", lambda: KgardSolver(np.eye(3), 1.0).fit(np.array([[1j, 0, 0]]), 0.0)
+    ),
+    "evaluate-kernel": (
+        "kernel",
+        lambda: KgardSolver(np.eye(3), 1.0).fit(np.ones((1, 3)), 0.0).evaluate(1j * np.eye(3)),
+    ),
+    "theorem_check-theta": (
+        "true theta", lambda: theorem_check(1.0, np.array([[1j, 1, 1]]), np.ones((1, 2)), 1.0)
+    ),
+    "theorem_check-theta-list": (
+        "true theta", lambda: theorem_check(1.0, [[1j, 1, 1]], np.ones((1, 2)), 1.0)
+    ),
+    "theorem_check-outliers": (
+        "true outliers", lambda: theorem_check(1.0, np.ones((1, 3)), [[1j, 1.0]], 1.0)
+    ),
+    "corrupt-truth": (
+        "truth", lambda: corrupt(np.array([1j, 2, 3]), NoiseSpec(), rng_for(0))
+    ),
+    "denoise_image": ("image", lambda: denoise_image(np.full((8, 8), 1j))),
+}
+
+
+@pytest.mark.parametrize(
+    "name, call", COMPLEX_BOUNDARIES.values(), ids=COMPLEX_BOUNDARIES.keys()
+)
+def test_array_boundary_rejects_complex_input(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be real"):
+        call()
+
+
+def _snapshot(batch):
+    """Every field of a batch as (dtype, shape, bytes)."""
+    return {
+        field.name: (value.dtype.str, value.shape, value.tobytes())
+        for field in dataclasses.fields(batch)
+        for value in [getattr(batch, field.name)]
+    }
+
+
+def _kept_q():
+    """The Q mapping this thread's workspace keeps, or None."""
+    return getattr(kgard.core._workspace, "q", None)
+
+
+def _in_thread(call):
+    """``call()`` on a new thread, which starts with an empty Q workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and result, "the call raised or hung on its thread"
+    return result[0]
+
+
+def _workspace_fits(seed):
+    """Three fits of different shapes, sizes and stops, as snapshots."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n, rows, cap in ((20, 5, 6), (31, 9, 12), (12, 3, 6)):
+        gram, _ = _random_gram(rng, n)
+        y = rng.normal(size=(rows, n))
+        y[::2, :: n // 4] += 30.0
+        out.append(_snapshot(KgardSolver(gram, 0.1).fit(y, epsilon=3.0, max_selections=cap)))
+    return out
+
+
+def test_a_later_fit_leaves_an_earlier_batch_unchanged():
+    def fits():
+        rng = np.random.default_rng(7)
+        gram, _ = _random_gram(rng, 24)
+        y = rng.normal(size=(6, 24))
+        y[:, ::5] += 40.0
+        first = KgardSolver(gram, 0.1).fit(y, epsilon=0.5, max_selections=8)
+        before = _snapshot(first)
+        # a different shape on the same thread borrows the same mapping
+        gram2, _ = _random_gram(rng, 40)
+        KgardSolver(gram2, 0.1).fit(rng.normal(size=(11, 40)) * 50.0, epsilon=0.0)
+        return before, _snapshot(first)
+
+    before, after = _in_thread(fits)
+    assert after == before
+
+
+def test_a_fit_nested_in_epsilon_matches_the_plain_fit():
+    rng = np.random.default_rng(3)
+    gram, _ = _random_gram(rng, 20)
+    outer_y = rng.normal(size=(4, 20))
+    outer_y[:, ::3] += 25.0
+    inner_gram, _ = _random_gram(rng, 15)
+    inner_y = rng.normal(size=(3, 15))
+    inner_y[:, ::4] += 25.0
+    inner_solver, outer_solver = KgardSolver(inner_gram, 0.2), KgardSolver(gram, 0.1)
+    inner = []
+
+    def threshold(abs_r):
+        inner.append(_snapshot(inner_solver.fit(inner_y, epsilon=1.0, max_selections=5)))
+        return 2.0
+
+    def nested():
+        return _snapshot(outer_solver.fit(outer_y, epsilon=threshold, max_selections=6))
+
+    def plain():
+        return (
+            _snapshot(outer_solver.fit(outer_y, epsilon=2.0, max_selections=6)),
+            _snapshot(inner_solver.fit(inner_y, epsilon=1.0, max_selections=5)),
+        )
+
+    outer = _in_thread(nested)
+    plain_outer, plain_inner = _in_thread(plain)
+    assert outer == plain_outer
+    assert len(inner) > 1 and all(fit == plain_inner for fit in inner)
+
+
+def test_threads_fitting_at_once_get_the_serial_bits():
+    # more threads than cores, switching often: a Q mapping shared between
+    # threads would mix their columns
+    serial = [_in_thread(lambda: _workspace_fits(seed)) for seed in range(4)]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(seed):
+        barrier.wait()
+        results[seed] = [_workspace_fits(seed) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(4):
+        assert results[seed] == [serial[seed]] * 3
+
+
+def test_each_thread_keeps_its_own_workspace():
+    solver = KgardSolver(np.eye(4), 1.0)
+    fit = lambda: solver.fit(np.ones((2, 4)), epsilon=0.0, max_selections=2)
+
+    def on_a_new_thread():
+        before = _kept_q()
+        fit()
+        return before, _kept_q()
+
+    fit()
+    mine = _kept_q()
+    before, theirs = _in_thread(on_a_new_thread)
+    assert before is None and theirs is not None and theirs is not mine
+    assert _kept_q() is mine
+
+
+def test_a_fit_that_raises_leaves_the_next_fit_correct():
+    rng = np.random.default_rng(11)
+    gram, _ = _random_gram(rng, 24)
+    y = rng.normal(size=(5, 24))
+    y[:, ::4] += 30.0
+    solver = KgardSolver(gram, 0.1)
+    steps = []
+
+    def failing(abs_r):
+        steps.append(1)
+        return -1.0 if len(steps) == 4 else 0.0
+
+    def fits():
+        reference = _snapshot(solver.fit(y, epsilon=0.0, max_selections=10))
+        with pytest.raises(ValueError, match="negative or NaN threshold"):
+            solver.fit(-y, epsilon=failing, max_selections=10)
+        kept = _kept_q() is not None
+        return reference, kept, _snapshot(solver.fit(y, epsilon=0.0, max_selections=10))
+
+    reference, kept, again = _in_thread(fits)
+    assert len(steps) == 4 and kept  # three slabs written, then handed back
+    assert again == reference
+
+
+def test_a_fit_past_the_bound_leaves_no_workspace(monkeypatch):
+    rng = np.random.default_rng(2)
+    gram, _ = _random_gram(rng, 20)
+    y = rng.normal(size=(4, 20))
+    solver = KgardSolver(gram, 0.1)
+    monkeypatch.setattr(kgard.core, "_KEPT_Q_DOUBLES", 3 * 4 * 20)
+
+    def kept_after(max_selections):
+        solver.fit(y, epsilon=0.0, max_selections=max_selections)
+        return _kept_q() is not None
+
+    assert _in_thread(lambda: [kept_after(3), kept_after(4), kept_after(3)]) == [
+        True, False, True
+    ]
+
+
+def test_the_kept_workspace_is_one_default_denoising_block():
+    assert kgard.core._KEPT_Q_DOUBLES == 48 * kgard.denoise._BLOCK_ROIS * 144

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -471,3 +472,23 @@ def test_pipeline_thresholds_match_np_histogram(monkeypatch):
     assert max(r.shape[0] for r, _, _ in calls) >= 10
     for r, e0, eps in calls:
         assert eps.tolist() == [auto_epsilon_reference(row, e0) for row in r]
+
+
+def test_blocks_match_one_block_bit_for_bit(monkeypatch):
+    # sparse impulses on zero stop on the threshold, the impulse image on
+    # the right runs to the cap: 25 ROIs, three full blocks of 7 and a
+    # last block of 4
+    img = np.zeros((40, 40))
+    img[::7, ::5] = 100.0
+    img[:, 20:] = _impulse_image(40, 20, 3)
+    monkeypatch.setattr(denoise_mod, "_BLOCK_ROIS", 10**6)
+    whole = denoise_image(img)
+    monkeypatch.setattr(denoise_mod, "_BLOCK_ROIS", 7)
+    blocks = denoise_image(img)
+    assert len(blocks.diagnostics) == 25
+    assert {d.stop_reason for d in blocks.diagnostics} == {"threshold", "cap"}
+    for name in ("denoised", "outlier_map", "impulse_removed"):
+        assert getattr(blocks, name).tobytes() == getattr(whole, name).tobytes()
+    assert [dataclasses.astuple(d) for d in blocks.diagnostics] == [
+        dataclasses.astuple(d) for d in whole.diagnostics
+    ]

@@ -81,3 +81,21 @@ def test_loader_raises_import_error_naming_module_and_directory():
     with pytest.raises(ImportError, match=r"no module scipy\.linalg\._nosuch in .*linalg") as info:
         core._scipy_linalg_module("_nosuch")
     assert info.value.name == "scipy.linalg._nosuch"
+
+
+def test_fits_leave_numpy_ma_unimported():
+    # np.unique calls np.ma.is_masked, so its first call imports numpy.ma
+    out = _run(
+        "import sys\n"
+        "import numpy as np\n"
+        "import kgard\n"
+        "from kgard.noise import NoiseSpec\n"
+        "image = np.full((24, 24), 60.0)\n"
+        "image[::5, ::3] = 200.0\n"
+        "kgard.denoise_image(image)\n"
+        "kgard.run_monte_carlo('sinc1d', NoiseSpec(impulse_fraction=0.1), "
+        "kgard.KgardConfig(lam=0.2, epsilon=10.0), trials=2)\n"
+        "kgard.sweep_outlier_magnitude([100.0], trials=2)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert out.split() == ["False"]

@@ -64,6 +64,11 @@ def make_inputs(tiny: bool) -> dict:
             clean, noisy, _ = synthetic_image(np.random.default_rng(seed), side)
             inputs[f"image.seed{seed}.side{side}.clean"] = clean
             inputs[f"image.seed{seed}.side{side}.noisy"] = noisy
+    # denoise_image fits 256 ROIs at a time: the paper's 512^2 is 16 full
+    # blocks, and 200^2 (625 ROIs) two full blocks and a last one of 113
+    for side in () if tiny else (512, 200):
+        _, noisy, _ = synthetic_image(np.random.default_rng(1), side)
+        inputs[f"image.seed1.side{side}.noisy"] = noisy
     # one stacked certificate check at the sweep's N = 100, over eight
     # orders of magnitude of theta
     rng = np.random.default_rng(5)
