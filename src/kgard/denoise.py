@@ -184,44 +184,26 @@ def _magnitude_rows(residual_abs) -> tuple:
 
 
 def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
-    """Row-wise ``np.histogram(row, bins, range=(row.min(), row.max()))``
-    of an (L, N) array whose row minima and maxima are ``first`` and
-    ``last``, bit for bit: the same linspace edges, the same index
-    formula with its +-1 edge corrections, and a closed last bin; then
-    each row's E1, E2 (+inf when none) and dispersion, as in auto_epsilon."""
+    """Each row's E1, E2 (+inf when none) and dispersion, as in
+    auto_epsilon, for an (L, N) array whose row minima and maxima are
+    ``first`` and ``last``, every span last - first at least 1e-9.  Value
+    x goes in bar min(floor((x - first) * (bins / (last - first))),
+    bins - 1), and bar i's left edge is i * ((last - first) / bins) +
+    first, so a value lying exactly on a computed edge may fall in the
+    bar below it."""
     rows_n, n = r.shape
     bins = n // 10 + 1
-    half = 0.5 * (first == last)  # np.histogram widens an empty range by 0.5
-    first = first - half
-    last = last + half
-    delta = last - first
-    # np.linspace with scalar ends: i * step + first, last edge exact
-    edges = np.arange(bins + 1.0) * (delta / bins)[:, None] + first[:, None]
-    edges[:, -1] = last
-    if (edges[:, :-1] >= edges[:, 1:]).any():
-        raise ValueError(
-            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
-        )
-    # indices into the raveled edges, row i's bins starting at i (bins + 1)
-    flat_edges = edges.ravel()
-    offset = np.arange(0, rows_n * (bins + 1), bins + 1)
+    span = last - first
+    step = span / bins
     scaled = r - first[:, None]
-    scaled /= delta[:, None]
-    scaled *= bins
+    scaled *= (bins / span)[:, None]
     idx = scaled.astype(np.intp)
     np.minimum(idx, bins - 1, out=idx)
-    idx += offset[:, None]
-    idx -= r < flat_edges.take(idx)
-    # a value on the last edge moves to the spare bin `bins`, folded back
-    # below: the last bin is closed
-    idx += r >= flat_edges[1:].take(idx)
-    counts = np.bincount(idx.ravel(), minlength=rows_n * (bins + 1))
-    counts = counts.reshape(rows_n, bins + 1)
-    counts[:, -2] += counts[:, -1]
-    heights = counts[:, :-1]
-
+    # row i's bars are bincount's slots i bins to (i + 1) bins - 1
+    idx += np.arange(0, rows_n * bins, bins)[:, None]
+    heights = np.bincount(idx.ravel(), minlength=rows_n * bins).reshape(rows_n, bins)
     h_min = heights.min(axis=1)
-    e1 = flat_edges.take(heights.argmin(axis=1) + offset)
+    e1 = heights.argmin(axis=1) * step + first
     # E2 scan: the first bar ell >= 1 rising by >= 1 from a near-minimum
     # bar; a one-bar histogram has none
     e2 = np.full(rows_n, np.inf)
@@ -229,7 +211,7 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
         before = heights[:, :-1]
         rise = (heights[:, 1:] > before) & (before <= h_min[:, None] + 5)
         ell = rise.argmax(axis=1)
-        e2 = np.where(rise.any(axis=1), flat_edges[1:].take(ell + offset), np.inf)
+        e2 = np.where(rise.any(axis=1), (ell + 1) * step + first, np.inf)
     # np.var's arithmetic: every value lands in one bin, so the float sum
     # of a row's heights is n and their mean n / bins
     mean = n / bins
@@ -242,9 +224,14 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
 def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
     """Stopping thresholds of an (L, N) stack of residual magnitudes, as
     an (L,) array, from each row's histogram over floor(N/10) + 1 equal
-    bins.  E1 is the left edge of the first bar of minimum height.  E2 is
-    the left edge of the first bar (second or later) that rises by at
-    least 1 from a predecessor of near-minimum height (h <= h_min + 5).
+    bins between its minimum m and maximum M: value x goes in bar
+    min(floor((x - m) * (bins / (M - m))), bins - 1), and bar i's left
+    edge is i * ((M - m) / bins) + m.  A value lying exactly on a computed
+    edge may fall in the bar below it, where ``np.histogram`` would put it
+    in the bar above.  E1 is the left edge of the first bar of minimum
+    height.  E2 is the left edge of the first bar (second or later) that
+    rises by at least 1 from a predecessor of near-minimum height
+    (h <= h_min + 5).
 
     Returns min(e0, E1, E2) when the bar heights are strongly dispersed
     (sqrt(var)/mean > 0.9, the signature of a separated outlier mode)

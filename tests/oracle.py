@@ -2,8 +2,8 @@
 cross-Gram matrices built on it, a dense reference solve for the
 greedy solver, dense references of
 its ridge coefficient and residual maps, a closed-form residual after
-k correct selections, a per-row ``np.histogram`` reference for the
-denoising threshold, which in ``kgard.denoise`` takes (L, N) stacks
+k correct selections, a per-value reference of the denoising
+threshold's histogram, which in ``kgard.denoise`` takes (L, N) stacks
 only, the denoising pipeline one ROI at a time, the identification
 certificate's fields in numpy scalar arithmetic, and the support
 fractions of one fit as set arithmetic.
@@ -102,26 +102,37 @@ def residual(gram, y, batch, i=0):
 
 
 def epsilon_histogram_reference(residual_abs):
-    """(edges, heights, h_min, e1, e2, dispersion) of one residual row,
-    read off ``np.histogram`` directly; the (e1, e2, dispersion) that
+    """(edges, heights, e1, e2, dispersion) of one residual row whose
+    span max - min is at least 1e-9, one value at a time in Python
+    floats: value x goes in bar min(floor((x - min) * (bins / (max -
+    min))), bins - 1), and edge i is i * ((max - min) / bins) + min, the
+    last edge max itself.  The (e1, e2, dispersion) that
     ``kgard.denoise._histograms`` returns for each row of a stack must
     match it bit for bit."""
-    r = np.asarray(residual_abs, dtype=np.float64).ravel()
-    if r.size == 0:
+    r = [float(x) for x in np.asarray(residual_abs, dtype=np.float64).ravel()]
+    if not r:
         raise ValueError("residual vector is empty")
-    if np.any(r < 0):
+    if any(x < 0 for x in r):
         raise ValueError("residual magnitudes must be nonnegative")
-    bins = r.size // 10 + 1
-    heights, edges = np.histogram(r, bins=bins, range=(r.min(), r.max()))
-    h_min = int(heights.min())
-    e1 = float(edges[int(np.argmax(heights == h_min))])
+    first, last = min(r), max(r)
+    if not last - first >= 1e-9:
+        raise ValueError("the histogram needs a span of at least 1e-9")
+    bins = len(r) // 10 + 1
+    scale = bins / (last - first)
+    heights = [0] * bins
+    for x in r:
+        heights[min(math.floor((x - first) * scale), bins - 1)] += 1
+    step = (last - first) / bins
+    edges = [i * step + first for i in range(bins)] + [last]
+    h_min = min(heights)
+    e1 = edges[heights.index(h_min)]
     e2 = math.inf
     for ell in range(1, bins):
         if heights[ell] - heights[ell - 1] >= 1 and heights[ell - 1] <= h_min + 5:
-            e2 = float(edges[ell])
+            e2 = edges[ell]
             break
     dispersion = float(np.sqrt(np.var(heights)) / np.mean(heights))
-    return edges, heights, h_min, e1, e2, dispersion
+    return edges, heights, e1, e2, dispersion
 
 
 def auto_epsilon_reference(residual_abs, e0):
@@ -133,7 +144,7 @@ def auto_epsilon_reference(residual_abs, e0):
         raise ValueError("residual vector is empty")
     if float(r.max() - r.min()) < 1e-9:
         return float(e0)
-    _, _, _, e1, e2, dispersion = epsilon_histogram_reference(r)
+    _, _, e1, e2, dispersion = epsilon_histogram_reference(r)
     if dispersion > 0.9:
         return float(min(e0, e1, e2))
     return float(min(e0, e1))

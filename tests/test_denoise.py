@@ -409,7 +409,8 @@ def _residual_rows(rng, rows, n):
             r = level * rng.random(n)
             if n > 1:
                 r[0], r[1] = 0.0, level  # fix the range, then land on its edges
-                _, edges = np.histogram(r, bins=n // 10 + 1, range=(0.0, level))
+                bins = n // 10 + 1
+                edges = np.append(np.arange(bins) * (level / bins) + 0.0, level)
                 on_edge = rng.choice(n, size=min(n, 5), replace=False)
                 r[on_edge] = rng.choice(edges, size=on_edge.size)
         elif kind == 1:
@@ -423,22 +424,75 @@ def _residual_rows(rng, rows, n):
 
 
 @given(rows=st.integers(1, 6), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
-def test_row_wise_threshold_matches_np_histogram(rows, n, seed):
+def test_row_wise_threshold_matches_reference(rows, n, seed):
     r = _residual_rows(np.random.default_rng(seed), rows, n)
     expected = [auto_epsilon_reference(row, 40.0) for row in r]
     eps = auto_epsilon(r, 40.0)
     assert eps.shape == (rows,)
     assert eps.tolist() == expected
     assert [auto_epsilon(row[None], 40.0).item() for row in r] == expected
-    try:
-        reference = [epsilon_histogram_reference(row) for row in r]
-    except ValueError:  # np.histogram: too many bins for a row's range
-        with pytest.raises(ValueError, match="Too many bins"):
-            _histograms(*_magnitude_rows(r))
+    # auto_epsilon histograms only the rows whose span reaches 1e-9
+    live = r[r.max(axis=1) - r.min(axis=1) >= 1e-9]
+    if not live.shape[0]:
         return
-    e1, e2, dispersion = _histograms(*_magnitude_rows(r))
-    for i, (_, _, _, ref_e1, ref_e2, ref_dispersion) in enumerate(reference):
+    e1, e2, dispersion = _histograms(*_magnitude_rows(live))
+    for i, row in enumerate(live):
+        _, _, ref_e1, ref_e2, ref_dispersion = epsilon_histogram_reference(row)
         assert (e1[i], e2[i], dispersion[i]) == (ref_e1, ref_e2, ref_dispersion)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bars_match_np_histogram_away_from_edges(seed):
+    # the two bar definitions differ only for a value within about an ulp
+    # of a computed interior edge; rows with every value more than 4 ulps
+    # from every interior edge get np.histogram's heights
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    rows = 0
+    for level in (1e-3, 1.0, 40.0, 255.0, 1e4):
+        r = level * (1.0 + rng.random(n))
+        edges, heights, *thresholds = epsilon_histogram_reference(r)
+        interior = np.array(edges[1:-1])
+        gap = np.abs(r[:, None] - interior).min(axis=1, initial=np.inf)
+        if not (gap > 4 * np.spacing(r)).all():
+            continue
+        rows += 1
+        expected, _ = np.histogram(r, bins=n // 10 + 1, range=(r.min(), r.max()))
+        assert heights == expected.tolist()
+        e1, e2, dispersion = _histograms(*_magnitude_rows(r[None]))
+        assert [e1[0], e2[0], dispersion[0]] == thresholds
+    assert rows >= 4
+
+
+def test_value_on_a_computed_edge_falls_in_the_lower_bar():
+    # 15 bars over [1.5, 2]: edge 2 is 2 * (0.5 / 15) + 1.5, and
+    # (edge - 1.5) * (15 / 0.5) rounds to just below 2, so the one value
+    # on it goes in bar 1, where np.histogram puts it in bar 2.  Bar 2 is
+    # then the first empty bar, and E1 is edge 2, not edge 0.
+    edge = 2 * (0.5 / 15) + 1.5
+    # bar 0 holds only the minimum, bar 2 only the value on its edge
+    mids = 1.5 + (np.arange(15) + 0.5) * (0.5 / 15)
+    r = np.append(np.repeat(mids, [0, 10, 0] + [11] * 11 + [9]), [1.5, edge, 2.0])
+    assert np.histogram(r, bins=15, range=(1.5, 2.0))[0][:3].tolist() == [1, 10, 1]
+    _, heights, e1, _, _ = epsilon_histogram_reference(r)
+    assert heights[:3] == [1, 11, 0] and e1 == edge
+    assert auto_epsilon(r[None], 40.0).tolist() == [edge]
+
+
+@pytest.mark.parametrize("level", [1e8, 1e12])
+def test_auto_epsilon_spans_of_a_few_ulps_get_e0(level):
+    # a span of 1-4 ulps, at least 1e-9, cut into 15 bars: the bar edges
+    # round onto a handful of values, where np.histogram raises "Too many
+    # bins", and E1 is at least the row minimum, so every row gets e0
+    rng = np.random.default_rng(0)
+    r = np.empty((6, 144))
+    for row in r:
+        ulps = rng.integers(0, 5, 144)
+        ulps[:2] = 0, rng.integers(1, 5)
+        row[:] = [level + k * np.spacing(level) for k in ulps]
+    assert (r.max(axis=1) - r.min(axis=1) >= 1e-9).all()
+    expected = [auto_epsilon_reference(row, 40.0) for row in r]
+    assert auto_epsilon(r, 40.0).tolist() == expected == [40.0] * 6
 
 
 def test_row_wise_threshold_rejects_bad_rows():
@@ -451,7 +505,7 @@ def test_row_wise_threshold_rejects_bad_rows():
             auto_epsilon(row, 40.0)
 
 
-def test_pipeline_thresholds_match_np_histogram(monkeypatch):
+def test_pipeline_thresholds_match_reference(monkeypatch):
     # the stacks a 64^2 impulse image really feeds the threshold: 144-pixel
     # rows of the ROIs still running in the image's one batch
     img = _bump(64)

@@ -11,8 +11,9 @@ REV is extracted with ``git archive`` into a temporary directory.  Each
 tree and thread count runs in its own child process, which imports
 kgard from that tree's ``src/``; the children's environments differ only
 in ``OPENBLAS_NUM_THREADS``.  The corpus inputs (the synthetic images of
-``bench/workloads.py`` and the certificate's truths) are made once, in
-this process, from this checkout, so every run reads the same bytes.
+``bench/workloads.py``, one of them with random-valued impulses, and the
+certificate's truths) are made once, in this process, from this
+checkout, so every run reads the same bytes.
 The corpus calls only public entry points whose signatures are stable,
 so any recent revision can be compared.
 
@@ -69,6 +70,14 @@ def make_inputs(tiny: bool) -> dict:
     for side in () if tiny else (512, 200):
         _, noisy, _ = synthetic_image(np.random.default_rng(1), side)
         inputs[f"image.seed1.side{side}.noisy"] = noisy
+    if not tiny:
+        # random-valued impulses, on which threshold rules differ: 10 % of
+        # the seed-1 clean 64^2 pixels set to uniform integers in [0, 255]
+        valued = inputs["image.seed1.side64.clean"].copy()
+        rng = np.random.default_rng(1)
+        idx = rng.choice(valued.size, size=round(0.1 * valued.size), replace=False)
+        valued.ravel()[idx] = rng.integers(0, 256, size=idx.size)
+        inputs["image.seed1.side64.random_valued"] = valued
     # one stacked certificate check at the sweep's N = 100, over eight
     # orders of magnitude of theta
     rng = np.random.default_rng(5)
