@@ -5,15 +5,16 @@ vector.  The solver alternates a regularized least-squares fit over the
 active columns of the augmented design X = [K 1 I_N] with a greedy
 selection of the identity column whose residual coordinate is largest
 in magnitude.  The one penalty is lam ||diag(w) (alpha; c)||^2, with
-Tikhonov weights w (all 1 by default), so the normal matrix of the ridge
-design X0 = [K 1] is positive definite for every lam > 0 in exact
-arithmetic.  Selected identity columns carry no regularization, so the
-residual at a selected coordinate is driven exactly to zero.
+Tikhonov weights w (all 1 by default).  Selected identity columns carry
+no regularization, so the residual at a selected coordinate is driven
+exactly to zero.
 
 Because of that, the fit over [K 1 I_S] reduces to the residual map of
-the ridge fit over [K 1] alone, and each selection is a rank-one update
-of that map; the coefficients are read once, after the last
-selection, through the ridge fit's coefficient map.  Fits that share
+the ridge fit over the design X0 = [K 1] alone, and each selection is a
+rank-one update of that map.  The map comes from the N x N matrix
+G = Z Z^T + lam I of Z = X0 diag(w)^-1, whose eigenvalues are at least
+lam (the kernel ridge dual form), and the coefficients are read once,
+after the last selection, off each fit's final residual.  Fits that share
 one residual map run as a batch: a (B, N) stack of residuals advances
 one selection per step, every row with its own argmax, update and stop
 test, and the batch finishes as arrays, one :class:`KgardBatch`.
@@ -101,7 +102,7 @@ _fblas = _scipy_linalg_module("_fblas")
 _flapack = _scipy_linalg_module("_flapack")
 # the very objects scipy.linalg.blas and scipy.linalg.lapack re-export
 dsyrk = _fblas.dsyrk
-dpotrf, dtrtrs = _flapack.dpotrf, _flapack.dtrtrs
+dpotrf, dpotri, dtrtrs = _flapack.dpotrf, _flapack.dpotri, _flapack.dtrtrs
 
 
 def _scipy_openblas(module, suffix: str = ""):
@@ -125,6 +126,7 @@ _OPENBLAS = list(filter(None, [
     _scipy_openblas(_fblas),
     _scipy_openblas(sys.modules.get("numpy._core._multiarray_umath"), "64_"),
 ]))
+_PIN_LOCK = threading.RLock()
 
 
 @contextlib.contextmanager
@@ -137,23 +139,27 @@ def _one_blas_thread():
     run under a fixed count gives the same bits at every thread setting,
     and no worker is woken to busy-wait through the fit that follows.
     The counts are process-global: BLAS calls on another thread
-    meanwhile also see one thread.  A library on another BLAS is left
-    alone.
+    meanwhile also see one thread.  Blocks on different threads run one
+    at a time, so no block restores a count while another still runs.
+    A library on another BLAS is left alone.
     """
-    previous = [get() for get, _ in _OPENBLAS]
-    for _, set_ in _OPENBLAS:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(_OPENBLAS, previous):
-            set_(count)
+    with _PIN_LOCK:
+        previous = [get() for get, _ in _OPENBLAS]
+        for _, set_ in _OPENBLAS:
+            set_(1)
+        try:
+            yield
+        finally:
+            for (_, set_), count in zip(_OPENBLAS, previous):
+                set_(count)
 
 
 class NumericalError(Exception):
-    """Factorization of the normal matrix failed.
+    """Cholesky factorization of a tier's N x N matrix G = Z Z^T + lam I
+    failed.
 
-    ``pivot`` is the zero-based index of the offending pivot.
+    ``pivot`` is the zero-based index of the offending pivot, which is
+    the index of an observation: G has one row per training point.
     """
 
     def __init__(self, message: str, pivot: int):
@@ -225,10 +231,8 @@ class KgardConfig:
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the lower triangle of ``m``, written over
-    ``m`` when it is Fortran-ordered; raises NumericalError with the
-    failing pivot.  The strict upper triangle is left as it was, so the
-    factor is lower triangular when ``m``'s upper triangle is zero, as
-    ``dsyrk(lower=1)`` leaves it."""
+    ``m`` when it is Fortran-ordered, the strict upper triangle left as
+    it was; raises NumericalError with the failing pivot."""
     c, info = dpotrf(m, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(
@@ -238,11 +242,10 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return c
 
 
-def _solve_triangular(factor: np.ndarray, b: np.ndarray, lower: int, trans: int) -> np.ndarray:
-    """factor^-1 b (trans=0) or factor^-T b (trans=1) of a lower (lower=1)
-    or upper (lower=0) triangular factor, written over ``b`` when it is a
-    contiguous vector or a Fortran-ordered matrix."""
-    x, info = dtrtrs(factor, b, lower=lower, trans=trans, overwrite_b=1)
+def _solve_upper(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """factor^-1 b of an upper triangular factor, written over ``b`` when
+    it is a contiguous vector."""
+    x, info = dtrtrs(factor, b, lower=0, overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     return x
@@ -322,26 +325,26 @@ class KgardSolver:
     """Reusable solver bound to one Gram matrix, one or more ridge
     parameters (tiers) and the Tikhonov weights.
 
-    For each tier's lam the constructor factors
-    A0 = X0^T X0 + lam diag(w^2) of X0 = [K 1], with w = 1 when no
-    Tikhonov weights are given, and forms two maps once, from
-    H = L0^{-1} X0^T: the ridge residual map
-    R = I - X0 A0^{-1} X0^T = I - H^T H and the coefficient map
-    P = A0^{-1} X0^T = L0^{-T} H, an (N+1) x N matrix; they are stacked
-    as (T, N, N) and (T, N+1, N).  A fit starts from r = R y and makes
-    one rank-one Schur update per selection; the columns of Q hold them,
-    so Q[S] is the lower Cholesky factor of R[S, S].  A pivot of R at or
-    below ``_PIVOT_FLOOR`` stops the fit.  A finished row's outliers u_S
-    come from one k x k triangular solve with Q[S].  The coefficients
-    (alpha; c) = P (y - I_S u_S) of every row come after the last
-    selection, from one stacked product per tier.
+    With X0 = [K 1], w = 1 when no Tikhonov weights are given, and
+    Z = X0 diag(w)^-1, the constructor forms Z Z^T once and, for each
+    tier's lam, factors the N x N matrix G = Z Z^T + lam I and inverts it
+    from its Cholesky factor.  The ridge residual map
+    R = I - X0 (X0^T X0 + lam diag(w^2))^-1 X0^T is lam G^-1, by the
+    push-through identity; the tiers' maps are stacked as (T, N, N).  A fit
+    starts from r = R y and makes one rank-one Schur update per
+    selection; the columns of Q hold them, so Q[S] is the lower Cholesky
+    factor of R[S, S].  A pivot of R at or below ``_PIVOT_FLOOR`` stops
+    the fit.  A finished row's outliers u_S come from one k x k
+    triangular solve with Q[S], and its final residual is
+    r = R (y - I_S u_S), so after the last selection the coefficients
+    (alpha; c) = diag(w)^-2 X0^T r / lam come from one product per row.
 
     Setup runs on one thread of scipy's OpenBLAS and restores the
-    previous count afterwards, so R and P carry the same bits at every
-    BLAS thread setting.  The count is process-global: scipy called from
+    previous count afterwards, so R carries the same bits at every BLAS
+    thread setting.  The count is process-global: scipy called from
     another thread during setup sees one thread too.  With a scipy built
-    on another BLAS the count is left alone, and R and P are
-    bit-identical only at a fixed thread setting.
+    on another BLAS the count is left alone, and R is bit-identical only
+    at a fixed thread setting.
     """
 
     def __init__(
@@ -359,47 +362,41 @@ class KgardSolver:
         lams = [_check_lambda(value) for value in values.ravel().tolist()]
         design = _ridge_design(gram)
         n = design.shape[0]
-        w2 = 1.0
+        # Z = X0 diag(w)^-1, C-ordered, so Z^T is Fortran-ordered and dsyrk
+        # reads it uncopied
+        z, w2 = design, 1.0
         if tikhonov_weights is not None:
-            w2 = _check_weights(tikhonov_weights, n + 1) ** 2
-        tiers = len(lams)
-        self._residual_map = np.empty((tiers, n, n))
-        # each tier's P is Fortran-ordered, as LAPACK writes it in place
-        self._coef_map = np.empty((tiers, n, n + 1)).transpose(0, 2, 1)
+            w = _check_weights(tikhonov_weights, n + 1)
+            z, w2 = design / w, w**2
+        # each tier's coefficient divisor lam w^2, (T, 1) or (T, N+1)
+        with np.errstate(over="ignore"):
+            self._divisor = np.array(lams)[:, None] * w2
+        self._design = design
+        self._residual_map = np.empty((len(lams), n, n))
         lower_tri = np.tri(n, dtype=bool)
         with _one_blas_thread():
             # numpy and scipy each bundle an OpenBLAS, and every switch
             # between them waits for the other's spinning worker threads to
             # give up a core, so setup makes all its BLAS calls through
-            # scipy.  dsyrk of X0^T (Fortran-ordered, so not copied) fills
-            # the lower triangle of X0^T X0, the only one dpotrf reads.
-            # Each tier adds its penalty to a copy of it, the last tier
-            # to X0^T X0 itself.
-            xtx = dsyrk(1.0, design.T, lower=1)
+            # scipy.  dsyrk fills the lower triangle of Z Z^T, the only one
+            # dpotrf and dpotri read.  Each tier adds its lam to the
+            # diagonal of a copy of it, the last tier to Z Z^T itself.
+            zzt = dsyrk(1.0, z.T, trans=1, lower=1)
             for t, penalty in enumerate(lams):
-                a0 = xtx.copy(order="F") if t + 1 < tiers else xtx
+                g = zzt.copy(order="F") if t + 1 < len(lams) else zzt
                 with np.errstate(over="ignore"):
-                    a0[np.diag_indices(n + 1)] += penalty * w2
-                if not np.isfinite(a0).all():
+                    g[np.diag_indices(n)] += penalty
+                if not (np.isfinite(g).all() and np.isfinite(self._divisor[t]).all()):
                     raise ValueError(
-                        "the ridge normal matrix X0^T X0 + lam diag(w^2) overflows "
-                        f"at lambda {penalty}"
+                        "the ridge normal matrix Z Z^T + lam I, or its penalty "
+                        f"lam w^2, overflows at lambda {penalty}"
                     )
-                # L0 overwrites a0, Fortran-ordered, so LAPACK solves with
-                # it uncopied: H = L0^-1 X0^T, then P = L0^-T H, both in
-                # P's slot
-                l0 = _cholesky(a0)
-                h = self._coef_map[t]
-                h[...] = design.T
-                _solve_triangular(l0, h, lower=1, trans=0)
-                hth = dsyrk(1.0, h, trans=1, lower=1)
-                # R = I - H^T H mirrored from the lower triangle, so R is
-                # exactly symmetric: 0 - H^T H, then 1 on the diagonal
-                r = self._residual_map[t]
-                np.subtract(0.0, np.where(lower_tri, hth, hth.T), out=r)
-                r[np.diag_indices(n)] += 1.0
-                _solve_triangular(l0, h, lower=1, trans=1)
-        self._n = n
+                # G^-1 overwrites G's Cholesky factor, which overwrote G;
+                # dpotri fails only on a zero pivot, which dpotrf rules out
+                ginv = dpotri(_cholesky(g), lower=1, overwrite_c=1)[0]
+                # R = lam G^-1 mirrored from the lower triangle, so R is
+                # exactly symmetric
+                np.multiply(penalty, np.where(lower_tri, ginv, ginv.T), out=self._residual_map[t])
 
     def fit(
         self,
@@ -437,7 +434,7 @@ class KgardSolver:
         at most 48 x 256 x 144 doubles (14 MiB, one default denoising
         block); otherwise it is unmapped.  No output aliases Q.
         """
-        n = self._n
+        n = self._design.shape[0]
         y = _as_real_array("observations", y)
         if y.ndim != 2 or y.shape[1] != n:
             raise ValueError(f"expected a (B, N) stack with N = {n}, got shape {y.shape}")
@@ -478,6 +475,7 @@ class KgardSolver:
             stop_reason=np.empty(batch, dtype="<U9"),
         )
         picks, coef, row_tier = out.support, out.outliers, tier
+        final_r = np.empty((batch, n))  # each row's residual when it stops
         live = np.arange(batch)  # original row of each running row
         active = np.zeros((batch, n), dtype=bool)
         # Q is borrowed from this thread's workspace (see _KEPT_Q_DOUBLES),
@@ -527,6 +525,7 @@ class KgardSolver:
                         rows_fin = live[fin]
                         out.selections[rows_fin] = k
                         out.residual_norm[rows_fin] = norms[fin]
+                        final_r[rows_fin] = r[fin]
                         out.epsilon[rows_fin] = eps[fin] if eps.ndim else eps
                         out.stop_reason[rows_fin] = np.where(
                             done[fin], "threshold", "cap" if capped else "pivot"
@@ -539,9 +538,7 @@ class KgardSolver:
                             block = slice(lo, lo + _GATHER_ROWS)
                             upper = q[:k][:, fin[block, None], picks[rows_fin[block], :k]]
                             for f, row in enumerate(rows_fin[block]):
-                                coef[row, :k] = _solve_triangular(
-                                    upper[:, f], coef[row, :k], lower=0, trans=0
-                                )
+                                coef[row, :k] = _solve_upper(upper[:, f], coef[row, :k])
                         if capped or stop.all():
                             break
                         # compact the running rows to the front of every array
@@ -567,11 +564,10 @@ class KgardSolver:
                 if k * batch * n <= _KEPT_Q_DOUBLES:
                     _workspace.q = mapping
 
-            # (alpha; c) = P (y - I_S u_S), one stacked product per tier
-            rows, index, value = out.selected()
-            e = y.copy()
-            e[rows, index] -= value
-            theta = _per_tier(self._coef_map, row_tier, e)
+            # (alpha; c) = diag(w)^-2 X0^T r / lam of each row's final
+            # residual r, X0^T read as the transpose of the C-ordered X0
+            theta = np.matmul(self._design.T, final_r[:, :, None])[..., 0]
+            theta /= self._divisor[row_tier]
         if not (np.isfinite(theta).all() and np.isfinite(out.outliers).all()):
             raise ValueError("the fit overflows: its coefficients or outliers are not finite")
         out.alpha, out.bias = theta[:, :n], theta[:, n]

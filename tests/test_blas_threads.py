@@ -2,13 +2,15 @@
 bundled OpenBLAS, scipy's and numpy's.
 
 Outputs must not depend on ``OPENBLAS_NUM_THREADS``, the pin must hand
-each library's thread count back, also when setup raises, and without
+each library's thread count back, also when setup raises or another
+thread pins at the same time, and without
 a bundled OpenBLAS setup must run unpinned with the same arithmetic.
 """
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +101,12 @@ def test_setup_calls_scipy_on_one_thread(scipy_openblas, monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    for name in ("dsyrk", "dpotrf", "dtrtrs"):
+    for name in ("dsyrk", "dpotrf", "dpotri"):
         counting(core, name)
     counting(theory, "dgesdd")
     KgardSolver(_gram(), [0.1, 1.0])
     design_sigma_max(_gram())
-    assert {name for name, _ in seen} == {"dsyrk", "dpotrf", "dtrtrs", "dgesdd"}
+    assert {name for name, _ in seen} == {"dsyrk", "dpotrf", "dpotri", "dgesdd"}
     assert {threads for _, threads in seen} == {1}
 
 
@@ -127,6 +129,27 @@ def test_certificate_norms_run_on_one_numpy_thread(monkeypatch, scipy_openblas, 
         theorem_check(1.0, np.full((1, 5), 1e200), np.ones((1, 4)), 1.0)
     assert counts() == (2, 2)
     assert seen == [(1, 1)] * 3
+
+
+def test_pinned_blocks_on_two_threads_run_one_at_a_time(scipy_openblas):
+    # were the other thread's block to start inside this one, it would
+    # run on after this block restored 2, then leave 1 behind
+    get, _ = scipy_openblas
+    outer_done, seen = threading.Event(), []
+
+    def other():
+        with core._one_blas_thread():
+            outer_done.wait(timeout=5)
+            seen.append(get())
+
+    thread = threading.Thread(target=other)
+    with core._one_blas_thread():
+        thread.start()
+        thread.join(timeout=0.2)
+    outer_done.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [1] and get() == 2
 
 
 @pytest.mark.parametrize(
@@ -154,5 +177,5 @@ def test_setup_without_scipy_openblas_gives_the_same_arrays(scipy_openblas, monk
     plain = KgardSolver(gram, [0.1, 1.0])
     assert design_sigma_max(gram) == pinned_sigma
     assert get() == 1
-    assert plain._residual_map.tobytes() == pinned._residual_map.tobytes()
-    assert plain._coef_map.tobytes() == pinned._coef_map.tobytes()
+    for kept in ("_residual_map", "_design", "_divisor"):
+        assert getattr(plain, kept).tobytes() == getattr(pinned, kept).tobytes()

@@ -17,7 +17,7 @@ from kgard.core import (
     KgardSolver,
     NumericalError,
     _cholesky,
-    _solve_triangular,
+    _solve_upper,
 )
 from kgard.denoise import RoiConfig, auto_epsilon, denoise_image, roi_lattice
 from kgard.kernel import KernelParams, as_point_matrix, cross_gram, gram_matrix
@@ -201,9 +201,14 @@ def test_cholesky_failure_reports_pivot():
 
 
 def test_fit_tie_picks_smallest_index():
-    # with K = I the residuals at 1 and 2 tie exactly in magnitude
+    # K = 2I - 11^T/2 makes Z Z^T = [K 1][K 1]^T = 4I exactly, so at
+    # lam = 12 R = 12 (16 I)^-1 = 0.75 I and the residuals at 1 and 2 tie
+    # exactly in magnitude
     y = np.array([[0.0, -3.0, 3.0, 0.0], [0.0, 3.0, -3.0, 0.0]])
-    fit = KgardSolver(np.eye(4), lam=1.0).fit(y, epsilon=0.0, max_selections=1)
+    solver = KgardSolver(2.0 * np.eye(4) - 0.5, lam=12.0)
+    r = y @ solver._residual_map[0]
+    assert np.array_equal(np.abs(r[:, 1]), np.abs(r[:, 2]))
+    fit = solver.fit(y, epsilon=0.0, max_selections=1)
     assert fit.support.tolist() == [[1], [1]]
 
 
@@ -441,8 +446,8 @@ def test_in_place_cholesky_keeps_the_maps(monkeypatch, points, sigma, lams):
     solver = KgardSolver(gram, lams)
     monkeypatch.setattr(kgard.core, "_cholesky", _copying_cholesky)
     copying = KgardSolver(gram, lams)
-    assert solver._residual_map.tobytes() == copying._residual_map.tobytes()
-    assert solver._coef_map.tobytes() == copying._coef_map.tobytes()
+    for kept in ("_residual_map", "_design", "_divisor"):
+        assert getattr(solver, kept).tobytes() == getattr(copying, kept).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -533,14 +538,25 @@ def test_residual_map_matches_dense_oracle(points, sigma, lam, weighted):
 @_BENCHMARK_GRAMS
 @_WEIGHTED
 def test_coefficient_map_matches_dense_oracle(points, sigma, lam, weighted):
+    # the coefficients read off each row's final residual r are the dense
+    # coefficient map applied to y - u: the bound on the map's entries,
+    # 1e-11 of its largest, times ||y - u||_1
     gram, weights, lams, solver = _benchmark_solver(points, sigma, lam, weighted)
     n = gram.shape[0]
-    assert solver._coef_map.shape == (3, n + 1, n)
-    for p, tier_lam in zip(solver._coef_map, lams):
-        # Fortran-ordered, as LAPACK wrote it
-        assert p.flags.f_contiguous
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=(3, n))
+    y[:, :: n // 8] += 30.0
+    for t, tier_lam in enumerate(lams):
         expected = coefficient_map_reference(gram, tier_lam, weights)
-        assert np.max(np.abs(p - expected)) <= 1e-11 * np.max(np.abs(expected))
+        for cap in (0, 6):
+            fit = solver.fit(y, epsilon=0.0, max_selections=cap, tier=np.full(3, t))
+            assert fit.selections.tolist() == [cap] * 3
+            for i in range(3):
+                e = y[i].copy()
+                e[fit.support[i]] -= fit.outliers[i]
+                theta = np.append(fit.alpha[i], fit.bias[i])
+                bound = 1e-11 * np.max(np.abs(expected)) * np.sum(np.abs(e))
+                assert np.max(np.abs(theta - expected @ e)) <= bound
 
 
 def test_tikhonov_weights_scale_effective_penalty():
@@ -574,11 +590,14 @@ def test_b_matrix_zero_padding_for_selected_columns():
     gram, _ = _random_gram(rng, 8)
     x0 = design_matrix(gram)
     w = rng.uniform(0.5, 2.0, size=9)
+    y = rng.normal(size=8)
     for weights, head in ((None, np.eye(9)), (w, np.diag(w**2))):
-        coef_map = KgardSolver(gram, 0.3, tikhonov_weights=weights)._coef_map
+        fit = KgardSolver(gram, 0.3, tikhonov_weights=weights).fit(
+            y[None], epsilon=0.0, max_selections=0
+        )
         expected = np.linalg.solve(x0.T @ x0 + 0.3 * head, x0.T)
-        assert coef_map.shape == (1, 9, 8)
-        assert np.max(np.abs(coef_map[0] - expected)) <= 1e-11 * np.max(np.abs(expected))
+        bound = 1e-11 * np.max(np.abs(expected)) * np.sum(np.abs(y))
+        assert np.max(np.abs(solution_vector(fit) - expected @ y)) <= bound
 
 
 def _degenerate_case():
@@ -601,12 +620,24 @@ def test_fit_stops_on_degenerate_pivot():
     assert np.max(np.abs(r)) <= 1e-6 * np.linalg.norm(y)
 
 
-def test_fit_pivot_failure_reports_pivot():
+def test_fit_at_a_ridge_below_rounding_stops_on_pivot():
+    # G = Z Z^T + lam I has no eigenvalue below lam, so even at lam = 1e-16
+    # the Cholesky factorization of G succeeds and the fit interpolates y
     gram, y = _degenerate_case()
-    # the ridge no longer keeps the bias pivot of [K 1] positive
+    fit = KgardSolver(gram, 1e-16).fit(y[None], epsilon=0.0, max_selections=10)
+    assert fit.selections.tolist() == [0] and fit.stop_reason.tolist() == ["pivot"]
+    assert np.isfinite(fit.alpha).all() and np.isfinite(fit.bias).all()
+    assert np.max(np.abs(residual(gram, y, fit))) <= 1e-6 * np.linalg.norm(y)
+
+
+def test_fit_pivot_failure_reports_pivot():
+    # three identical points make G = 4 * ones(3, 3) + lam I, and lam =
+    # 1e-16 is below the rounding of its diagonal, so G is singular: the
+    # second observation repeats the first
+    gram = gram_matrix(np.zeros(3), KernelParams(1.0))
     with pytest.raises(NumericalError) as err:
-        KgardSolver(gram, 1e-16).fit(y[None], epsilon=0.0, max_selections=10)
-    assert err.value.pivot == 30
+        KgardSolver(gram, 1e-16).fit(np.ones((1, 3)), epsilon=0.0, max_selections=1)
+    assert err.value.pivot == 1
 
 
 def test_fit_and_predict_end_to_end():
@@ -799,7 +830,7 @@ def test_dtrtrs_matches_solve_triangular_bit_for_bit():
 def test_finished_row_solve_raises_on_a_singular_system():
     upper = np.zeros((1, 1))  # a zero diagonal: Q[S] is singular
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        _solve_triangular(upper, np.ones(1), lower=0, trans=0)
+        _solve_upper(upper, np.ones(1))
 
 
 def test_batch_mixes_rows_without_selections_and_rows_that_run_on():

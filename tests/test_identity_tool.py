@@ -1,6 +1,7 @@
 """tools/identity.py: the corpus is reproducible, also through the
 child's saved inputs and outputs, and a moved bit is reported with the
-output it moved and by how much."""
+output it moved and by how much, and with the tree whose thread counts
+disagree."""
 
 import importlib.util
 import sys
@@ -55,8 +56,9 @@ def test_tiny_corpus_digests_repeat(identity, tiny_runs):
     assert not any(name.endswith(tuple(identity.TIMING)) for name in first)
 
 
-def test_compare_names_the_first_output_that_differs(identity, tiny_runs):
-    reference, _ = tiny_runs
+def _moved(reference):
+    """``reference`` with one bit of fit.alpha moved and every capped
+    row's stop reason changed."""
     changed = dict(reference)
     alpha = reference["fit.alpha"].copy()
     alpha[2, 5] = np.nextafter(alpha[2, 5], np.inf)
@@ -64,15 +66,42 @@ def test_compare_names_the_first_output_that_differs(identity, tiny_runs):
     changed["fit.stop_reason"] = np.where(
         reference["fit.stop_reason"] == "cap", "pivot", reference["fit.stop_reason"]
     )
-    lines, differing = identity.compare({"parent": reference, "change": changed})
+    return changed
+
+
+def test_compare_sizes_every_output_that_differs(identity, tiny_runs):
+    reference, _ = tiny_runs
+    lines, differing = identity.compare({"parent": reference, "change": _moved(reference)})
     assert differing == ["fit.alpha", "fit.stop_reason"]
     report = "\n".join(lines)
     assert "DIFFERS" in report and "fit.alpha  (change vs parent)" in report
     spacing = abs(np.spacing(reference["fit.alpha"][2, 5]))
-    detail = next(line for line in lines if "first difference" in line)
-    assert "fit.alpha" in detail
-    assert f"1 of {alpha.size} entries differ" in detail
-    assert f"largest absolute difference {spacing:.3e}" in detail
-    assert "largest relative difference" in detail
-    # only the first differing output gets the detail line
-    assert sum("first difference" in line for line in lines) == 1
+    sizes = [line for line in lines if " in change vs parent: " in line]
+    assert len(sizes) == 2
+    assert sizes[0].startswith("  fit.alpha in change vs parent: ")
+    assert f"1 of {reference['fit.alpha'].size} entries differ" in sizes[0]
+    assert f"largest absolute difference {spacing:.3e}" in sizes[0]
+    assert "largest relative difference" in sizes[0]
+    capped = np.count_nonzero(reference["fit.stop_reason"] == "cap")
+    assert capped and sizes[1] == (
+        f"  fit.stop_reason in change vs parent: {capped} of 6 entries differ"
+    )
+    # labels without a thread count form no thread groups
+    assert not any(" agree on " in line or " differ on " in line for line in lines)
+
+
+def test_compare_says_whether_each_trees_thread_runs_agree(identity, tiny_runs):
+    reference, _ = tiny_runs
+    moved = _moved(reference)
+    one_thread = dict(moved, **{"fit.alpha": reference["fit.alpha"]})
+    lines, differing = identity.compare({
+        "parent@1": reference, "parent@2": reference, "change@1": one_thread, "change@2": moved,
+    })
+    assert differing == ["fit.alpha", "fit.stop_reason"]
+    total = len(reference)
+    assert lines[-2:] == [
+        f"parent@1 and parent@2 agree on all {total} outputs",
+        f"change@1 and change@2 differ on 1 of {total} outputs: fit.alpha",
+    ]
+    # fit.alpha is sized against change@2, the first run that moved it
+    assert any(line.startswith("  fit.alpha in change@2 vs parent@1: ") for line in lines)

@@ -23,6 +23,7 @@ import kgard.core, kgard.theory
 import scipy.linalg
 assert scipy.linalg.blas.dsyrk is kgard.core.dsyrk
 assert scipy.linalg.lapack.dpotrf is kgard.core.dpotrf
+assert scipy.linalg.lapack.dpotri is kgard.core.dpotri
 assert scipy.linalg.lapack.dtrtrs is kgard.core.dtrtrs
 assert scipy.linalg.lapack.dgesdd is kgard.theory.dgesdd
 assert scipy.linalg.lapack.dgesdd_lwork is kgard.theory.dgesdd_lwork

@@ -18,8 +18,9 @@ The corpus calls only public entry points whose signatures are stable,
 so any recent revision can be compared.
 
 Prints one SHA-256 per output (of its dtype, shape and bytes), marks
-the outputs that differ, and for the first of them prints the largest
-absolute and relative difference.  Exits 1 on any difference.  The
+the outputs that differ, each with its largest absolute and relative
+difference, and says for each tree whether its one- and two-thread runs
+agree.  Exits 1 on any difference.  The
 corpus functions also make a small corpus with the same outputs, in
 seconds, which the tests run.
 """
@@ -228,26 +229,37 @@ def _difference(a: np.ndarray, b: np.ndarray) -> str:
 
 def compare(runs: dict) -> tuple[list, list]:
     """Report lines and the names of the outputs that differ, comparing
-    every run of ``runs`` (label -> outputs) with the first."""
+    every run of ``runs`` (label -> outputs) with the first.  Each
+    differing output is sized against the first run that differs from
+    the reference.  Runs labelled TREE@THREADS are grouped by TREE, and
+    each group of several runs gets one line saying whether they agree."""
     labels = list(runs)
     reference = runs[labels[0]]
     names = sorted(set().union(*runs.values()))
+    digests = {label: {name: digest(v) for name, v in run.items()} for label, run in runs.items()}
     lines, differing = [], []
     for name in names:
-        digests = {label: digest(runs[label][name]) for label in labels if name in runs[label]}
-        if len(digests) == len(labels) and len(set(digests.values())) == 1:
-            lines.append(f"{digests[labels[0]]}  {name}")
+        seen = [digests[label].get(name) for label in labels]
+        if None not in seen and len(set(seen)) == 1:
+            lines.append(f"{seen[0]}  {name}")
             continue
-        others = [label for label in labels[1:] if digests.get(label) != digests.get(labels[0])]
+        others = [label for label, d in zip(labels[1:], seen[1:]) if d != seen[0]]
         lines.append(f"{'DIFFERS':<64}  {name}  ({', '.join(others)} vs {labels[0]})")
-        if not differing:
-            first = others[0]
-            if name not in reference or name not in runs[first]:
-                detail = f"missing from {labels[0] if name not in reference else first}"
-            else:
-                detail = _difference(reference[name], runs[first][name])
-            lines.append(f"  first difference, {name} in {first} vs {labels[0]}: {detail}")
+        first = others[0]
+        if name not in reference or name not in runs[first]:
+            detail = f"missing from {labels[0] if name not in reference else first}"
+        else:
+            detail = _difference(reference[name], runs[first][name])
+        lines.append(f"  {name} in {first} vs {labels[0]}: {detail}")
         differing.append(name)
+    trees = {}
+    for label in labels:
+        trees.setdefault(label.split("@")[0], []).append(label)
+    for group in (group for group in trees.values() if len(group) > 1):
+        split = [n for n in names if len({digests[label].get(n) for label in group}) > 1]
+        verdict = (f"differ on {len(split)} of {len(names)} outputs: {', '.join(split)}"
+                   if split else f"agree on all {len(names)} outputs")
+        lines.append(f"{' and '.join(group)} {verdict}")
     return lines, differing
 
 
