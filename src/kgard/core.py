@@ -255,16 +255,18 @@ def _solve_upper(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 class KgardBatch:
     """Fit result of a (B, N) batch as arrays, one row per fit.
 
-    ``alpha`` is (B, N); ``bias``, ``selections``, ``residual_norm``,
-    ``epsilon`` and ``stop_reason`` are (B,).  ``support`` and
-    ``outliers`` are (B, max_selections): row i's outlier indices in
-    selection order and their values fill its first ``selections[i]``
-    columns, and the padding after them is 0 and belongs to no
-    selection.
+    ``alpha`` and ``residual`` are (B, N); ``bias``, ``selections``,
+    ``residual_norm``, ``epsilon`` and ``stop_reason`` are (B,).
+    ``support`` and ``outliers`` are (B, max_selections): row i's
+    outlier indices in selection order and their values fill its first
+    ``selections[i]`` columns, and the padding after them is 0 and
+    belongs to no selection.
 
-    ``residual_norm`` and ``epsilon`` are the two sides of each row's
-    last stop test: the stop norm of the final residual, and the fixed
-    epsilon or what the epsilon callable returned for that row.
+    ``residual`` is each row's final residual r = R (y - I_S u_S), the
+    one its last stop test saw and its coefficients were read off:
+    (alpha; c) = diag(w)^-2 X0^T r / lam.  ``residual_norm`` and
+    ``epsilon`` are the two sides of that test: the stop norm of r, and
+    the fixed epsilon or what the epsilon callable returned for that row.
     ``stop_reason`` says why the row's selections ended:
     ``"threshold"`` (the residual norm reached epsilon), ``"pivot"``
     (the next pivot fell to the degenerate floor) or ``"cap"``
@@ -274,6 +276,7 @@ class KgardBatch:
 
     alpha: np.ndarray
     bias: np.ndarray
+    residual: np.ndarray
     support: np.ndarray
     outliers: np.ndarray
     selections: np.ndarray
@@ -467,6 +470,7 @@ class KgardSolver:
         out = KgardBatch(
             alpha=None,
             bias=None,
+            residual=np.empty((batch, n)),  # each row's residual when it stops
             support=np.zeros((batch, max_selections), dtype=np.intp),
             outliers=np.zeros((batch, max_selections)),
             selections=np.zeros(batch, dtype=np.intp),
@@ -474,8 +478,7 @@ class KgardSolver:
             epsilon=np.empty(batch),
             stop_reason=np.empty(batch, dtype="<U9"),
         )
-        picks, coef, row_tier = out.support, out.outliers, tier
-        final_r = np.empty((batch, n))  # each row's residual when it stops
+        picks, coef, final_r, row_tier = out.support, out.outliers, out.residual, tier
         live = np.arange(batch)  # original row of each running row
         active = np.zeros((batch, n), dtype=bool)
         # Q is borrowed from this thread's workspace (see _KEPT_Q_DOUBLES),

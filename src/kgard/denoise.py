@@ -6,12 +6,19 @@ the ROIs are one strided view of the replicate-padded image.  Each ROI is
 treated as a regression surface over the unit square: a Gaussian-kernel
 ridge fit with sparse outlier estimation separates the smooth intensity
 surface from impulses.  The ridge parameter is picked per ROI from the
-local gradient statistics and the stopping threshold is re-derived at
-every iteration from a histogram of the current residuals, row-wise
-over the (L, N) stack of the ROIs still running.  One solver carries
-every ridge tier, and it fits the ROIs of an image in raster-order
-blocks of ``_BLOCK_ROIS``, each block one lockstep batch, so a large
-image reuses one block's Schur workspace instead of holding every ROI's.
+local gradient statistics, and the fit stops on the max norm against
+``auto_epsilon``, a threshold read off a histogram of the current
+residual magnitudes.  That threshold never exceeds the histogram's top
+bar edge, which lies below the largest magnitude unless rounding lifts
+it there, so a ROI stops on it only when its residual span is below
+1e-9 or at such a rounding.  Each step therefore decides the stops from
+the running rows' minima and maxima alone (``_stop_thresholds``); the
+histogram is built only for a row that could stop, and once per block
+for every ROI's final residual, the threshold its diagnostics report.  One
+solver carries every ridge tier, and it fits the ROIs of an image in
+raster-order blocks of ``_BLOCK_ROIS``, each block one lockstep batch,
+so a large image reuses one block's Schur workspace instead of holding
+every ROI's.
 
 Outputs are the denoised image (the fitted smooth surfaces), the
 outlier map (estimated impulses at full resolution), and the original
@@ -183,6 +190,18 @@ def _magnitude_rows(residual_abs) -> tuple:
     return r, first, last
 
 
+def _bar_grid(n: int, first: np.ndarray, last: np.ndarray) -> tuple:
+    """The bars of row-wise histograms of n values, for rows whose minima
+    and maxima are ``first`` and ``last``: the bar count, each row's span
+    last - first, and ``edge``, where edge(i) is bar i's left edge
+    i * (span / bins) + first, row by row.  Rounding keeps edge(i)
+    monotone in i, so no bar up to i has a left edge above edge(i)."""
+    bins = n // 10 + 1
+    span = last - first
+    step = span / bins
+    return bins, span, lambda i: i * step + first
+
+
 def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
     """Each row's E1, E2 (+inf when none) and dispersion, as in
     auto_epsilon, for an (L, N) array whose row minima and maxima are
@@ -192,9 +211,7 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
     first, so a value lying exactly on a computed edge may fall in the
     bar below it."""
     rows_n, n = r.shape
-    bins = n // 10 + 1
-    span = last - first
-    step = span / bins
+    bins, span, edge = _bar_grid(n, first, last)
     scaled = r - first[:, None]
     scaled *= (bins / span)[:, None]
     idx = scaled.astype(np.intp)
@@ -203,7 +220,7 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
     idx += np.arange(0, rows_n * bins, bins)[:, None]
     heights = np.bincount(idx.ravel(), minlength=rows_n * bins).reshape(rows_n, bins)
     h_min = heights.min(axis=1)
-    e1 = heights.argmin(axis=1) * step + first
+    e1 = edge(heights.argmin(axis=1))
     # E2 scan: the first bar ell >= 1 rising by >= 1 from a near-minimum
     # bar; a one-bar histogram has none
     e2 = np.full(rows_n, np.inf)
@@ -211,7 +228,7 @@ def _histograms(r: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
         before = heights[:, :-1]
         rise = (heights[:, 1:] > before) & (before <= h_min[:, None] + 5)
         ell = rise.argmax(axis=1)
-        e2 = np.where(rise.any(axis=1), (ell + 1) * step + first, np.inf)
+        e2 = np.where(rise.any(axis=1), edge(ell + 1), np.inf)
     # np.var's arithmetic: every value lands in one bin, so the float sum
     # of a row's heights is n and their mean n / bins
     mean = n / bins
@@ -253,6 +270,32 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
     return eps
 
 
+def _stop_thresholds(residual_abs, e0: float) -> np.ndarray:
+    """Thresholds that make the max-norm stop decisions of
+    ``auto_epsilon(residual_abs, e0)``, max |r| <= threshold, row for
+    row, from each row's minimum and maximum.
+
+    auto_epsilon's E1 and E2 are left edges of bars up to the top one,
+    so neither exceeds the top bar's left edge T, which lies below the
+    row's maximum unless rounding lifts it there.  A row
+    whose maximum exceeds min(e0, T) therefore stops under neither
+    threshold, and gets min(e0, T).  A degenerate row (span below 1e-9)
+    gets e0, auto_epsilon's own value, and the rows left, whose maximum
+    is at most min(e0, T), get auto_epsilon's.  Every threshold is
+    nonnegative.  ``e0`` must be positive; bad magnitudes raise as in
+    auto_epsilon.
+    """
+    r, first, last = _magnitude_rows(residual_abs)
+    bins, span, edge = _bar_grid(r.shape[1], first, last)
+    eps = np.minimum(edge(bins - 1), e0)
+    live = span >= _DEGENERATE_SPAN
+    eps[~live] = e0
+    exact = live & (last <= eps)
+    if exact.any():
+        eps[exact] = auto_epsilon(r[exact], e0)
+    return eps
+
+
 @dataclass
 class RoiDiagnostics:
     """One ROI's fit.  Nothing sets ``failed``, kept for
@@ -281,11 +324,14 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     The ROIs are read off the padded image as one (R, N^2) stack in
     raster order.  Each ROI is fitted with the robust kernel ridge model
     on the N^2 lattice and the ROI's automatic ridge parameter, using
-    the max-norm stopping rule with the threshold recomputed from the
-    residual histogram at every iteration.  One solver carries the
-    lambda tiers over the shared Gram matrix and fits the ROIs in
-    blocks of 256, each block one lockstep batch, on the calling
-    thread; every ROI's result is the one a fit of it alone gives, so
+    the max-norm stopping rule against ``auto_epsilon`` of the current
+    residual.  Each step decides the stops from the running rows'
+    minima and maxima, which decide them exactly; the histogram is
+    built only for a row that could stop, and once per block for every
+    ROI's final residual, whose threshold the diagnostics report.  One
+    solver carries the lambda tiers over the shared Gram matrix and fits
+    the ROIs in blocks of 256, each block one lockstep batch, on the
+    calling thread; every ROI's result is the one a fit of it alone gives, so
     the block size moves no output bit.  The fitted smooth surfaces'
     cores form the denoised image and the estimated impulses' cores the
     outlier map.  Diagnostics are in raster order.  A finite
@@ -319,7 +365,7 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         block = slice(lo, lo + _BLOCK_ROIS)
         batch = solver.fit(
             ys[block],
-            epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
+            epsilon=lambda abs_r: _stop_thresholds(abs_r, cfg.e0),
             stop_norm="linf",
             max_selections=(n * n) // 3,
             tier=tier[block],
@@ -330,7 +376,10 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         # checked once
         with np.errstate(over="ignore", invalid="ignore"):
             surfaces[block] = batch.evaluate(gram)
-        epsilon[block] = batch.epsilon
+        # the fit's epsilon holds the decision values; auto_epsilon is
+        # row-wise, and the final residual is the one each row's last stop
+        # test saw
+        epsilon[block] = auto_epsilon(np.abs(batch.residual), cfg.e0)
         selections[block] = batch.selections
         stop_reason[block] = batch.stop_reason
     per_roi = zip(

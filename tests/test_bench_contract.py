@@ -121,7 +121,8 @@ def test_denoise_fits_once_per_image(monkeypatch, fit_batches):
     assert np.unique(lambdas).size >= 2
     # every ROI, whatever its tier, in one fit
     assert fit_batches == [lambdas.size]
-    # one threshold per step of that fit: at most the cap plus the last test
+    # auto_epsilon runs once on the final residuals and, during the fit,
+    # only at a step where some row could stop: here within the cap plus one
     max_selections = cfg.roi_size**2 // 3
     assert 0 < len(thresholds) <= max_selections + 1
     assert len(result.diagnostics) == lambdas.size

@@ -752,6 +752,52 @@ def test_tiered_batch_mixes_every_stop_and_matches_single_fits(monkeypatch, gath
         _assert_row_matches(batch, i, KgardSolver(gram, lams[t]).fit(y[None], **kwargs))
 
 
+@_WEIGHTED
+@pytest.mark.parametrize("design", ["duplicate-pairs", "kernel"])
+def test_batch_residual_is_each_rows_final_residual(design, weighted):
+    # threshold, pivot and cap rows under two tiers: the duplicate-pair
+    # rows with an l2 stop, random kernel rows with a linf stop
+    rng = np.random.default_rng(4)
+    if design == "duplicate-pairs":
+        gram, base, pair = _duplicate_pairs()
+        y = np.array(
+            [np.zeros(32), 1e9 * base, base + pair[0], 1e9 * (base + pair[0]),
+             base + pair.sum(axis=0), 1e9 * (base + pair.sum(axis=0))]
+        )
+        lams, stop_norm, kwargs = [1e-13, 1e-12], "l2", dict(epsilon=1e-4, max_selections=2)
+        reasons = {"threshold", "pivot", "cap"}
+    else:
+        gram, _ = _random_gram(rng, 30)
+        y = rng.normal(size=(6, 30))
+        y[::2, ::4] += 40.0
+        lams, stop_norm, kwargs = [0.1, 10.0], "linf", dict(epsilon=2.0, max_selections=6)
+        reasons = {"threshold", "cap"}
+    n = gram.shape[0]
+    weights = rng.uniform(0.5, 2.0, size=n + 1) if weighted else None
+    y, tier = np.concatenate([y, y]), np.repeat([0, 1], len(y))
+    solver = KgardSolver(gram, lams, tikhonov_weights=weights)
+    batch = solver.fit(y, stop_norm=stop_norm, tier=tier, **kwargs)
+    assert set(batch.stop_reason.tolist()) == reasons
+    r = batch.residual
+    assert r.shape == y.shape
+    # the stop norm of the last test, bit for bit
+    norms = np.sqrt(np.sum(r * r, axis=1)) if stop_norm == "l2" else np.abs(r).max(axis=1)
+    assert norms.tobytes() == batch.residual_norm.tobytes()
+    w2 = 1.0 if weights is None else weights**2
+    for i, t in enumerate(tier):
+        # the coefficients are read off it, bit for bit
+        theta = design_matrix(gram).T @ r[i] / (lams[t] * w2)
+        assert theta.tobytes() == np.append(batch.alpha[i], batch.bias[i]).tobytes()
+        # and it is the ridge residual of y - u, within the coefficient
+        # map's oracle bound scaled to the residual map
+        k = batch.selections[i]
+        e = y[i].copy()
+        e[batch.support[i, :k]] -= batch.outliers[i, :k]
+        expected = residual_map_reference(gram, lams[t], weights)
+        bound = 1e-11 * np.max(np.abs(expected)) * np.sum(np.abs(e))
+        assert np.max(np.abs(r[i] - expected @ e)) <= bound
+
+
 @given(
     design=st.sampled_from(["kernel", "duplicate-pairs"]),
     rows=st.integers(1, 8),
@@ -943,6 +989,7 @@ def test_a_later_fit_leaves_an_earlier_batch_unchanged():
         return before, _snapshot(first)
 
     before, after = _in_thread(fits)
+    assert "residual" in before  # every field, the final residual included
     assert after == before
 
 

@@ -13,6 +13,7 @@ from kgard.denoise import (
     _histograms,
     _magnitude_rows,
     _rois,
+    _stop_thresholds,
     auto_epsilon,
     auto_lambda_map,
     denoise_image,
@@ -314,13 +315,29 @@ def _impulse_image(h, w, seed):
     return img
 
 
+def _zero_block_image(h, w, rng):
+    """A ramp whose left half is a zero block, plus +100 impulses whose
+    density grows from 0 above row 10 to 35 % at the bottom.  A ROI with
+    at most 48 nonzero pixels can select them all, after which its
+    residual is zero to rounding and it stops on the threshold."""
+    img = np.add.outer(np.arange(h), 2.0 * np.arange(w))
+    img[:, : w // 2] = 0.0
+    density = 0.35 * np.clip((np.arange(h) - 10) / (h - 10), 0.0, 1.0)
+    img += 100.0 * (rng.random((h, w)) < density[:, None])
+    return img
+
+
 @pytest.mark.parametrize(
-    "shape,cfg",
-    [((30, 33), RoiConfig()), ((37, 29), RoiConfig(roi_size=9, core_size=5))],
-    ids=["30x33", "37x29-roi9-core5"],
+    "make_image,cfg,threshold_stops",
+    [
+        (lambda: _impulse_image(30, 33, seed=11), RoiConfig(), False),
+        (lambda: _impulse_image(37, 29, seed=11), RoiConfig(roi_size=9, core_size=5), False),
+        (lambda: _zero_block_image(40, 48, rng_for(0)), RoiConfig(), True),
+    ],
+    ids=["30x33", "37x29-roi9-core5", "40x48-zero-block"],
 )
-def test_pipeline_matches_per_roi_reference(shape, cfg):
-    img = _impulse_image(*shape, seed=11)
+def test_pipeline_matches_per_roi_reference(make_image, cfg, threshold_stops):
+    img = make_image()
     result = denoise_image(img, cfg)
     denoised, outlier_map, diagnostics = denoise_reference(img, cfg)
     assert result.denoised.tobytes() == denoised.tobytes()
@@ -332,6 +349,11 @@ def test_pipeline_matches_per_roi_reference(shape, cfg):
     ] == diagnostics
     assert {d.lam for d in result.diagnostics} == {1.0, 5.0, 15.0}
     assert np.any(outlier_map)
+    if threshold_stops:
+        # ROIs stop on the threshold at many steps, from none to near the cap
+        stops = [d.outliers for d in result.diagnostics if d.stop_reason == "threshold"]
+        assert len(stops) >= 10 and 0 in stops and max(stops) >= 40
+        assert len(set(stops)) >= 8
 
 
 def test_denoise_pads_once(monkeypatch):
@@ -505,9 +527,99 @@ def test_row_wise_threshold_rejects_bad_rows():
             auto_epsilon(row, 40.0)
 
 
+def _few_ulp_rows(rng, level, rows, n):
+    """Rows of n values, each a minimum m of a few ulps above ``level``
+    and m + 1 or 2 ulps, m + 1 ulp always present: a span of at least
+    1e-9 whose bar edges round onto m and its max, so the top edge can
+    round up to the max and, with two bars, E1 too."""
+    out = np.empty((rows, n))
+    for i, row in enumerate(out):
+        first = level + i * np.spacing(level)
+        ulps = (rng.random(n) < 0.3) * rng.integers(1, 3)
+        ulps[:2] = 0, 1
+        row[:] = first + ulps * np.spacing(first)
+    return out
+
+
+def _assert_same_stops(r, e0):
+    """_stop_thresholds decides max |r| <= threshold as auto_epsilon
+    does, every threshold is nonnegative, and a row that stops gets
+    auto_epsilon's value.  Returns the rows that stop."""
+    eps, reference = _stop_thresholds(r, e0), auto_epsilon(r, e0)
+    assert eps.shape == reference.shape == (r.shape[0],)
+    assert (eps >= 0).all()
+    stop = r.max(axis=1) <= reference
+    assert ((r.max(axis=1) <= eps) == stop).all()
+    assert eps[stop].tolist() == reference[stop].tolist()
+    return stop
+
+
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(1, 60),
+    e0=st.sampled_from([1e-3, 1.0, 40.0, 300.0, 1e5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stop_thresholds_decide_as_auto_epsilon(rows, n, e0, seed):
+    rng = np.random.default_rng(seed)
+    r = _residual_rows(rng, rows, n)
+    # all-zero rows, and rows whose minimum is at or above e0
+    r[rng.random(rows) < 0.2] = 0.0
+    lifted = rng.random(rows) < 0.2
+    r[lifted] += e0 * rng.choice([1.0, 2.0], size=(lifted.sum(), 1))
+    _assert_same_stops(r, e0)
+
+
+@pytest.mark.parametrize("level", [1e8, 1e12])
+@pytest.mark.parametrize("n", [10, 15, 19, 25, 144])
+def test_stop_thresholds_decide_as_auto_epsilon_at_spans_of_a_few_ulps(level, n):
+    r = _few_ulp_rows(np.random.default_rng(n), level, 64, n)
+    first, last = r.min(axis=1), r.max(axis=1)
+    bins = n // 10 + 1
+    top = (bins - 1) * ((last - first) / bins) + first
+    assert (last - first >= 1e-9).all() and (top == last).any()
+    for e0 in (40.0, level, 3.0 * level):
+        stop = _assert_same_stops(r, e0)
+        # with two bars, E1 rounds up to the max on some rows and not on
+        # others; with more, no bar edge but the top one reaches it
+        assert stop.any() == (bins == 2 and e0 > level)
+        assert not stop.all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_stop_thresholds_decide_as_auto_epsilon_with_one_bar(n):
+    rng = np.random.default_rng(n)
+    r = np.vstack([rng.random((4, n)) * 50.0, np.zeros((1, n)), np.full((1, n), 7.0)])
+    for e0 in (1e-3, 7.0, 40.0, 1e3):
+        stop = _assert_same_stops(r, e0)
+        assert stop[-2] and stop[-1] == (e0 >= 7.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[1.0, np.nan, 2.0]]),
+        np.array([[1.0, 2.0], [np.inf, 0.0]]),
+        np.array([[1.0, -2.0, 3.0]]),
+        np.empty((2, 0)),
+        np.array([]),
+        np.linspace(0.0, 3.0, 20),
+        np.ones((1, 1, 3)),
+    ],
+    ids=["nan", "inf", "negative", "empty", "empty-1d", "1d", "3d"],
+)
+def test_stop_thresholds_raise_as_auto_epsilon(bad):
+    with pytest.raises(ValueError) as expected:
+        auto_epsilon(bad, 40.0)
+    with pytest.raises(ValueError) as err:
+        _stop_thresholds(bad, 40.0)
+    assert str(err.value) == str(expected.value)
+
+
 def test_pipeline_thresholds_match_reference(monkeypatch):
-    # the stacks a 64^2 impulse image really feeds the threshold: 144-pixel
-    # rows of the ROIs still running in the image's one batch
+    # the stacks a 64^2 impulse image really feeds auto_epsilon: the
+    # 144-pixel final residuals of the image's one block, and the running
+    # rows that could stop at a step
     img = _bump(64)
     rng = rng_for(5)
     idx = rng.choice(img.size, size=round(0.10 * img.size), replace=False)

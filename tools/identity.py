@@ -11,7 +11,8 @@ REV is extracted with ``git archive`` into a temporary directory.  Each
 tree and thread count runs in its own child process, which imports
 kgard from that tree's ``src/``; the children's environments differ only
 in ``OPENBLAS_NUM_THREADS``.  The corpus inputs (the synthetic images of
-``bench/workloads.py``, one of them with random-valued impulses, and the
+``bench/workloads.py``, one of them with random-valued impulses, a
+zero-block image whose ROIs stop on the threshold, and the
 certificate's truths) are made once, in this process, from this
 checkout, so every run reads the same bytes.
 The corpus calls only public entry points whose signatures are stable,
@@ -79,6 +80,15 @@ def make_inputs(tiny: bool) -> dict:
         idx = rng.choice(valued.size, size=round(0.1 * valued.size), replace=False)
         valued.ravel()[idx] = rng.integers(0, 256, size=idx.size)
         inputs["image.seed1.side64.random_valued"] = valued
+        # a ramp whose left half is a zero block, plus +100 impulses from
+        # none above row 10 to 35 % at the bottom: a ROI with at most 48
+        # nonzero pixels selects them all and stops on the threshold, so
+        # threshold stops come at many steps, from 0 selections to the cap
+        zero_block = np.add.outer(np.arange(96), 2.0 * np.arange(80))
+        zero_block[:, :40] = 0.0
+        density = 0.35 * np.clip((np.arange(96) - 10) / 86, 0.0, 1.0)
+        zero_block += 100.0 * (rng.random((96, 80)) < density[:, None])
+        inputs["image.seed1.96x80.zero_block"] = zero_block
     # one stacked certificate check at the sweep's N = 100, over eight
     # orders of magnitude of theta
     rng = np.random.default_rng(5)
