@@ -164,14 +164,14 @@ def _read_dataset_csv(path) -> tuple:
 
 def _cmd_regress(args) -> int:
     inputs, targets = _read_dataset_csv(args.infile)
-    gram = gram_matrix(inputs, KernelParams(args.sigma))
-    fit = KgardSolver(gram, args.lam).fit(
+    fit = KgardSolver(gram_matrix(inputs, KernelParams(args.sigma)), args.lam).fit(
         targets[None], epsilon=args.epsilon, stop_norm=args.stop_norm
     )
     _, index, value = fit.selected()
     outliers = np.zeros(targets.size)
     outliers[index] = value
-    columns = zip(targets.tolist(), fit.evaluate(gram)[0].tolist(), outliers.tolist())
+    fitted = targets - outliers - fit.residual[0]  # y = f + u + r
+    columns = zip(targets.tolist(), fitted.tolist(), outliers.tolist())
     _write_csv(
         args.out,
         ["index", "y", "fitted", "outlier"],

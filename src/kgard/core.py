@@ -291,10 +291,10 @@ class KgardBatch:
         return taken.nonzero()[0], self.support[taken], self.outliers[taken]
 
     def evaluate(self, kernel: np.ndarray) -> np.ndarray:
-        """Every row's fitted expansion K alpha + c at Q points, (B, Q),
-        from their (Q, N) kernel matrix against the training points: the
-        Gram matrix for the fitted values, ``cross_gram(query, train)``
-        for other points.  Each row is the one matrix-vector product a
+        """Every row's expansion K alpha + c at Q new points, (B, Q),
+        from their (Q, N) kernel matrix ``cross_gram(query, train)``;
+        the fitted values at the training points are y - I_S u_S -
+        ``residual``.  Each row is the one matrix-vector product a
         single row makes, so its bits do not depend on the batch."""
         kernel = _as_real_array("kernel", kernel)
         if kernel.ndim != 2 or kernel.shape[1] != self.alpha.shape[1]:

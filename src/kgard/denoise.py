@@ -20,10 +20,10 @@ raster-order blocks of ``_BLOCK_ROIS``, each block one lockstep batch,
 so a large image reuses one block's Schur workspace instead of holding
 every ROI's.
 
-Outputs are the denoised image (the fitted smooth surfaces), the
-outlier map (estimated impulses at full resolution), and the original
-image minus the outlier map, which preserves inlier texture for a
-downstream Gaussian-denoising stage.
+Outputs are the denoised image (the fitted smooth surfaces y - u - r),
+the outlier map (estimated impulses at full resolution), and the
+original image minus the outlier map, which preserves inlier texture
+for a downstream Gaussian-denoising stage.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class RoiConfig:
     """Tiling and solver parameters for the pipeline.
 
     ``roi_size`` (N) and ``core_size`` (L) must satisfy N > L >= 1 with
-    N - L even so the core sits centrally.  ``e0`` is the hard upper
-    cap on the automatic stopping threshold.
+    N - L even so the core sits centrally.  ``e0``, positive and
+    finite, is the hard upper cap on the automatic stopping threshold.
     """
 
     roi_size: int = 12
@@ -91,8 +91,8 @@ class RoiConfig:
                 f"lambda0 must be positive with 15 * lambda0 finite, got {self.lambda0}"
             )
         e0 = _as_float("e0", self.e0)
-        if not e0 > 0:
-            raise ValueError(f"e0 must be positive, got {self.e0}")
+        if not 0 < e0 < math.inf:
+            raise ValueError(f"e0 must be positive and finite, got {self.e0}")
         object.__setattr__(self, "lambda0", lambda0)
         object.__setattr__(self, "e0", e0)
 
@@ -253,11 +253,11 @@ def auto_epsilon(residual_abs: np.ndarray, e0: float) -> np.ndarray:
     Returns min(e0, E1, E2) when the bar heights are strongly dispersed
     (sqrt(var)/mean > 0.9, the signature of a separated outlier mode)
     and min(e0, E1) otherwise.  A degenerate row (residual span below
-    1e-9) returns e0.  ``e0`` must be positive.
+    1e-9) returns e0.  ``e0`` must be positive and finite.
     """
     e0 = _as_float("e0", e0)
-    if not e0 > 0:
-        raise ValueError(f"e0 must be positive, got {e0}")
+    if not 0 < e0 < math.inf:
+        raise ValueError(f"e0 must be positive and finite, got {e0}")
     r, first, last = _magnitude_rows(residual_abs)
     eps = np.full(r.shape[0], e0)
     live = last - first >= _DEGENERATE_SPAN
@@ -282,8 +282,8 @@ def _stop_thresholds(residual_abs, e0: float) -> np.ndarray:
     threshold, and gets min(e0, T).  A degenerate row (span below 1e-9)
     gets e0, auto_epsilon's own value, and the rows left, whose maximum
     is at most min(e0, T), get auto_epsilon's.  Every threshold is
-    nonnegative.  ``e0`` must be positive; bad magnitudes raise as in
-    auto_epsilon.
+    nonnegative.  ``e0`` must be positive and finite; bad magnitudes
+    raise as in auto_epsilon.
     """
     r, first, last = _magnitude_rows(residual_abs)
     bins, span, edge = _bar_grid(r.shape[1], first, last)
@@ -331,12 +331,13 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ROI's final residual, whose threshold the diagnostics report.  One
     solver carries the lambda tiers over the shared Gram matrix and fits
     the ROIs in blocks of 256, each block one lockstep batch, on the
-    calling thread; every ROI's result is the one a fit of it alone gives, so
-    the block size moves no output bit.  The fitted smooth surfaces'
-    cores form the denoised image and the estimated impulses' cores the
-    outlier map.  Diagnostics are in raster order.  A finite
-    image too large for the pipeline's arithmetic, one that would give
-    an output that is not finite, raises ``ValueError``.
+    calling thread; every ROI's result is the one a fit of it alone
+    gives, so the block size moves no output bit.  The cores of the
+    fitted smooth surfaces y - u - r (each ROI's pixels less its
+    estimated impulses and final residual) form the denoised image, and
+    the impulses' cores the outlier map.  Diagnostics are in raster
+    order.  A finite image too large for the pipeline's arithmetic, one
+    that would give an output that is not finite, raises ``ValueError``.
     """
     if cfg is None:
         cfg = RoiConfig()
@@ -348,16 +349,15 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     rows, cols = rois.shape[:2]
     ys = rois.reshape(rows * cols, n * n)
 
-    gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
     # the ridge tiers that occur, ascending, and each ROI's index into
     # them (not np.unique: its first call imports numpy.ma)
     levels = np.array([1.0, 5.0, 15.0]) * cfg.lambda0
     lams = levels[[(lambdas == level).any() for level in levels]]
     tier = np.searchsorted(lams, lambdas)
-    solver = KgardSolver(gram, lams)
+    solver = KgardSolver(gram_matrix(roi_lattice(n), KernelParams(cfg.sigma)), lams)
 
     outliers = np.zeros(ys.shape)
-    surfaces = np.empty(ys.shape)
+    residual = np.empty(ys.shape)
     epsilon = np.empty(len(ys))
     selections = np.empty(len(ys), dtype=np.intp)
     stop_reason = np.empty(len(ys), dtype="<U9")
@@ -372,13 +372,9 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
         )
         roi, index, value = batch.selected()
         outliers[lo + roi, index] = value
-        # a fit of finite pixels can still overflow here; the outputs are
-        # checked once
-        with np.errstate(over="ignore", invalid="ignore"):
-            surfaces[block] = batch.evaluate(gram)
-        # the fit's epsilon holds the decision values; auto_epsilon is
-        # row-wise, and the final residual is the one each row's last stop
-        # test saw
+        residual[block] = batch.residual
+        # auto_epsilon is row-wise, and a row's final residual is the one
+        # its last stop test saw; the fit's epsilon holds the decision values
         epsilon[block] = auto_epsilon(np.abs(batch.residual), cfg.e0)
         selections[block] = batch.selections
         stop_reason[block] = batch.stop_reason
@@ -391,8 +387,11 @@ def denoise_image(image, cfg: Optional[RoiConfig] = None) -> DenoiseResult:
     ]
 
     h, w = img.shape
+    # finite pixels can still overflow here; the outputs are checked once
     with np.errstate(over="ignore", invalid="ignore"):
-        denoised = _cores(surfaces.reshape(rows, cols, n, n), cfg)[:h, :w]
+        # each ROI's fitted surface, from the fit's own identity y = f + u + r
+        surfaces = (ys - outliers - residual).reshape(rows, cols, n, n)
+        denoised = _cores(surfaces, cfg)[:h, :w]
         outlier_map = _cores(outliers.reshape(rows, cols, n, n), cfg)[:h, :w]
         outlier_map = np.round(outlier_map / _MAP_QUANTUM) * _MAP_QUANTUM
         impulse_removed = img - outlier_map

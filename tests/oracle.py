@@ -1,7 +1,8 @@
 """The einsum form of the kernel's squared distances and the Gram and
 cross-Gram matrices built on it, a dense reference solve for the
 greedy solver, dense references of
-its ridge coefficient and residual maps, a closed-form residual after
+its ridge coefficient and residual maps and of its fitted values at the
+training points, a closed-form residual after
 k correct selections, a per-value reference of the denoising
 threshold's histogram, which in ``kgard.denoise`` takes (L, N) stacks
 only, the denoising pipeline one ROI at a time, the identification
@@ -87,6 +88,19 @@ def residual_map_reference(gram, lam, weights=None):
     return np.eye(gram.shape[0]) - design_matrix(gram) @ coefficient_map_reference(
         gram, lam, weights
     )
+
+
+def fitted_reference(residual_map, y, support):
+    """The dense fitted values f at the training points of the fit of y
+    on the given support, from ``residual_map`` R as
+    ``residual_map_reference`` gives it: u_S solves R[S, S] u_S =
+    (R y)[S], which drives the residual to zero on S, and f = (I - R)(y
+    - I_S u_S), the ridge fit of what the outliers leave."""
+    s = np.asarray(support, dtype=np.intp)
+    u = np.zeros(len(y))
+    if s.size:
+        u[s] = np.linalg.solve(residual_map[np.ix_(s, s)], (residual_map @ y)[s])
+    return (y - u) - residual_map @ (y - u)
 
 
 def solution_vector(batch, i=0):
@@ -222,10 +236,11 @@ def denoise_reference(image, cfg):
     (N - L) / 2; ROI k, in raster order, is the N x N slice at (i L, j L)
     of the padded image.  Its ridge tier comes from the mean gradient
     magnitude over that slice; it is fitted alone as a one-row stack,
-    whose epsilon callable sees a (1, N^2) stack, and its central L x L
-    core is written to (i L, j L).  Returns (denoised,
-    outlier_map, diagnostics), each diagnostic an (index, origin, lam,
-    epsilon, outliers, stop_reason) tuple.
+    whose epsilon callable sees a (1, N^2) stack.  Its fitted surface is
+    y - u - r, its pixels less its outliers and its fit's final residual,
+    and the surface's central L x L core is written to (i L, j L).
+    Returns (denoised, outlier_map, diagnostics), each diagnostic an
+    (index, origin, lam, epsilon, outliers, stop_reason) tuple.
     """
     img = np.asarray(image, dtype=np.float64)
     n, ell, pad = cfg.roi_size, cfg.core_size, cfg.pad
@@ -249,16 +264,17 @@ def denoise_reference(image, cfg):
     inner = np.s_[pad : pad + ell, pad : pad + ell]
     diagnostics = []
     for idx, ((r, c), lam) in enumerate(zip(origins, lambdas.tolist())):
+        y = padded[r : r + n, c : c + n].ravel()
         fit = KgardSolver(gram, lam).fit(
-            padded[r : r + n, c : c + n].ravel()[None],
+            y[None],
             epsilon=lambda abs_r: auto_epsilon(abs_r, cfg.e0),
             stop_norm="linf",
             max_selections=n * n // 3,
         )
         k = int(fit.selections[0])
-        surface = (gram @ fit.alpha[0] + fit.bias[0]).reshape(n, n)
         u = np.zeros(n * n)
         u[fit.support[0, :k]] = fit.outliers[0, :k]
+        surface = (y - u - fit.residual[0]).reshape(n, n)
         denoised[r : r + ell, c : c + ell] = surface[inner]
         outlier_map[r : r + ell, c : c + ell] = u.reshape(n, n)[inner]
         diagnostics.append(

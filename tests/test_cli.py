@@ -14,6 +14,7 @@ from kgard.experiments import run_monte_carlo
 from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import NoiseSpec
 from kgard.pgm import read_pgm_file, write_pgm_file
+from oracle import fitted_reference, residual_map_reference
 
 
 def _bump_pgm(path, n=24):
@@ -294,6 +295,32 @@ def test_regress_round_trip(tmp_path, capsys):
     assert outlier_col == expected.tolist()
 
 
+@pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6])
+def test_regress_fitted_column_is_the_dense_fitted_values(tmp_path, capsys, lam):
+    # the column is y - u - r of the fit; it stays within 50 eps max|y| /
+    # lam of the dense fitted values on the fit's support (1.4e-16,
+    # 1.2e-13 and 1.4e-10 of max|y| were measured, and the Gram product
+    # K alpha + c gave 5.7e-16, 6.5e-12 and 3.6e-9)
+    x = np.linspace(0, 1, 100)
+    y = np.sin(2 * np.pi * x) + 0.1 * np.random.default_rng(0).standard_normal(100)
+    y[[13, 40, 41, 77]] += [25.0, -30.0, 20.0, 15.0]
+    csv_in = tmp_path / "data.csv"
+    csv_in.write_text(
+        "x1,y\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n"
+    )
+    out = tmp_path / "fit.csv"
+    argv = ["regress", "--in", str(csv_in), "--out", str(out), "--sigma", "0.1",
+            "--lambda", repr(lam), "--epsilon", "1.0"]
+    assert main(argv) == 0
+    fitted = np.array([float(r.split(",")[2]) for r in out.read_text().splitlines()[1:]])
+    gram = gram_matrix(x, KernelParams(0.1))
+    fit = KgardSolver(gram, lam).fit(y[None], epsilon=1.0)
+    support = fit.support[0, : fit.selections[0]]
+    assert sorted(support.tolist()) == [13, 40, 41, 77]
+    want = fitted_reference(residual_map_reference(gram, lam), y, support)
+    assert np.abs(fitted - want).max() <= 50.0 * np.finfo(float).eps * np.abs(y).max() / lam
+
+
 def test_regress_header_names_are_stripped(tmp_path, capsys):
     x = np.linspace(0, 1, 20)
     y = np.cos(3 * x)
@@ -416,6 +443,20 @@ def test_denoise_infinite_lambda0_exits_2(tmp_path, capsys):
     assert main(["denoise", "--in", str(src), "--out", str(out), "--lambda0", "inf"]) == 2
     assert capsys.readouterr().err.startswith("error: argument: lambda0 must be positive")
     assert not out.exists()
+
+
+def test_denoise_infinite_e0_exits_2(tmp_path, capsys):
+    # every ROI of an all-zero image is degenerate and reports e0 as its
+    # threshold, so an infinite e0 wrote "epsilon": Infinity
+    src = tmp_path / "zero.pgm"
+    write_pgm_file(src, np.zeros((16, 16)))
+    out, diag = tmp_path / "out.pgm", tmp_path / "diag.json"
+    argv = ["denoise", "--in", str(src), "--out", str(out), "--diagnostics", str(diag)]
+    assert main([*argv, "--e0", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("error: argument: e0 must be positive")
+    assert not out.exists() and not diag.exists()
+    assert main([*argv, "--e0", "1e300"]) == 0
+    assert [roi["epsilon"] for roi in json.loads(diag.read_text())] == [1e300] * 4
 
 
 @pytest.mark.parametrize(

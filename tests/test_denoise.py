@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kgard.denoise as denoise_mod
+from kgard.core import KgardSolver
 from kgard.denoise import (
     RoiConfig,
     _cores,
@@ -21,8 +22,15 @@ from kgard.denoise import (
     psnr,
     roi_lattice,
 )
+from kgard.kernel import KernelParams, gram_matrix
 from kgard.noise import rng_for
-from oracle import auto_epsilon_reference, denoise_reference, epsilon_histogram_reference
+from oracle import (
+    auto_epsilon_reference,
+    denoise_reference,
+    epsilon_histogram_reference,
+    fitted_reference,
+    residual_map_reference,
+)
 
 
 def _bump(n=32, amp=10.0, base=60.0):
@@ -55,6 +63,11 @@ def test_roi_config_validation():
         with pytest.raises(ValueError, match="lambda0"):
             RoiConfig(lambda0=bad)
     assert RoiConfig(lambda0=1e307).lambda0 == 1e307
+    # e0 is a degenerate ROI's threshold, which the diagnostics report
+    for bad in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="e0 must be positive and finite"):
+            RoiConfig(e0=bad)
+    assert RoiConfig(e0=1e308).e0 == 1e308
     assert RoiConfig().pad == 2
 
 
@@ -224,10 +237,10 @@ def test_auto_epsilon_degenerate_returns_cap():
         auto_epsilon(np.array([[-1.0, 2.0]]), 40.0)
 
 
-@pytest.mark.parametrize("e0", [math.nan, -1.0, 0.0, -math.inf])
+@pytest.mark.parametrize("e0", [math.nan, -1.0, 0.0, -math.inf, math.inf])
 def test_auto_epsilon_rejects_e0_that_is_not_positive(e0):
-    # RoiConfig's rule: without it a NaN or negative e0 came back as the
-    # threshold of every degenerate row
+    # RoiConfig's rule, 0 < e0 < inf: without it a NaN, negative or
+    # infinite e0 came back as the threshold of every degenerate row
     with pytest.raises(ValueError, match="e0 must be positive"):
         auto_epsilon(np.ones((1, 5)), e0)
 
@@ -354,6 +367,42 @@ def test_pipeline_matches_per_roi_reference(make_image, cfg, threshold_stops):
         stops = [d.outliers for d in result.diagnostics if d.stop_reason == "threshold"]
         assert len(stops) >= 10 and 0 in stops and max(stops) >= 40
         assert len(set(stops)) >= 8
+
+
+@pytest.mark.parametrize("lambda0", [1.0, 1e-3, 1e-6])
+def test_denoised_is_the_dense_fitted_surface(monkeypatch, lambda0):
+    # every ROI's surface is y - u - r of its fit; on its core it stays
+    # within 50 eps max|y| / lam of the dense fitted values on the fit's
+    # support (2.5e-15, 1.2e-12 and 3.9e-10 of max|y| were measured, and
+    # the Gram product K alpha + c gave 2.0e-14, 2.0e-11 and 2.0e-8)
+    img = _impulse_image(30, 33, seed=11)
+    cfg = RoiConfig(lambda0=lambda0)
+    batches = []
+    real_fit = KgardSolver.fit
+
+    def recording_fit(self, y, *args, **kwargs):
+        batches.append(real_fit(self, y, *args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(KgardSolver, "fit", recording_fit)
+    result = denoise_image(img, cfg)
+    monkeypatch.undo()
+    padded = pad_image(img, cfg)
+    lambdas = auto_lambda_map(padded, cfg).tolist()
+    rois = _rois(padded, cfg)
+    n = cfg.roi_size
+    gram = gram_matrix(roi_lattice(n), KernelParams(cfg.sigma))
+    maps = {lam: residual_map_reference(gram, lam) for lam in set(lambdas)}
+    supports = [b.support[i, :k] for b in batches for i, k in enumerate(b.selections)]
+    surfaces = [
+        fitted_reference(maps[lam], y, support)
+        for lam, y, support in zip(lambdas, rois.reshape(-1, n * n), supports)
+    ]
+    h, w = img.shape
+    want = _cores(np.reshape(surfaces, rois.shape), cfg)[:h, :w]
+    assert min(lambdas) == lambda0 and len(supports) == len(lambdas)
+    bound = 50.0 * np.finfo(float).eps * np.abs(img).max() / lambda0
+    assert np.abs(result.denoised - want).max() <= bound
 
 
 def test_denoise_pads_once(monkeypatch):

@@ -51,7 +51,7 @@ def test_tiny_corpus_digests_repeat(identity, tiny_runs):
     # every part of the corpus is there, and no timing field
     for prefix in ("denoise.", "sinc1d.snr.", "sinc1d.stable.", "lattice2d.", "sweep.",
                    "bound.", "bound.large.", "fit.", "corrupt.stable0.5.",
-                   "spectral.lattice961.", "sigma_max."):
+                   "spectral.lattice961.", "sigma_max.", "regress.fitted"):
         assert any(name.startswith(prefix) for name in first), prefix
     assert not any(name.endswith(tuple(identity.TIMING)) for name in first)
 

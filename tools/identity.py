@@ -12,9 +12,9 @@ tree and thread count runs in its own child process, which imports
 kgard from that tree's ``src/``; the children's environments differ only
 in ``OPENBLAS_NUM_THREADS``.  The corpus inputs (the synthetic images of
 ``bench/workloads.py``, one of them with random-valued impulses, a
-zero-block image whose ROIs stop on the threshold, and the
-certificate's truths) are made once, in this process, from this
-checkout, so every run reads the same bytes.
+zero-block image whose ROIs stop on the threshold, the certificate's
+truths and the points of one ``kgard regress`` run) are made once, in
+this process, from this checkout, so every run reads the same bytes.
 The corpus calls only public entry points whose signatures are stable,
 so any recent revision can be compared.
 
@@ -29,6 +29,7 @@ seconds, which the tests run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
@@ -106,6 +107,10 @@ def make_inputs(tiny: bool) -> dict:
     ys[::2, ::17] += 50.0
     inputs["fit.y"] = ys
     inputs["corrupt.truth"] = 20.0 * np.sinc(2.0 * np.pi * np.linspace(-1, 1, 199))
+    # a curve with four impulses on the sweep's grid, for kgard regress
+    inputs["regress.x"] = np.linspace(0.0, 1.0, 100)
+    inputs["regress.y"] = np.sin(2.0 * np.pi * inputs["regress.x"]) + rng.normal(0, 0.1, 100)
+    inputs["regress.y"][[13, 40, 41, 77]] += [25.0, -30.0, 20.0, 15.0]
     return inputs
 
 
@@ -125,6 +130,23 @@ def _records(prefix: str, records: list, skip=()) -> dict:
         for field in dataclasses.fields(records[0])
         if field.name not in skip
     }
+
+
+def _regress_fitted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ``fitted`` column that ``kgard regress`` writes for the points
+    (x, y), through a temporary CSV, every float as its repr both ways."""
+    from kgard.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data, fit = Path(tmp) / "data.csv", Path(tmp) / "fit.csv"
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        data.write_text("x1,y\n" + rows)
+        argv = ["regress", "--in", str(data), "--out", str(fit), "--sigma", "0.1",
+                "--lambda", "0.001", "--epsilon", "1.0"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(argv):
+                raise RuntimeError("kgard regress failed")
+        return np.array([float(row.split(",")[2]) for row in fit.read_text().splitlines()[1:]])
 
 
 def corpus(inputs: dict, tiny: bool) -> dict:
@@ -208,6 +230,7 @@ def corpus(inputs: dict, tiny: bool) -> dict:
         y, support, u = kgard.corrupt(inputs["corrupt.truth"], spec, kgard.rng_for(7))
         out[f"corrupt.{name}.y"], out[f"corrupt.{name}.support"] = y, support
         out[f"corrupt.{name}.outliers"] = u
+    out["regress.fitted"] = _regress_fitted(inputs["regress.x"], inputs["regress.y"])
     return out
 
 
